@@ -87,10 +87,16 @@ class SubproblemContext:
         s = np.asarray(s, dtype=float)
         psi = self.geometry.primal
         A = self.problem.map.A
-        H = self.problem.f.hess(s) + self.sigma * (
-            A.T @ self.penalty.hess(self.dual_argument(s)) @ A
-        )
-        H = H + np.diag(psi.hess_diag(s) / self.sigma)
+        u = self.dual_argument(s)
+        diag = self.penalty.hess_diag_or_none(u)
+        if diag is None:
+            H = self.sigma * (A.T @ self.penalty.hess(u) @ A)
+        else:
+            # scaling the columns of A^T forms no m x m matrix; for a
+            # power-of-two sigma it rounds exactly like sigma * (A^T D A)
+            H = (A.T * (self.sigma * diag)) @ A
+        H += self.problem.f.hess(s)
+        H[np.diag_indices_from(H)] += psi.hess_diag(s) / self.sigma
         return H
 
     def anchor_gap(self, s) -> float:

@@ -97,7 +97,7 @@ def rate_fit(
             break
         ratios.append(d[k + 1] / d[k])
     tail = ratios[-5:]
-    superlinear = (
+    superlinear = bool(
         len(tail) == 5
         and all(tail[i + 1] < tail[i] for i in range(4))
         and tail[-1] < 0.1

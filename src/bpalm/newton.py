@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .auglag import SubproblemContext
+from .auglag import SubproblemContext, make_context
 from .exceptions import FactorizationError, InvalidRegimeError
 
 __all__ = [
@@ -42,10 +43,25 @@ _TINY_B = 1e-300  # stands in for a measured B of exactly zero inside logs
 
 @dataclass(frozen=True)
 class NewtonStepRecord:
+    """One visited iterate.
+
+    The last iterate of a solve takes no step, so nothing there needs the
+    Hessian but its decrement: it is stored as a zero-argument function,
+    called on the first read of ``decrement`` and replaced by its value.
+    """
+
     grad_norm: float
-    decrement: float
+    decrement_or_deferred: float | Callable[[], float]
     step_norm: float
     accepted: bool
+
+    @property
+    def decrement(self) -> float:
+        value = self.decrement_or_deferred
+        if callable(value):
+            value = value()
+            object.__setattr__(self, "decrement_or_deferred", value)
+        return value
 
 
 @dataclass
@@ -87,21 +103,44 @@ def _clamped_step(ctx: SubproblemContext, s: np.ndarray, direction: np.ndarray) 
     lower = getattr(psi, "lower", None)
     if lower is None:
         return s + direction
-    upper = psi.upper
-    t_max = math.inf
-    for di, si, lo, hi in zip(direction, s, lower, upper):
-        if di > 0.0:
-            t_max = min(t_max, (hi - si) / di)
-        elif di < 0.0:
-            t_max = min(t_max, (lo - si) / di)
+    up, down = direction > 0.0, direction < 0.0
+    ratios = np.concatenate(
+        ((psi.upper[up] - s[up]) / direction[up], (lower[down] - s[down]) / direction[down])
+    )
+    t_max = float(ratios.min()) if ratios.size else math.inf
     t = min(1.0, _BOUNDARY_FRACTION * t_max)
     return s + t * direction
+
+
+def _newton_direction(
+    ctx: SubproblemContext, s: np.ndarray, g: np.ndarray, scale: float
+) -> tuple[np.ndarray, float]:
+    """The Newton direction at s, with gradient g, and its scaled decrement."""
+    d = -_solve_spd(ctx.hess(s), g)
+    return d, scale * math.sqrt(max(float(-g @ d), 0.0))
+
+
+def _deferred_decrement(ctx: SubproblemContext, s: np.ndarray, scale: float):
+    """A function computing the decrement at s on demand.
+
+    It keeps only the arrays that define the context, which the outer record
+    shares, and rebuilds the rest when called; holding the context itself
+    would keep its anchor gradients alive for every record of a run.
+    """
+    problem, penalty, geometry = ctx.problem, ctx.penalty, ctx.geometry
+    x_anchor, y_anchor, sigma, rho = ctx.x_anchor, ctx.y_anchor, ctx.sigma, ctx.rho
+
+    def decrement() -> float:
+        rebuilt = make_context(problem, penalty, geometry, x_anchor, y_anchor, sigma, rho)
+        return _newton_direction(rebuilt, s, rebuilt.grad(s), scale)[1]
+
+    return decrement
 
 
 def newton_step(ctx: SubproblemContext, s) -> np.ndarray:
     """One pure Newton step on the subproblem objective from s."""
     s = np.asarray(s, dtype=float)
-    direction = -_solve_spd(ctx.hess(s), ctx.grad(s))
+    direction = _newton_direction(ctx, s, ctx.grad(s), 1.0)[0]
     return _clamped_step(ctx, s, direction)
 
 
@@ -110,8 +149,7 @@ def newton_decrement(ctx: SubproblemContext, s, modulus: float) -> float:
     if modulus <= 0.0:
         raise InvalidRegimeError("decrement modulus must be positive")
     s = np.asarray(s, dtype=float)
-    g = ctx.grad(s)
-    return modulus * math.sqrt(max(float(g @ _solve_spd(ctx.hess(s), g)), 0.0))
+    return _newton_direction(ctx, s, ctx.grad(s), modulus)[1]
 
 
 def solve_subproblem(
@@ -126,37 +164,29 @@ def solve_subproblem(
     step at all.  Hitting the cap is reported, not raised.
     """
     scale = modulus if modulus and modulus > 0.0 else 1.0
+    cap = max(cap, 0)
     s = np.asarray(start, dtype=float)
     trace = NewtonTrace()
+    step_norm = 0.0
 
-    g = ctx.grad(s)
-    d = -_solve_spd(ctx.hess(s), g)
-    lam = scale * math.sqrt(max(float(-g @ d), 0.0))
-    check = ctx.acceptance_check(s, g)
-    accepted = check.accepted or float(np.linalg.norm(g)) <= GRAD_FLOOR
-    trace.steps.append(
-        NewtonStepRecord(float(np.linalg.norm(g)), lam, 0.0, accepted)
-    )
-    if accepted:
-        return InnerSolve(s, trace, True, g, check.x_plus, check.b_value)
-
-    for t in range(1, cap + 1):
+    for t in range(cap + 1):
+        g = ctx.grad(s)
+        grad_norm = float(np.linalg.norm(g))
+        check = ctx.acceptance_check(s, g)
+        accepted = check.accepted or grad_norm <= GRAD_FLOOR
+        trace.iterations_used = t
+        if accepted or t == cap:
+            trace.steps.append(
+                NewtonStepRecord(
+                    grad_norm, _deferred_decrement(ctx, s, scale), step_norm, accepted
+                )
+            )
+            return InnerSolve(s, trace, accepted, g, check.x_plus, check.b_value)
+        d, lam = _newton_direction(ctx, s, g, scale)
+        trace.steps.append(NewtonStepRecord(grad_norm, lam, step_norm, False))
         s_next = _clamped_step(ctx, s, d)
         step_norm = float(np.linalg.norm(s_next - s))
         s = s_next
-        g = ctx.grad(s)
-        d = -_solve_spd(ctx.hess(s), g)
-        lam = scale * math.sqrt(max(float(-g @ d), 0.0))
-        check = ctx.acceptance_check(s, g)
-        accepted = check.accepted or float(np.linalg.norm(g)) <= GRAD_FLOOR
-        trace.steps.append(
-            NewtonStepRecord(float(np.linalg.norm(g)), lam, step_norm, accepted)
-        )
-        trace.iterations_used = t
-        if accepted:
-            return InnerSolve(s, trace, True, g, check.x_plus, check.b_value)
-
-    return InnerSolve(s, trace, False, g, check.x_plus, check.b_value)
 
 
 def _ceil_log2(x: float) -> int:

@@ -166,12 +166,16 @@ class OuterRecord:
     y_next: np.ndarray
     b_value: float
     grad_norm: float
-    decrement: float
     newton: NewtonTrace
     predicted_newton: int | None
     residuals: KKTResiduals
     dual_perturbation: np.ndarray  # v in the x-block of the KKT operator at (s, y_next)
     accepted: bool
+
+    @property
+    def decrement(self) -> float:
+        """Newton decrement at s; the first read pays one factorization."""
+        return self.newton.steps[-1].decrement
 
 
 @dataclass
@@ -351,14 +355,15 @@ def outer_iteration(
         sigma=sigma,
         rho=rho,
         sigma_clipped=clipped,
-        x_anchor=state.x.copy(),
-        y_anchor=state.y.copy(),
-        s=s.copy(),
+        # shared with the deferred decrement of the last Newton record, which
+        # rebuilds the context from them
+        x_anchor=ctx.x_anchor,
+        y_anchor=ctx.y_anchor,
+        s=s,
         x_next=np.asarray(x_next, dtype=float).copy(),
         y_next=y_next.copy(),
         b_value=inner.b_value,
         grad_norm=float(np.linalg.norm(inner.grad)),
-        decrement=inner.trace.steps[-1].decrement,
         newton=inner.trace,
         predicted_newton=predicted,
         residuals=residuals,

@@ -120,26 +120,28 @@ class DualPenalty:
 
     def hess(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        form = self.closed_form
-        if form == "sumexp":
-            return np.diag(np.exp(u))
-        if form == "logsumexp_plus_one":
-            s = _softmax(u)
-            return np.diag(s) - np.outer(s, s)
-        if form == "softplus_integral":
-            return np.diag(_sigmoid(u))
-        if form == "half_square":
-            return np.eye(u.size)
-        if form == "max_half_square":
-            # value 1 at the kink keeps the active-set reading of u = 0
-            return np.diag((u >= 0.0).astype(float))
-        return np.diag((np.abs(u) <= 1.0).astype(float))
+        diag = self.hess_diag_or_none(u)
+        if diag is not None:
+            return np.diag(diag)
+        s = _softmax(u)
+        return np.diag(s) - np.outer(s, s)
 
     def hess_diag_or_none(self, u) -> np.ndarray | None:
         """Diagonal of the Hessian when it is diagonal, else None."""
-        if self.closed_form == "logsumexp_plus_one":
+        u = np.asarray(u, dtype=float)
+        form = self.closed_form
+        if form == "sumexp":
+            return np.exp(u)
+        if form == "logsumexp_plus_one":
             return None
-        return np.diag(self.hess(u))
+        if form == "softplus_integral":
+            return _sigmoid(u)
+        if form == "half_square":
+            return np.ones(u.size)
+        if form == "max_half_square":
+            # value 1 at the kink keeps the active-set reading of u = 0
+            return (u >= 0.0).astype(float)
+        return (np.abs(u) <= 1.0).astype(float)
 
     def moduli(self, sigma: float) -> PenaltyModuli:
         if sigma <= 0.0:

@@ -85,6 +85,50 @@ class TestDerivativeConsistency:
             Hfd = (ctx.grad(s + h)[0] - ctx.grad(s - h)[0]) / (2 * h)
             assert ctx.hess(s)[0, 0] == pytest.approx(Hfd, rel=1e-4, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "variant, dual_kind",
+        [
+            ("orthant", "von_neumann"),  # sumexp
+            ("vecmax", "von_neumann"),  # logsumexp_plus_one
+            ("orthant", "spence"),  # softplus_integral
+            ("zero", "energy"),  # half_square
+            ("orthant", "energy"),  # max_half_square
+            ("one_norm", "energy"),  # huber
+        ],
+    )
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_hessian_matches_dense_reference(self, variant, dual_kind, barrier):
+        n, m = 5, 4
+        rng = np.random.default_rng(11)
+        root = rng.normal(size=(n, n))
+        lo, hi = -np.ones(n), np.ones(n)
+        box = (lo, hi) if barrier else None
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(root @ root.T + np.eye(n), rng.normal(size=n), box=box),
+            g=NonsmoothTerm(variant),
+            map=AffineMap.from_dense(2.0 * rng.normal(size=(m, n)), rng.normal(size=m)),
+        )
+        primal = box_barrier(lo, hi) if barrier else energy(n)
+        dual = {"von_neumann": von_neumann, "spence": spence, "energy": energy}[dual_kind](m)
+        geo = BregmanGeometry(primal, dual)
+        pen = penalty_for(ps.g, geo.dual)
+        y = rng.uniform(0.2, 0.9, m)
+        A = ps.map.A
+        for sigma in (0.5, 0.3, 4.0):
+            ctx = make_context(ps, pen, geo, rng.uniform(-0.5, 0.5, n), y, sigma, 0.5)
+            for _ in range(3):
+                s = rng.uniform(-0.9, 0.9, n)
+                u = ctx.dual_argument(s)
+                expected = (
+                    ps.f.hess(s)
+                    + sigma * (A.T @ pen.hess(u) @ A)
+                    + np.diag(primal.hess_diag(s) / sigma)
+                )
+                if math.log2(sigma).is_integer():
+                    np.testing.assert_array_equal(ctx.hess(s), expected)
+                else:
+                    np.testing.assert_allclose(ctx.hess(s), expected, rtol=1e-13, atol=1e-12)
+
     def test_barrier_primal_derivatives(self):
         lo, hi = np.zeros(2), np.ones(2)
         ps = ProblemSpec(

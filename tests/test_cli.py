@@ -230,6 +230,36 @@ class TestMain:
         assert diag["fejer_monotone"] is True
         assert diag["ergodic_max_violation"] <= 1e-8
 
+    def test_diagnose_json_with_superlinear_verdict(self, tmp_path, capsys):
+        # the rate fit reaches its final ratio test on this run, whose numpy
+        # comparison once made the JSON report unserializable
+        path = tmp_path / "ineq3.json"
+        write_problem_file(
+            str(path),
+            objective={
+                "quadratic": {
+                    "n": 3,
+                    "W": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0]],
+                    "c": [0.19, -0.52, -0.41],
+                }
+            },
+            constraint={
+                "type": "ineq",
+                "m": 2,
+                "A": [[0, 0, -2.44], [0, 1, 1.8], [0, 2, 1.14],
+                      [1, 0, -0.33], [1, 1, 0.77], [1, 2, 0.28]],
+                "b": [-0.55, 0.98],
+            },
+            solution={
+                "x": [0.37202874242387446, 0.10538863263850763, 0.14741280067090407],
+                "y": [0.2303396485342244, 3.67423173026015e-114],
+            },
+        )
+        rc = main(["--problem", str(path), "--dual", "spence", "--report", "json", "--diagnose"])
+        assert rc == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["superlinear"] is True
+
     def test_diagnose_conic_on_inequality(self, ineq_doc, capsys):
         rc = main(["--problem", ineq_doc, "--report", "json", "--diagnose"])
         assert rc == 0

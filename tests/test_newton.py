@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import bpalm.newton
 from bpalm.auglag import make_context
 from bpalm.exceptions import FactorizationError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, von_neumann
 from bpalm.newton import (
+    _clamped_step,
     newton_decrement,
     newton_step,
     predicted_newton_steps,
     regime_modulus,
     solve_subproblem,
 )
+from bpalm.outer import SolverConfig, run
 from bpalm.penalty import penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
@@ -62,6 +66,31 @@ class TestNewtonStep:
             0.0,
         )
         assert newton_step(ctx, [1.0]) == pytest.approx([1.0])
+
+    def test_clamp_matches_coordinate_loop(self):
+        lo, hi = -np.ones(6), np.linspace(0.5, 3.0, 6)
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(np.eye(6), np.zeros(6), box=(lo, hi)),
+            g=NonsmoothTerm.zero_indicator(),
+            map=AffineMap.from_dense(np.ones((1, 6)), [0.0]),
+        )
+        geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, np.zeros(6), [0.0], 1.0, 0.5)
+        rng = np.random.default_rng(3)
+        for scale in (0.1, 1.0, 10.0):
+            s = rng.uniform(lo, hi)
+            direction = scale * rng.normal(size=6)
+            direction[rng.integers(6)] = 0.0
+            t_max = math.inf
+            for di, si, l, h in zip(direction, s, lo, hi):
+                if di > 0.0:
+                    t_max = min(t_max, (h - si) / di)
+                elif di < 0.0:
+                    t_max = min(t_max, (l - si) / di)
+            expected = s + min(1.0, 0.99 * t_max) * direction
+            np.testing.assert_array_equal(_clamped_step(ctx, s, direction), expected)
+        s = rng.uniform(lo, hi)
+        np.testing.assert_array_equal(_clamped_step(ctx, s, np.zeros(6)), s)
 
     def test_barrier_clamp_keeps_interior(self):
         lo, hi = np.zeros(1), np.ones(1)
@@ -192,6 +221,74 @@ class TestFactorization:
 
         with pytest.raises(FactorizationError):
             newton_step(IndefContext(), np.zeros(1))
+
+
+def small_ineq_run():
+    rng = np.random.default_rng(5)
+    n, m = 6, 3
+    root = rng.normal(size=(n, n))
+    ps = ProblemSpec(
+        f=SmoothObjective.quadratic(root @ root.T / n + np.eye(n), rng.normal(size=n)),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense(rng.normal(size=(m, n)), rng.uniform(-0.5, 0.5, m)),
+    )
+    cfg = SolverConfig(geometry=BregmanGeometry(energy(n), von_neumann(m)), regime="qsc")
+    return cfg, ps
+
+
+class TestDeferredDecrement:
+    """Newton factors once per step; the decrement at the point a solve ends
+    on is computed on its first read."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = {"ok": 0, "raised": 0}
+        original = bpalm.newton.cho_factor
+
+        def counting(*args, **kwargs):
+            try:
+                out = original(*args, **kwargs)
+            except LinAlgError:
+                calls["raised"] += 1
+                raise
+            calls["ok"] += 1
+            return out
+
+        monkeypatch.setattr(bpalm.newton, "cho_factor", counting)
+        return calls
+
+    def test_one_factorization_per_step(self, factor_calls):
+        cfg, ps = small_ineq_run()
+        report = run(cfg, ps)
+        assert report.total_newton_steps > 0
+        assert factor_calls == {"ok": report.total_newton_steps, "raised": 0}
+
+        records = report.trace.records
+        first = [rec.decrement for rec in records]
+        assert factor_calls["ok"] == report.total_newton_steps + report.outer_iterations
+        assert [rec.decrement for rec in records] == first
+        assert [rec.newton.steps[-1].decrement for rec in records] == first
+        assert factor_calls["ok"] == report.total_newton_steps + report.outer_iterations
+
+    def test_deferred_value_matches_direct_decrement(self):
+        cfg, ps = small_ineq_run()
+        report = run(cfg, ps)
+        geometry = cfg.geometry
+        penalty = penalty_for(ps.g, geometry.dual)
+        for rec in report.trace.records:
+            ctx = make_context(
+                ps, penalty, geometry, rec.x_anchor, rec.y_anchor, rec.sigma, rec.rho
+            )
+            modulus = regime_modulus(ctx, cfg.regime) or 1.0
+            assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
+
+    def test_cap_reached_without_acceptance(self, factor_calls):
+        ctx = ineq_vn_context(rho=0.0)
+        inner = solve_subproblem(ctx, [0.0], cap=2)
+        assert not inner.accepted
+        assert inner.trace.iterations_used == 2 and len(inner.trace.steps) == 3
+        assert factor_calls["ok"] == 2
+        assert inner.trace.steps[-1].decrement == newton_decrement(ctx, inner.s, 1.0)
 
 
 class TestPredictedCounts:
