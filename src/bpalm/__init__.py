@@ -23,7 +23,7 @@ from .problem import (
     kkt_residuals,
     lagrangian,
 )
-from .penalty import DualPenalty, PenaltyModuli, penalty_for
+from .penalty import DualPenalty, penalty_for
 from .auglag import AcceptanceCheck, SubproblemContext, make_context
 from .newton import (
     InnerSolve,
@@ -35,7 +35,6 @@ from .newton import (
     solve_subproblem,
 )
 from .outer import (
-    BisectionConfig,
     IterateState,
     OuterRecord,
     RhoSchedule,
@@ -44,7 +43,6 @@ from .outer import (
     SolveTrace,
     SolverConfig,
     default_start,
-    ergodic_iterates,
     outer_iteration,
     run,
     select_sigma,

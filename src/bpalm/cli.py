@@ -11,7 +11,8 @@ Problem files are JSON documents with three sections::
       "solution":   {"x": [...], "y": [...]}           # optional golden pair
     }
 
-Bounds entries may be numbers or the sentinels "inf" / "-inf".  Under the sc
+Numbers must be finite; only bounds entries may also be the sentinels
+"inf" / "-inf" (or JSON's Infinity / -Infinity).  Under the sc
 regime bounds become the barrier box of the primal geometry; otherwise they
 are appended to an inequality constraint block.  Unknown fields are rejected.
 
@@ -59,23 +60,37 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ParseError(f"{where}: missing fields {sorted(missing)}")
 
 
-def _as_float(value, where: str) -> float:
-    if isinstance(value, str):
-        token = value.strip().lower()
-        if token in ("inf", "+inf"):
-            return math.inf
-        if token == "-inf":
-            return -math.inf
-        raise ParseError(f"{where}: bad number {value!r}")
-    if not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: bad number {value!r}")
-    return float(value)
+_INFINITIES = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
 
 
-def _vector(values, where: str) -> np.ndarray:
+def _as_float(value, where: str, infinite: bool) -> float:
+    """A finite number, or with ``infinite`` also +-inf."""
+    if infinite and isinstance(value, str):
+        value = _INFINITIES.get(value.strip().lower(), value)
+    if isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the double range
+            x = math.nan
+        if not math.isnan(x) and (infinite or not math.isinf(x)):
+            return x
+    raise ParseError(f"{where}: bad number {value!r}")
+
+
+def _vector(values, where: str, infinite: bool = False) -> np.ndarray:
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list")
-    return np.array([_as_float(v, where) for v in values], dtype=float)
+    return np.array([_as_float(v, where, infinite) for v in values], dtype=float)
+
+
+def _dimension(value, where: str) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: bad dimension {value!r}") from None
+    if n < 1:
+        raise DimensionError(f"{where}: dimension must be positive, got {n}")
+    return n
 
 
 def _parse_objective(doc: dict) -> SmoothObjective:
@@ -85,7 +100,7 @@ def _parse_objective(doc: dict) -> SmoothObjective:
     if "quadratic" in doc:
         quad = doc["quadratic"]
         _require_keys(quad, {"n", "W", "c"}, {"n", "W", "c"}, "objective.quadratic")
-        n = int(quad["n"])
+        n = _dimension(quad["n"], "objective.quadratic.n")
         c = _vector(quad["c"], "objective.quadratic.c")
         if c.size != n:
             raise DimensionError(f"objective.quadratic: c has length {c.size}, expected {n}")
@@ -93,13 +108,14 @@ def _parse_objective(doc: dict) -> SmoothObjective:
         return SmoothObjective.quadratic(W, c)
     named = doc["named"]
     _require_keys(named, {"name", "n"}, {"name", "n"}, "objective.named")
-    return SmoothObjective.named(str(named["name"]), int(named["n"]))
+    n = _dimension(named["n"], "objective.named.n")
+    return SmoothObjective.named(str(named["name"]), n)
 
 
 def _parse_bounds(doc: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     _require_keys(doc, {"l", "u"}, {"l", "u"}, "bounds")
-    lo = _vector(doc["l"], "bounds.l")
-    hi = _vector(doc["u"], "bounds.u")
+    lo = _vector(doc["l"], "bounds.l", infinite=True)
+    hi = _vector(doc["u"], "bounds.u", infinite=True)
     if lo.size != n or hi.size != n:
         raise DimensionError(f"bounds: expected length {n} vectors")
     if np.any(lo >= hi):
@@ -133,7 +149,7 @@ def parse_problem(path: str, regime: str = "qsc"):
     ctype = str(cons["type"])
     if ctype not in _CONSTRAINT_TYPES:
         raise ParseError(f"constraint.type must be one of {sorted(_CONSTRAINT_TYPES)}")
-    m = int(cons["m"])
+    m = _dimension(cons["m"], "constraint.m")
     b = _vector(cons["b"], "constraint.b")
     if b.size != m:
         raise DimensionError(f"constraint: b has length {b.size}, expected {m}")
@@ -390,19 +406,17 @@ def main(argv=None) -> int:
             newton_cap=args.newton_cap,
         )
         report = run(cfg, problem)
+        diag = None
+        if args.diagnose:
+            if golden is None:
+                print("warning: --diagnose ignored, no solution embedded", file=sys.stderr)
+            else:
+                diag = _diagnostics_payload(report, problem, geometry, golden)
+        if args.trace:  # reads each record's decrement, which may factorize
+            _write_trace(args.trace, report, geometry, golden)
     except BpalmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    diag = None
-    if args.diagnose:
-        if golden is None:
-            print("warning: --diagnose ignored, no solution embedded", file=sys.stderr)
-        else:
-            diag = _diagnostics_payload(report, problem, geometry, golden)
-
-    if args.trace:
-        _write_trace(args.trace, report, geometry, golden)
 
     _print_report(_report_payload(report, diag), args.report)
     if report.status == SolveStatus.OPTIMAL:

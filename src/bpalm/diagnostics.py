@@ -181,7 +181,7 @@ def _max_divergence_on_cap(
     for start in candidates[1:]:
         y = start.copy()
         for _ in range(60):
-            if phi.kind in ("von_neumann", "spence"):
+            if phi.nonnegative:
                 grad = phi.grad(np.maximum(y, 1e-148)) - phi.grad(y0)
             else:
                 grad = y - y0

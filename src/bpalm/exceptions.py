@@ -41,9 +41,5 @@ class InsufficientTraceError(BpalmError):
     """A diagnostic needs more recorded iterations than are available."""
 
 
-class EmptyStateError(BpalmError):
-    """Ergodic quantities were requested before the first iteration."""
-
-
 class ParseError(BpalmError):
     """A problem file is malformed; the message carries field context."""

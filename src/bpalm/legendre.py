@@ -103,8 +103,29 @@ def _kl_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
+def softplus(t: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t)
+
+
+def sigmoid(t: np.ndarray) -> np.ndarray:
+    """Derivative of softplus, through tanh so it never overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+def softmax(t: np.ndarray) -> np.ndarray:
+    e = np.exp(t - np.max(t))
+    return e / e.sum()
+
+
+def softplus_antiderivative(t: float) -> float:
+    """-Li2(-exp(t)), the integral of softplus over (-inf, t].
+
+    For positive t the inversion identity folds in, so the series argument
+    stays in (-1, 0].
+    """
+    if t <= 0.0:
+        return -dilog(-math.exp(t))
+    return PI2_6 + 0.5 * t * t + dilog(-math.exp(-t))
 
 
 def _as_vector(z, dim: int) -> np.ndarray:
@@ -118,12 +139,15 @@ class LegendreFunction:
     """Base class for the catalog; subclasses fill in the scalar calculus.
 
     The public surface is ``value``, ``grad``, ``conj_grad``, ``conj_value``,
-    ``hess_diag``/``hess`` and the domain predicates.  ``grad`` and
+    ``hess_diag`` and the domain predicates.  ``grad`` and
     ``conj_grad`` are mutually inverse bijections between the domain
     interiors; ``hess_diag`` of conjugate pairs are reciprocal.
     """
 
     kind: str = "abstract"
+    # dom phi is the nonnegative orthant (or its interior), so dual iterates
+    # start at all-ones and are floored above the boundary
+    nonnegative: bool = False
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -159,9 +183,6 @@ class LegendreFunction:
 
     def hess_diag(self, z) -> np.ndarray:
         raise NotImplementedError
-
-    def hess(self, z) -> np.ndarray:
-        return np.diag(self.hess_diag(z))
 
     def conj_hess_diag(self, t) -> np.ndarray:
         """Hessian diagonal of the conjugate; the default composes through
@@ -238,6 +259,7 @@ class VonNeumann(LegendreFunction):
     """phi(t) = t ln t - t on [0, inf); D_phi is the Kullback-Leibler divergence."""
 
     kind = "von_neumann"
+    nonnegative = True
 
     def in_domain(self, z) -> bool:
         return bool(np.all(_as_vector(z, self.dim) >= 0.0))
@@ -283,6 +305,7 @@ class Burg(LegendreFunction):
     """phi(t) = -ln t on (0, inf); D_phi is the Itakura-Saito divergence."""
 
     kind = "burg"
+    nonnegative = True
     sc_modulus = 1.0
 
     def in_domain(self, z) -> bool:
@@ -333,6 +356,7 @@ class Spence(LegendreFunction):
     """
 
     kind = "spence"
+    nonnegative = True
 
     def in_domain(self, z) -> bool:
         return bool(np.all(_as_vector(z, self.dim) >= 0.0))
@@ -359,28 +383,17 @@ class Spence(LegendreFunction):
         return out
 
     def conj_grad(self, t) -> np.ndarray:
-        return _softplus(_as_vector(t, self.dim))
+        return softplus(_as_vector(t, self.dim))
 
     def conj_value(self, t) -> float:
-        t = _as_vector(t, self.dim)
-        # -Li2(-exp(t)); fold the inversion identity in for positive t so the
-        # series argument stays in (-1, 0].
-        total = 0.0
-        for ti in t:
-            ti = float(ti)
-            if ti <= 0.0:
-                total += -dilog(-math.exp(ti))
-            else:
-                total += PI2_6 + 0.5 * ti * ti + dilog(-math.exp(-ti))
-        return total
+        return sum(softplus_antiderivative(float(ti)) for ti in _as_vector(t, self.dim))
 
     def hess_diag(self, z) -> np.ndarray:
         z = self._require_interior(z)
         return 1.0 / (-np.expm1(-z))
 
     def conj_hess_diag(self, t) -> np.ndarray:
-        t = _as_vector(t, self.dim)
-        return 0.5 * (1.0 + np.tanh(0.5 * t))  # sigmoid
+        return sigmoid(_as_vector(t, self.dim))
 
     def distance(self, z1, z2) -> float:
         z1 = _as_vector(z1, self.dim)
@@ -641,8 +654,3 @@ class BregmanGeometry:
     def joint(self) -> Product:
         """The separable function on the product space, for primal-dual distances."""
         return Product([self.primal, self.dual])
-
-    def joint_distance(self, z1_x, z1_y, z2_x, z2_y) -> float:
-        return bregman_distance(self.primal, z1_x, z2_x) + bregman_distance(
-            self.dual, z1_y, z2_y
-        )

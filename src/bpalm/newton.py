@@ -88,14 +88,16 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     lift on failure; the objective is strongly convex, so failures indicate
     conditioning rather than modeling."""
     try:
-        return cho_solve(cho_factor(H), g)
-    except LinAlgError:
-        lift = 1e-12 * (1.0 + float(np.trace(H)) / H.shape[0])
-        logger.warning("SPD factorization failed; retrying with lift %.3e", lift)
         try:
+            return cho_solve(cho_factor(H), g)
+        except LinAlgError:
+            lift = 1e-12 * (1.0 + float(np.trace(H)) / H.shape[0])
+            logger.warning("SPD factorization failed; retrying with lift %.3e", lift)
             return cho_solve(cho_factor(H + lift * np.eye(H.shape[0])), g)
-        except LinAlgError as exc:
-            raise FactorizationError("subproblem Hessian is not numerically SPD") from exc
+    except LinAlgError as exc:
+        raise FactorizationError("subproblem Hessian is not numerically SPD") from exc
+    except ValueError as exc:  # scipy's finiteness check
+        raise FactorizationError("subproblem Hessian or gradient is not finite") from exc
 
 
 def _clamped_step(ctx: SubproblemContext, s: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -279,7 +281,7 @@ def predicted_for_context(ctx: SubproblemContext, regime: str, b_value: float) -
             raise InvalidRegimeError(
                 f"{ctx.penalty.closed_form} carries no C^3 certificate"
             )
-        m_k = max(ctx.sigma * ctx.penalty.qsc_modulus * norm_a, ctx.problem.f.qsc_modulus)
+        m_k = regime_modulus(ctx, "qsc") or 0.0
         return predicted_newton_steps("qsc", rho=ctx.rho, m_k=m_k, b_value=b_value)
     if regime == "qsc_lipschitz":
         beta = ctx.penalty.lipschitz_modulus

@@ -22,7 +22,6 @@ from .exceptions import (
     BisectionFailedError,
     DimensionError,
     DomainError,
-    EmptyStateError,
     InvalidRegimeError,
 )
 from .legendre import BregmanGeometry
@@ -38,7 +37,6 @@ from .problem import KKTResiduals, ProblemSpec, kkt_residuals
 __all__ = [
     "SolveStatus",
     "RhoSchedule",
-    "BisectionConfig",
     "SolverConfig",
     "IterateState",
     "OuterRecord",
@@ -47,7 +45,6 @@ __all__ = [
     "select_sigma",
     "outer_iteration",
     "run",
-    "ergodic_iterates",
     "default_start",
 ]
 
@@ -55,6 +52,10 @@ __all__ = [
 # keeps dual iterates strictly inside the positive geometries' domains (just
 # above the boundary margin) and is far below every reporting tolerance
 _TINY_POSITIVE = 1e-148
+
+# sigma backtracking; perfbench/workloads.py counts backtracks assuming 0.5
+_MAX_BACKTRACKS = 40
+_SHRINK = 0.5
 
 
 class SolveStatus(Enum):
@@ -98,12 +99,6 @@ class RhoSchedule:
         return max(self.rho0 * self.factor**k, self.floor)
 
 
-@dataclass(frozen=True)
-class BisectionConfig:
-    max_iters: int = 40
-    shrink: float = 0.5
-
-
 @dataclass
 class SolverConfig:
     geometry: BregmanGeometry
@@ -115,7 +110,6 @@ class SolverConfig:
     tol_kkt: float = 1e-8
     max_outer: int = 200
     newton_cap: int = 50
-    bisection: BisectionConfig = field(default_factory=BisectionConfig)
     sigma_min: float = 1e-12
     divergence_norm: float = 1e12
     stagnation_limit: int = 50
@@ -133,9 +127,6 @@ class SolverConfig:
 class IterateState:
     x: np.ndarray
     y: np.ndarray
-    ergodic_x: np.ndarray
-    ergodic_y: np.ndarray
-    weight_sum: float
     k: int
     sigma_prev: float | None = None
 
@@ -144,9 +135,6 @@ class IterateState:
         return cls(
             x=np.asarray(x0, dtype=float).copy(),
             y=np.asarray(y0, dtype=float).copy(),
-            ergodic_x=np.zeros(np.size(x0)),
-            ergodic_y=np.zeros(np.size(y0)),
-            weight_sum=0.0,
             k=0,
         )
 
@@ -205,7 +193,7 @@ def default_start(geometry: BregmanGeometry) -> tuple[np.ndarray, np.ndarray]:
         x0 = 0.5 * (psi.lower + psi.upper)
     else:
         x0 = np.zeros(psi.dim)
-    if phi.kind in ("von_neumann", "spence", "burg"):
+    if phi.nonnegative:
         y0 = np.ones(phi.dim)
     else:
         y0 = np.zeros(phi.dim)
@@ -307,8 +295,8 @@ def select_sigma(
     Returns the step size and whether backtracking had to shrink the target.
     """
     admissible = _admissibility_test(cfg, problem, penalty, x, y)
-    for j in range(cfg.bisection.max_iters):
-        sigma = target * cfg.bisection.shrink**j
+    for j in range(_MAX_BACKTRACKS):
+        sigma = target * _SHRINK**j
         if sigma < cfg.sigma_min:
             break
         if admissible(sigma):
@@ -337,13 +325,14 @@ def outer_iteration(
     psi = cfg.geometry.primal
 
     y_next = ctx.multiplier_candidate(s)
-    if cfg.geometry.dual.kind in ("von_neumann", "spence", "burg"):
+    if cfg.geometry.dual.nonnegative:
         y_next = np.maximum(y_next, _TINY_POSITIVE)
     x_next = inner.x_plus if inner.x_plus is not None else s
 
     try:
         predicted = predicted_for_context(ctx, cfg.regime, inner.b_value)
-    except InvalidRegimeError:
+    except (InvalidRegimeError, ArithmeticError, ValueError):
+        # no bound for this regime, or none computable in floats (B = inf)
         predicted = None
     inner.trace.predicted = predicted
 
@@ -376,20 +365,10 @@ def outer_iteration(
     new_state = IterateState(
         x=np.asarray(x_next, dtype=float).copy(),
         y=y_next.copy(),
-        ergodic_x=state.ergodic_x + sigma * s,
-        ergodic_y=state.ergodic_y + sigma * y_next,
-        weight_sum=state.weight_sum + sigma,
         k=state.k + 1,
         sigma_prev=sigma,
     )
     return new_state, record
-
-
-def ergodic_iterates(state: IterateState) -> tuple[np.ndarray, np.ndarray]:
-    """Step-size-weighted running averages of the primal/dual candidates."""
-    if state.weight_sum <= 0.0:
-        raise EmptyStateError("no iterations recorded yet")
-    return state.ergodic_x / state.weight_sum, state.ergodic_y / state.weight_sum
 
 
 def run(

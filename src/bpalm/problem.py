@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .exceptions import DimensionError, DomainError, UnsupportedError
+from .exceptions import DimensionError, DomainError, ParseError, UnsupportedError
+from .legendre import sigmoid, softmax, softplus
 
 __all__ = [
     "AffineMap",
@@ -61,16 +62,17 @@ def spectral_norm_bound(M: np.ndarray) -> float:
 def canonicalize_triplets(triplets, rows: int, cols: int) -> np.ndarray:
     """Dense matrix from (i, j, value) triplets; duplicates are summed."""
     M = np.zeros((rows, cols))
-    for entry in triplets:
-        if len(entry) != 3:
-            raise DimensionError(f"triplet must be (i, j, value), got {entry!r}")
-        i, j, v = entry
-        i, j = int(i), int(j)
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise DimensionError(
-                f"triplet index ({i}, {j}) out of range for {rows}x{cols}"
-            )
-        M[i, j] += float(v)
+    try:
+        for entry in triplets:
+            i, j, v = entry
+            i, j, v = int(i), int(j), float(v)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionError(
+                    f"triplet index ({i}, {j}) out of range for {rows}x{cols}"
+                )
+            M[i, j] += v
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"triplets must be [i, j, value] lists: {exc}") from exc
     return M
 
 
@@ -88,18 +90,13 @@ class AffineMap:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if A.shape[0] != b.size:
             raise DimensionError(f"A has {A.shape[0]} rows but b has length {b.size}")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise DomainError("affine map: A and b must be finite")
         A = A.copy()
         b = b.copy()
         A.flags.writeable = False
         b.flags.writeable = False
         return cls(A=A, b=b, op_norm_bound=spectral_norm_bound(A))
-
-    @classmethod
-    def from_triplets(cls, m: int, n: int, triplets, b) -> "AffineMap":
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if b.size != m:
-            raise DimensionError(f"b has length {b.size}, expected {m}")
-        return cls.from_dense(canonicalize_triplets(triplets, m, n), b)
 
     @property
     def m(self) -> int:
@@ -152,17 +149,14 @@ class SmoothObjective:
         self.domain_predicate = domain_predicate
 
     @classmethod
-    def quadratic(cls, W, c, *, triplets=False, n=None, box=None) -> "SmoothObjective":
+    def quadratic(cls, W, c, *, box=None) -> "SmoothObjective":
         """f(x) = x'Wx/2 + c'x, optionally plus the indicator of a closed box."""
         c = np.atleast_1d(np.asarray(c, dtype=float)).copy()
-        if triplets:
-            if n is None:
-                n = c.size
-            W = canonicalize_triplets(W, n, n)
-        else:
-            W = np.atleast_2d(np.asarray(W, dtype=float)).copy()
+        W = np.atleast_2d(np.asarray(W, dtype=float)).copy()
         if W.shape != (c.size, c.size):
             raise DimensionError(f"W shape {W.shape} does not match c length {c.size}")
+        if not (np.isfinite(W).all() and np.isfinite(c).all()):
+            raise DomainError("quadratic objective: W and c must be finite")
         if not np.allclose(W, W.T, atol=1e-12):
             raise DomainError("quadratic objective requires symmetric W")
         W = 0.5 * (W + W.T)
@@ -222,29 +216,20 @@ class SmoothObjective:
                 qsc_modulus=1.0,
             )
         if name == "logsumexp":
-
-            def _softmax(x):
-                e = np.exp(x - np.max(x))
-                return e / e.sum()
-
             return cls.from_callbacks(
                 n,
                 lambda x: float(np.logaddexp.reduce(x)),
-                _softmax,
-                lambda x: np.diag(_softmax(x)) - np.outer(_softmax(x), _softmax(x)),
+                softmax,
+                lambda x: np.diag(softmax(x)) - np.outer(softmax(x), softmax(x)),
                 qsc_modulus=2.0,
                 lipschitz_modulus=1.0,
             )
         if name == "logistic":
-
-            def _sig(x):
-                return 0.5 * (1.0 + np.tanh(0.5 * x))
-
             return cls.from_callbacks(
                 n,
-                lambda x: float(np.sum(np.logaddexp(0.0, x))),
-                _sig,
-                lambda x: np.diag(_sig(x) * (1.0 - _sig(x))),
+                lambda x: float(np.sum(softplus(x))),
+                sigmoid,
+                lambda x: np.diag(sigmoid(x) * (1.0 - sigmoid(x))),
                 qsc_modulus=1.0,
                 lipschitz_modulus=0.25,
             )
@@ -351,9 +336,6 @@ class NonsmoothTerm:
             on_simplex = np.all(y >= -tol) and abs(float(y.sum()) - 1.0) <= tol
             return 0.0 if on_simplex else math.inf
         return 0.0 if np.all(np.abs(y) <= 1.0 + tol) else math.inf
-
-    def in_conj_domain(self, y: np.ndarray, tol: float = _DOMAIN_TOL) -> bool:
-        return self.conj_value(y, tol) < math.inf
 
 
 @dataclass(frozen=True)

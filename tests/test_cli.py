@@ -1,10 +1,16 @@
 """Tests for the batch front end: parsing, reports, traces, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpalm.cli import main, parse_problem, write_problem_file
 from bpalm.exceptions import DimensionError, ParseError
@@ -141,6 +147,52 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert "invalid JSON" in err
+
+    def test_solution_outside_the_geometry_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "neg.json"
+        doc = _ineq_document()
+        doc["solution"] = {"x": [1.0], "y": [-1.0]}  # outside the KL dual's domain
+        path.write_text(json.dumps(doc))
+        rc = main(["--problem", str(path), "--diagnose"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "domain" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_hessian_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_ineq_document(A=[[0, 0, 1e300]], type="eq")))
+        rc = main(["--problem", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: subproblem Hessian or gradient is not finite" in err
+
+    def test_trace_decrement_failure_exit_two(self, tmp_path, capsys):
+        # the concave objective is stationary at the start, so the solve
+        # factorizes nothing; the trace's decrement column needs H = -4
+        path = tmp_path / "concave.json"
+        path.write_text(json.dumps(_ineq_document(W=[[0, 0, -5.0]], c=[0.0], A=[], b=[0.0], type="eq")))
+        assert main(["--problem", str(path)]) == 0
+        rc = main(["--problem", str(path), "--trace", str(tmp_path / "trace.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: subproblem Hessian is not numerically SPD" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_progress_gap_has_no_prediction(self, tmp_path, capsys):
+        # the infeasible 0 = 3e154 makes the dual part of B overflow
+        path = tmp_path / "far.json"
+        doc = {
+            "objective": {"named": {"name": "sumexp", "n": 1}},
+            "constraint": {"type": "eq", "m": 1, "A": [], "b": [3e154]},
+        }
+        path.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.csv"
+        main(["--problem", str(path), "--trace", str(trace), "--max-outer", "5"])
+        capsys.readouterr()
+        rows = trace.read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[4] == "" for row in rows)
 
     def test_usage_error_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -355,3 +407,114 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["x"][0] == pytest.approx(1.0, abs=1e-6)
+
+
+def _ineq_document(**overrides):
+    """min (x - 2)^2 / 2 s.t. x <= 1, with some fields replaced."""
+    objective = {"n": 1, "W": [[0, 0, 1.0]], "c": [-2.0]}
+    constraint = {"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]}
+    for key, value in overrides.items():
+        (objective if key in objective else constraint)[key] = value
+    return {"objective": {"quadratic": objective}, "constraint": constraint}
+
+
+class TestBadNumbers:
+    """Malformed or non-finite numbers exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"c": [math.nan]},
+            {"A": [[0, 0, math.inf]]},
+            {"n": "two"},
+            {"A": [[0, 0, "x"]]},
+            {"b": ["inf"]},
+        ],
+        ids=["nan_in_c", "infinity_in_A", "n_not_a_number", "string_triplet_value", "inf_in_b"],
+    )
+    def test_exit_two(self, overrides, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_ineq_document(**overrides)))  # NaN, Infinity literals
+        rc = main(["--problem", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+    def test_infinite_bounds_still_accepted(self, tmp_path):
+        path = tmp_path / "bounds.json"
+        doc = _ineq_document()
+        doc["bounds"] = {"l": [-math.inf], "u": ["inf"]}
+        path.write_text(json.dumps(doc))
+        ps, _ = parse_problem(str(path))
+        assert ps.m == 1  # no finite bound, no extra row
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BAD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, "inf", "-inf", "nan", "two", "", None]),
+    st.booleans(),
+)
+# a dimension field is sometimes replaced; replacements stay small so that no
+# draw allocates a large matrix
+_BAD_DIMENSION = st.one_of(st.integers(-1, 4), st.floats(-1.0, 4.0), _BAD)
+
+
+@st.composite
+def _documents(draw):
+    """Well-formed documents with any finite numbers (huge ones included);
+    half of them also carry bad numbers, bad dimensions or bare numbers in
+    place of triplets."""
+    bad = draw(st.booleans())
+    number = st.one_of(_FINITE, _BAD) if bad else _FINITE
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def dimension(k):
+        return draw(st.one_of(st.just(k), _BAD_DIMENSION) if bad else st.just(k))
+
+    def vector(k):
+        return draw(st.lists(number, min_size=k, max_size=k))
+
+    def triplets(rows, cols):
+        entry = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), number)
+        return draw(st.lists(st.one_of(entry, number) if bad else entry, max_size=rows * cols))
+
+    if draw(st.booleans()):
+        W = []  # each triplet mirrored, so that W is symmetric
+        for e in triplets(n, n):
+            W += [[e[0], e[1], e[2]], [e[1], e[0], e[2]]] if isinstance(e, tuple) else [e]
+        objective = {"quadratic": {"n": dimension(n), "W": W, "c": vector(n)}}
+    else:
+        name = draw(st.sampled_from(["sumexp", "logsumexp", "logistic"]))
+        objective = {"named": {"name": name, "n": dimension(n)}}
+    ctype = draw(st.sampled_from(["eq", "ineq", "vecmax", "l1"]))
+    doc = {
+        "objective": objective,
+        "constraint": {"type": ctype, "m": dimension(m), "A": triplets(m, n), "b": vector(m)},
+    }
+    if draw(st.booleans()):
+        doc["bounds"] = {"l": vector(n), "u": vector(n)}
+    if draw(st.booleans()):
+        doc["solution"] = {"x": vector(n), "y": vector(m)}
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on huge entries
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents(), regime=st.sampled_from(["qsc", "qsc_lipschitz", "sc"]))
+def test_fuzzed_documents_never_raise(doc, regime):
+    """Any document ends in exit 0, 1 or 2, or a usage error (64)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--problem", str(path), "--regime", regime, "--max-outer", "20",
+                "--diagnose", "--trace", str(Path(tmp) / "trace.csv")]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+                assert rc == 64, sink.getvalue()
+    assert rc in (0, 1, 2, 64)

@@ -222,6 +222,21 @@ class TestFactorization:
         with pytest.raises(FactorizationError):
             newton_step(IndefContext(), np.zeros(1))
 
+    # the last case fails the first factorization and meets NaN after the lift
+    @pytest.mark.parametrize("hess, grad", [(math.inf, 1.0), (1.0, math.nan), (-1e-13, math.nan)])
+    def test_non_finite_system_fails(self, hess, grad):
+        class OverflowContext:
+            geometry = eq_qp_context().geometry
+
+            def grad(self, s):
+                return np.array([grad])
+
+            def hess(self, s):
+                return np.array([[hess]])
+
+        with pytest.raises(FactorizationError, match="not finite"):
+            newton_step(OverflowContext(), np.zeros(1))
+
 
 def small_ineq_run():
     rng = np.random.default_rng(5)

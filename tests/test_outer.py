@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from bpalm.exceptions import DomainError, EmptyStateError, InvalidRegimeError
-from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
+from bpalm.exceptions import DomainError, InvalidRegimeError
+from bpalm.legendre import BregmanGeometry, box_barrier, burg, energy, spence, von_neumann
 from bpalm.outer import (
-    BisectionConfig,
     IterateState,
     RhoSchedule,
     SolveStatus,
     SolverConfig,
     default_start,
-    ergodic_iterates,
     outer_iteration,
     run,
     select_sigma,
@@ -171,6 +169,13 @@ class TestRun:
         x0, y0 = default_start(BregmanGeometry(box_barrier([0.0], [2.0]), energy(1)))
         np.testing.assert_allclose(x0, [1.0])
 
+    @pytest.mark.parametrize("factory", [energy, von_neumann, burg, spence])
+    def test_default_dual_start_follows_the_domain(self, factory):
+        dual = factory(3)
+        _, y0 = default_start(BregmanGeometry(energy(2), dual))
+        assert np.array_equal(y0, np.ones(3) if dual.nonnegative else np.zeros(3))
+        assert dual.in_interior(y0)
+
     def test_exponential_multiplier_identity(self):
         ps = ineq_qp()
         rep = run(vn_cfg(ps), ps)
@@ -278,47 +283,6 @@ class TestRun:
         )
         assert rep.sigma_final == rep.trace.records[-1].sigma
         assert rep.wall_seconds > 0.0
-
-
-class TestErgodic:
-    def test_weighted_mean(self):
-        state = IterateState.initial(np.array([0.0]), np.array([0.0]))
-        state.ergodic_x = np.array([1.0 * 0.0 + 3.0 * 1.0])
-        state.ergodic_y = np.array([0.0])
-        state.weight_sum = 4.0
-        xb, yb = ergodic_iterates(state)
-        assert xb == pytest.approx([0.75])
-
-    def test_single_iteration_equals_iterate(self):
-        ps = eq_qp()
-        cfg = eq_cfg(rho_schedule=RhoSchedule.constant(0.0))
-        pen = penalty_for(ps.g, cfg.geometry.dual)
-        state = IterateState.initial(np.array([0.0]), np.array([0.0]))
-        state, rec = outer_iteration(cfg, ps, pen, state)
-        xb, yb = ergodic_iterates(state)
-        np.testing.assert_allclose(xb, rec.s)
-        np.testing.assert_allclose(yb, rec.y_next)
-
-    def test_constant_iterates_average_to_constant(self):
-        ps = eq_qp()
-        cfg = eq_cfg(rho_schedule=RhoSchedule.constant(0.5))
-        pen = penalty_for(ps.g, cfg.geometry.dual)
-        state = IterateState.initial(np.array([1.0]), np.array([-1.0]))
-        for _ in range(3):
-            state, _ = outer_iteration(cfg, ps, pen, state)
-        xb, yb = ergodic_iterates(state)
-        np.testing.assert_allclose(xb, [1.0], atol=1e-9)
-        np.testing.assert_allclose(yb, [-1.0], atol=1e-9)
-
-    def test_empty_state(self):
-        with pytest.raises(EmptyStateError):
-            ergodic_iterates(IterateState.initial(np.zeros(1), np.zeros(1)))
-
-
-def test_bisection_config_defaults():
-    cfg = BisectionConfig()
-    assert cfg.max_iters == 40
-    assert cfg.shrink == 0.5
 
 
 def test_config_validation():

@@ -16,9 +16,9 @@ DUALS = {"energy": energy, "von_neumann": von_neumann, "spence": spence}
 
 def all_penalties(m=2):
     out = []
-    for (variant, kind), form in CLOSED_FORMS.items():
+    for variant, kind in CLOSED_FORMS:
         p = penalty_for(NonsmoothTerm(variant), DUALS[kind](m))
-        out.append((form, p))
+        out.append((p.closed_form, p))
     return out
 
 
@@ -135,14 +135,9 @@ class TestModuli:
             "max_half_square": (0.0, 1.0),
             "huber": (0.0, 1.0),
         }
-        for form, p in all_penalties():
-            mod = p.moduli(3.7)
-            assert (mod.alpha, mod.beta) == table[form], form
-
-    def test_sigma_must_be_positive(self):
-        _, p = all_penalties()[0]
-        with pytest.raises(UnsupportedError):
-            p.moduli(0.0)
+        for _, p in all_penalties():
+            moduli = (p.qsc_modulus, p.lipschitz_modulus)
+            assert moduli == table[p.closed_form], p.closed_form
 
 
 class TestConjugacy:

@@ -12,6 +12,7 @@ from bpalm.problem import (
     NonsmoothTerm,
     ProblemSpec,
     SmoothObjective,
+    canonicalize_triplets,
     dual_perturbation_value,
     kkt_residuals,
     lagrangian,
@@ -31,14 +32,17 @@ def simple_eq_qp():
 
 class TestAffineMap:
     def test_triplets_canonicalized(self):
-        amap = AffineMap.from_triplets(
-            2, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, -1.0)], [0.0, 0.0]
-        )
-        np.testing.assert_allclose(amap.A, [[3.0, 0.0], [0.0, -1.0]])
+        A = canonicalize_triplets([(0, 0, 1.0), (0, 0, 2.0), (1, 1, -1.0)], 2, 2)
+        np.testing.assert_allclose(A, [[3.0, 0.0], [0.0, -1.0]])
 
     def test_out_of_range_triplet(self):
         with pytest.raises(DimensionError):
-            AffineMap.from_triplets(1, 1, [(0, 1, 1.0)], [0.0])
+            canonicalize_triplets([(0, 1, 1.0)], 1, 1)
+
+    @pytest.mark.parametrize("A, b", [([[math.nan]], [0.0]), ([[1.0]], [math.inf])])
+    def test_rejects_non_finite(self, A, b):
+        with pytest.raises(DomainError, match="finite"):
+            AffineMap.from_dense(A, b)
 
     def test_bad_b_length(self):
         with pytest.raises(DimensionError):
@@ -66,15 +70,14 @@ class TestSmoothObjective:
         assert f.lipschitz_modulus == pytest.approx(2.0, rel=1e-6)
         assert f.qsc_modulus == 0.0
 
+    @pytest.mark.parametrize("W, c", [([[math.inf]], [0.0]), ([[1.0]], [math.nan])])
+    def test_quadratic_rejects_non_finite(self, W, c):
+        with pytest.raises(DomainError, match="finite"):
+            SmoothObjective.quadratic(W, c)
+
     def test_requires_symmetry(self):
         with pytest.raises(DomainError):
             SmoothObjective.quadratic([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0])
-
-    def test_triplet_input(self):
-        f = SmoothObjective.quadratic(
-            [(0, 0, 1.0), (0, 0, 1.0), (1, 1, 3.0)], [0.0, 0.0], triplets=True
-        )
-        np.testing.assert_allclose(f.W, [[2.0, 0.0], [0.0, 3.0]])
 
     def test_box_domain(self):
         f = SmoothObjective.quadratic(np.eye(1), [0.0], box=([0.0], [1.0]))
