@@ -270,15 +270,21 @@ _TRACE_COLUMNS = [
 ]
 
 
-def _write_trace(path: str, report: SolveReport, geometry: BregmanGeometry, golden) -> None:
+def _write_trace(
+    path: str, report: SolveReport, geometry: BregmanGeometry, golden, distances
+) -> None:
+    """``distances`` holds D(z*, z_k) per record when the diagnostics already
+    computed it, else None."""
+    records = report.trace.records
+    if distances is None and golden is not None:
+        distances = [
+            bregman_distance(geometry.primal, golden[0], rec.x_next)
+            + bregman_distance(geometry.dual, golden[1], rec.y_next)
+            for rec in records
+        ]
     lines = [",".join(_TRACE_COLUMNS)]
-    for rec in report.trace.records:
-        if golden is not None:
-            d = bregman_distance(geometry.primal, golden[0], rec.x_next)
-            d += bregman_distance(geometry.dual, golden[1], rec.y_next)
-            d_str = format(d, ".17g")
-        else:
-            d_str = ""
+    for i, rec in enumerate(records):
+        d_str = "" if distances is None else format(distances[i], ".17g")
         cells = [
             str(rec.k),
             format(rec.sigma, ".17g"),
@@ -304,7 +310,8 @@ def _wall_time_ms(report: SolveReport) -> int:
     return int(round(report.wall_seconds * 1000.0))
 
 
-def _diagnostics_payload(report, problem, geometry, golden) -> dict:
+def _diagnostics_payload(report, problem, geometry, golden) -> tuple[dict, list[float]]:
+    """The diagnostics block, and D(z*, z_k) per record for the trace."""
     gx, gy = golden
     payload = {}
     fejer = diagnostics.fejer_check(report.trace, gx, gy, geometry)
@@ -326,7 +333,7 @@ def _diagnostics_payload(report, problem, geometry, golden) -> dict:
             report.trace, problem, geometry, gx, gy
         )
         payload["conic_max_excess"] = conic.max_excess
-    return payload
+    return payload, fejer.distances[1:]
 
 
 def _report_payload(report: SolveReport, diag: dict | None) -> dict:
@@ -406,14 +413,14 @@ def main(argv=None) -> int:
             newton_cap=args.newton_cap,
         )
         report = run(cfg, problem)
-        diag = None
+        diag = distances = None
         if args.diagnose:
             if golden is None:
                 print("warning: --diagnose ignored, no solution embedded", file=sys.stderr)
             else:
-                diag = _diagnostics_payload(report, problem, geometry, golden)
+                diag, distances = _diagnostics_payload(report, problem, geometry, golden)
         if args.trace:  # reads each record's decrement, which may factorize
-            _write_trace(args.trace, report, geometry, golden)
+            _write_trace(args.trace, report, geometry, golden, distances)
     except BpalmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -154,44 +154,38 @@ def _max_divergence_on_cap(
 
     The maximum of a convex function over the cap sits on the sphere part or
     at the origin; candidate directions (vertices, uniform mixtures, the
-    anchor direction) are polished by a short projected ascent.  Any feasible
-    point gives a valid lower bound, which makes the feasibility check
-    conservative.
+    anchor direction) are polished together, as the rows of one array, by a
+    short projected ascent.  Any feasible point gives a valid lower bound,
+    which makes the feasibility check conservative.
     """
     phi = geometry.dual
     m = y0.size
+    norm0 = np.linalg.norm(y0)
+    starts = [radius * np.eye(m), np.full((1, m), radius / math.sqrt(m))]
+    if norm0 > 0:
+        starts.append(radius * y0[None, :] / norm0)
+    # uniform mixtures of the first k + 1 vertices, k = 1 .. m - 1
+    mix_levels = radius / np.sqrt(np.arange(2, m + 1))
+    starts.append(np.tril(np.ones((m, m)))[1:] * mix_levels[:, None])
+    y = np.vstack(starts)
 
-    def value(y: np.ndarray) -> float:
-        return bregman_distance(phi, y, y0)
-
-    candidates = [np.zeros(m)]
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = radius
-        candidates.append(e)
-    candidates.append(np.full(m, radius / math.sqrt(m)))
-    if np.linalg.norm(y0) > 0:
-        candidates.append(radius * y0 / np.linalg.norm(y0))
-    for k in range(1, m):
-        mix = np.zeros(m)
-        mix[: k + 1] = radius / math.sqrt(k + 1)
-        candidates.append(mix)
-
-    best = max(value(c) for c in candidates)
-    for start in candidates[1:]:
-        y = start.copy()
-        for _ in range(60):
-            if phi.nonnegative:
-                grad = phi.grad(np.maximum(y, 1e-148)) - phi.grad(y0)
-            else:
-                grad = y - y0
-            step = 0.1 * radius / (1.0 + np.linalg.norm(grad))
-            y = np.maximum(y + step * grad, 0.0)
-            norm = np.linalg.norm(y)
-            if norm > 0:
-                y = y * (radius / norm)
-        best = max(best, value(y))
-    return best
+    best = max(bregman_distance(phi, c, y0) for c in [np.zeros(m), *y])
+    if phi.nonnegative:
+        # the geometry is separable, so one function of dimension k*m takes
+        # the gradients of all k starts in one call
+        wide = type(phi)(y.size)
+        grad0 = phi.grad(y0)
+    for _ in range(60):
+        if phi.nonnegative:
+            grad = wide.grad(np.maximum(y, 1e-148).ravel()).reshape(y.shape) - grad0
+        else:
+            grad = y - y0
+        step = 0.1 * radius / (1.0 + np.linalg.norm(grad, axis=1))
+        y = np.maximum(y + step[:, None] * grad, 0.0)
+        norm = np.linalg.norm(y, axis=1)
+        pos = norm > 0
+        y[pos] *= (radius / norm[pos])[:, None]
+    return max(best, max(bregman_distance(phi, c, y0) for c in y))
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,38 +38,56 @@ PI2_6 = math.pi**2 / 6.0
 BOUNDARY_MARGIN = 1e-150
 
 
-def dilog(x: float) -> float:
-    """Real dilogarithm Li2(x) = sum_k x**k / k**2 for x <= 1.
+def _li2_coefficients(terms: int) -> np.ndarray:
+    """B_2k / (2k+1)! for k = 1..terms, from the Bernoulli recurrence in
+    exact rationals (B_1 = -1/2 convention)."""
+    bern = [Fraction(1)]
+    for n in range(1, 2 * terms + 1):
+        bern.append(-sum(math.comb(n + 1, k) * bern[k] for k in range(n)) / (n + 1))
+    return np.array([float(bern[2 * k] / math.factorial(2 * k + 1)) for k in range(1, terms + 1)])
 
-    The series is evaluated directly on [-0.5, 0.5]; the reflection,
-    Landen and inversion identities map the remaining arguments there.
+
+# On [-1, 1/2] the series variable u = -ln(1 - x) has |u| <= ln 2, where the
+# k-th term shrinks like (ln 2 / 2 pi)^(2k); after 10 terms the remainder is
+# below 1e-22 relative.  Highest power first, for Horner's rule.
+_LI2_COEFFS = _li2_coefficients(10)[::-1]
+
+
+def _li2_series(x: np.ndarray) -> np.ndarray:
+    """Li2(x) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! for x in [-1, 1/2]."""
+    u = -np.log1p(-x)
+    v = u * u
+    poly = np.full_like(u, _LI2_COEFFS[0])
+    for c in _LI2_COEFFS[1:]:
+        poly = poly * v + c
+    return u - 0.25 * v + u * v * poly
+
+
+def dilog(x):
+    """Real dilogarithm Li2(x) = sum_k x**k / k**2 for x <= 1, elementwise.
+
+    The inversion identity maps x < -1 to 1/x and the reflection identity
+    maps x > 1/2 to 1 - x; the Bernoulli series then covers [-1, 1/2] for
+    all elements at once.  Scalars map to floats, arrays to arrays.
     """
-    if x > 1.0:
-        raise DomainError(f"dilog defined for x <= 1, got {x}")
-    if x == 1.0:
-        return PI2_6
-    if x == 0.0:
-        return 0.0
-    if x > 0.5:
-        return PI2_6 - math.log(x) * math.log1p(-x) - dilog(1.0 - x)
-    if x < -1.0:
-        return -PI2_6 - 0.5 * math.log(-x) ** 2 - dilog(1.0 / x)
-    if x < -0.5:
-        return -dilog(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
-    total = x
-    term = x
-    k = 1
-    while True:
-        k += 1
-        term *= x
-        inc = term / (k * k)
-        total += inc
-        if abs(inc) < 1e-18 * max(1.0, abs(total)) or k > 200:
-            return total
-
-
-def _dilog_sum(values: np.ndarray) -> float:
-    return float(sum(dilog(float(v)) for v in values))
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr > 1.0):
+        raise DomainError(f"dilog defined for x <= 1, got max {np.max(arr)}")
+    inverted = arr < -1.0
+    reflected = arr > 0.5
+    arg = np.where(reflected, 1.0 - arr, arr)
+    arg = np.where(inverted, 1.0 / np.where(inverted, arr, -1.0), arg)
+    li = _li2_series(arg)
+    # ln(-x) on the inverted elements, ln x and ln(1 - x) on the reflected
+    # ones, zero elsewhere (including x = 1, where ln x ln(1 - x) -> 0)
+    log_x = np.log(np.where(inverted, -arr, np.where(reflected, arr, 1.0)))
+    log_rest = np.log(np.where(reflected & (arr < 1.0), arg, 1.0))
+    out = np.where(
+        inverted,
+        -PI2_6 - 0.5 * log_x * log_x - li,
+        np.where(reflected, PI2_6 - log_x * log_rest - li, li),
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def _excess_log(t: np.ndarray) -> np.ndarray:
@@ -117,15 +136,15 @@ def softmax(t: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softplus_antiderivative(t: float) -> float:
-    """-Li2(-exp(t)), the integral of softplus over (-inf, t].
+def softplus_antiderivative(t):
+    """-Li2(-exp(t)), the integral of softplus over (-inf, t], elementwise.
 
     For positive t the inversion identity folds in, so the series argument
-    stays in (-1, 0].
+    stays in [-1, 0).
     """
-    if t <= 0.0:
-        return -dilog(-math.exp(t))
-    return PI2_6 + 0.5 * t * t + dilog(-math.exp(-t))
+    t = np.asarray(t, dtype=float)
+    li = dilog(-np.exp(-np.abs(t)))
+    return np.where(t > 0.0, PI2_6 + 0.5 * t * t + li, -li)
 
 
 def _as_vector(z, dim: int) -> np.ndarray:
@@ -347,12 +366,41 @@ class Burg(LegendreFunction):
         return float(np.sum(_excess_log((z1 - z2) / z2)))
 
 
+# 20-point Gauss-Legendre rule on [0, 1] for the near branch of the Spence
+# distance: nodes (1 + x_i)/2 and weights w_i/2
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL_NODES = 0.5 * (1.0 + _GL_NODES)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+def _spence_q(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = 1 - exp(-t) and its dilogarithm Li2(q), one dilog pass."""
+    q = -np.expm1(-t)
+    return q, dilog(q)
+
+
 class Spence(LegendreFunction):
     """phi(t) = integral of ln(exp(tau) - 1) on [0, t], with dom phi = [0, inf).
 
     The derivative pair is phi'(t) = ln(exp(t) - 1) and its inverse the
-    softplus map t* -> ln(1 + exp(t*)).  Values go through the dilogarithm:
-    phi(t) = t^2/2 + Li2(exp(-t)) - pi^2/6 and phi*(t*) = -Li2(-exp(t*)).
+    softplus map t* -> ln(1 + exp(t*)).  Values go through the dilogarithm in
+    the reflected form phi(t) = t^2/2 + t ln q - Li2(q) with q = 1 - exp(-t),
+    which keeps Li2's argument accurate for small t, and
+    phi*(t*) = -Li2(-exp(t*)).
+
+    The distance is chosen per coordinate, for D(a, b) with d = a - b:
+
+    - near, |d| <= b/2: D = d^2/2 + int_0^d log1p(-expm1(-s)/expm1(b)) ds,
+      whose integrand has the sign of s, so no term cancels; the nearest
+      singularity lies at s = -b, which a 20-point Gauss-Legendre rule on an
+      interval of length at most b/2 resolves to rounding;
+    - far: the reflected values regroup into
+      D = d^2/2 + a ln(q_a/q_b) + Li2(q_b) - Li2(q_a), where the terms
+      cancel by a factor of at most about ten.
+
+    Against an 80-digit reference both are accurate to a few ulps, for b
+    from the boundary margin up to hundreds; the plain value difference
+    carries an absolute error of about 1e-15 instead.
     """
 
     kind = "spence"
@@ -372,7 +420,9 @@ class Spence(LegendreFunction):
         z = _as_vector(z, self.dim)
         if not self.in_domain(z):
             return math.inf
-        return 0.5 * float(z @ z) + _dilog_sum(np.exp(-z)) - self.dim * PI2_6
+        t = z[z > 0.0]  # phi(0) = 0
+        q, li = _spence_q(t)
+        return float(np.sum(0.5 * t * t + t * np.log(q) - li))
 
     def grad(self, z) -> np.ndarray:
         z = self._require_interior(z)
@@ -386,7 +436,7 @@ class Spence(LegendreFunction):
         return softplus(_as_vector(t, self.dim))
 
     def conj_value(self, t) -> float:
-        return sum(softplus_antiderivative(float(ti)) for ti in _as_vector(t, self.dim))
+        return float(np.sum(softplus_antiderivative(_as_vector(t, self.dim))))
 
     def hess_diag(self, z) -> np.ndarray:
         z = self._require_interior(z)
@@ -396,31 +446,27 @@ class Spence(LegendreFunction):
         return sigmoid(_as_vector(t, self.dim))
 
     def distance(self, z1, z2) -> float:
-        z1 = _as_vector(z1, self.dim)
-        z2 = _as_vector(z2, self.dim)
-        total = 0.0
-        for a, b in zip(z1, z2):
-            delta = a - b
-            if abs(delta) <= 1e-5 * min(a, b):
-                # two-term Taylor around b; the exact value difference would
-                # cancel to noise at this separation
-                h2 = 1.0 / (-math.expm1(-b))
-                h3 = -math.exp(-b) * h2 * h2
-                total += 0.5 * h2 * delta * delta + h3 * delta**3 / 6.0
-            else:
-                total += (
-                    0.5 * (a * a - b * b)
-                    + dilog(math.exp(-a))
-                    - dilog(math.exp(-b))
-                    - self._grad_scalar(b) * delta
-                )
-        return total
+        a = _as_vector(z1, self.dim)
+        b = _as_vector(z2, self.dim)
+        d = a - b
+        near = np.abs(d) <= 0.5 * b
+        total = 0.5 * float(d @ d)
 
-    @staticmethod
-    def _grad_scalar(t: float) -> float:
-        if t < 30.0:
-            return math.log(math.expm1(t))
-        return t + math.log1p(-math.exp(-t))
+        dn, bn = d[near], b[near]
+        s = dn[:, None] * _GL_NODES
+        # -expm1(-s)/expm1(b) without overflow: -s <= b/2, and the clip only
+        # acts where exp(-b) is already 0
+        r = -np.expm1(np.minimum(-s, 700.0)) * (np.exp(-bn) / -np.expm1(-bn))[:, None]
+        total += float(dn @ (np.log1p(r) @ _GL_WEIGHTS))
+
+        af, bf = a[~near], b[~near]
+        k = af.size
+        q, li = _spence_q(np.concatenate([af, bf]))
+        qa, qb = q[:k], q[k:]
+        # a ln(q_a/q_b) -> 0 as a -> 0
+        ratio = np.log(np.where(af > 0.0, qa, qb) / qb)
+        total += float(np.sum(af * ratio + li[k:] - li[:k]))
+        return total
 
 
 class BoxBarrier(LegendreFunction):

@@ -75,7 +75,7 @@ def _logsumexp_plus_one(u: np.ndarray) -> float:
 
 
 def _softplus_integral(u: np.ndarray) -> float:
-    return float(sum(softplus_antiderivative(float(t)) for t in u))
+    return float(np.sum(softplus_antiderivative(u)))
 
 
 def _max_half_square(u: np.ndarray) -> float:

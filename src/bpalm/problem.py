@@ -38,6 +38,12 @@ def spectral_norm_bound(M: np.ndarray) -> float:
     """Upper bound on the spectral norm via power iteration on M^T M."""
     if M.size == 0:
         return 0.0
+    peak = float(np.max(np.abs(M)))
+    if 2.0**500 < peak < math.inf:
+        # M^T M would overflow; an exact power-of-two scale (at most 2**1023)
+        # changes no digit
+        scale = 2.0 ** (math.frexp(peak)[1] - 1)
+        return scale * spectral_norm_bound(M / scale)
     G = M.T @ M
     n = G.shape[0]
     # deterministic start with a mild tilt so it is not orthogonal to the

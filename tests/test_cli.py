@@ -274,6 +274,19 @@ class TestMain:
         capsys.readouterr()
         assert trace.read_text().splitlines()[1].endswith(",")
 
+    def test_diagnose_shares_the_trace_distances(self, ineq_doc, tmp_path, capsys, monkeypatch):
+        import bpalm.cli as cli
+
+        plain, diagnosed = tmp_path / "plain.csv", tmp_path / "diagnosed.csv"
+        main(["--problem", ineq_doc, "--dual", "spence", "--trace", str(plain)])
+        calls = []
+        monkeypatch.setattr(cli, "bregman_distance", lambda *a: calls.append(a))
+        main(["--problem", ineq_doc, "--dual", "spence", "--trace", str(diagnosed), "--diagnose"])
+        capsys.readouterr()
+        # the D_to_solution column comes from the Fejer check, bit for bit
+        assert calls == []
+        assert diagnosed.read_bytes() == plain.read_bytes()
+
     def test_diagnose_payload(self, eq_doc, capsys):
         rc = main(["--problem", eq_doc, "--report", "json", "--diagnose"])
         assert rc == 0

@@ -5,7 +5,14 @@ import pytest
 
 from bpalm import diagnostics as dg
 from bpalm.exceptions import DomainError, InsufficientTraceError
-from bpalm.legendre import BregmanGeometry, box_barrier, energy, von_neumann
+from bpalm.legendre import (
+    BregmanGeometry,
+    box_barrier,
+    bregman_distance,
+    energy,
+    spence,
+    von_neumann,
+)
 from bpalm.oracle import golden_suite
 from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, run
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
@@ -136,6 +143,47 @@ class TestErgodicGap:
         assert res.max_excess <= 1e-8
         # the bounds and gaps decay together
         assert res.bounds[-1] < res.bounds[0]
+
+
+def cap_search_per_start(phi, y0, radius):
+    """The cap search one start at a time, as a reference for the batch."""
+    m = y0.size
+    candidates = [np.zeros(m)]
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = radius
+        candidates.append(e)
+    candidates.append(np.full(m, radius / np.sqrt(m)))
+    if np.linalg.norm(y0) > 0:
+        candidates.append(radius * y0 / np.linalg.norm(y0))
+    for k in range(1, m):
+        mix = np.zeros(m)
+        mix[: k + 1] = radius / np.sqrt(k + 1)
+        candidates.append(mix)
+    best = max(bregman_distance(phi, c, y0) for c in candidates)
+    for start in candidates[1:]:
+        y = start.copy()
+        for _ in range(60):
+            if phi.nonnegative:
+                grad = phi.grad(np.maximum(y, 1e-148)) - phi.grad(y0)
+            else:
+                grad = y - y0
+            y = np.maximum(y + 0.1 * radius / (1.0 + np.linalg.norm(grad)) * grad, 0.0)
+            norm = np.linalg.norm(y)
+            if norm > 0:
+                y = y * (radius / norm)
+        best = max(best, bregman_distance(phi, y, y0))
+    return best
+
+
+@pytest.mark.parametrize("factory", [spence, von_neumann, energy])
+@pytest.mark.parametrize("m", [1, 5])
+def test_batched_cap_search_matches_per_start_loop(factory, m):
+    rng = np.random.default_rng(m)
+    y0 = rng.uniform(0.05, 2.0, m)
+    geo = BregmanGeometry(energy(2), factory(m))
+    got = dg._max_divergence_on_cap(geo, y0, 3.0)
+    assert got == pytest.approx(cap_search_per_start(geo.dual, y0, 3.0), rel=1e-12)
 
 
 class TestDualAsymptotics:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -31,31 +32,119 @@ def sample_interior(fn, rng, spread=2.0):
     return np.exp(rng.uniform(-spread, spread, fn.dim))
 
 
+def dilog_recursion(x: float) -> float:
+    """Scalar Li2 by direct series on [-1/2, 1/2] and the reflection, Landen
+    and inversion identities; kept as an independent reference."""
+    if x == 1.0:
+        return math.pi**2 / 6.0
+    if x == 0.0:
+        return 0.0
+    if x > 0.5:
+        return math.pi**2 / 6.0 - math.log(x) * math.log1p(-x) - dilog_recursion(1.0 - x)
+    if x < -1.0:
+        return -math.pi**2 / 6.0 - 0.5 * math.log(-x) ** 2 - dilog_recursion(1.0 / x)
+    if x < -0.5:
+        return -dilog_recursion(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
+    total = term = x
+    k = 1
+    while True:
+        k += 1
+        term *= x
+        inc = term / (k * k)
+        total += inc
+        if abs(inc) < 1e-18 * max(1.0, abs(total)) or k > 200:
+            return total
+
+
+DILOG_GRID = np.concatenate(
+    [
+        RNG.uniform(-80.0, 1.0, 300),
+        [-1.0, 1.0, 0.5, -0.5, 0.0, 0.999999],
+        -np.logspace(-300, 4, 60),
+        np.logspace(-300, -1e-3, 60),
+        1.0 - np.logspace(-16, -0.5, 30),
+    ]
+)
+
+
 class TestDilog:
     def test_against_scipy(self):
-        xs = np.concatenate(
-            [RNG.uniform(-80.0, 1.0, 300), [-1.0, 1.0, 0.5, -0.5, 0.0, 0.999999]]
-        )
-        for x in xs:
-            assert lg.dilog(float(x)) == pytest.approx(
-                float(scipy_spence(1.0 - float(x))), abs=1e-13
-            )
+        expected = scipy_spence(1.0 - DILOG_GRID)
+        np.testing.assert_allclose(lg.dilog(DILOG_GRID), expected, rtol=0, atol=1e-13)
+
+    def test_matches_scalar_recursion(self):
+        # Li2 vanishes only at 0, where both sides are exact, so the
+        # comparison is relative everywhere
+        expected = np.array([dilog_recursion(float(x)) for x in DILOG_GRID])
+        np.testing.assert_allclose(lg.dilog(DILOG_GRID), expected, rtol=1e-14, atol=0)
 
     def test_known_values(self):
-        assert lg.dilog(1.0) == pytest.approx(math.pi**2 / 6)
-        assert lg.dilog(-1.0) == pytest.approx(-math.pi**2 / 12)
+        np.testing.assert_allclose(
+            lg.dilog(np.array([1.0, -1.0, 0.0])), [math.pi**2 / 6, -math.pi**2 / 12, 0.0]
+        )
         assert lg.dilog(0.0) == 0.0
+
+    def test_scalar_in_float_out(self):
+        assert isinstance(lg.dilog(0.3), float)
+        assert lg.dilog(0.3) == lg.dilog(np.array([0.3]))[0]
+        assert lg.dilog(np.zeros((2, 3))).shape == (2, 3)
 
     def test_rejects_above_one(self):
         with pytest.raises(DomainError):
             lg.dilog(1.5)
+        with pytest.raises(DomainError):
+            lg.dilog(np.array([0.0, 1.5]))
 
     def test_softplus_antiderivative(self):
         # t = 0 is on the grid, so both sides of the inversion identity run;
         # beyond |t| = 5 scipy's rounding of 1 + exp(t) dominates the error
-        for t in np.linspace(-5.0, 5.0, 201):
-            expected = -float(scipy_spence(1.0 + math.exp(t)))
-            assert lg.softplus_antiderivative(float(t)) == pytest.approx(expected, rel=1e-13)
+        t = np.linspace(-5.0, 5.0, 201)
+        expected = -scipy_spence(1.0 + np.exp(t))
+        np.testing.assert_allclose(lg.softplus_antiderivative(t), expected, rtol=1e-13)
+
+
+def spence_distance_reference(a: float, b: float) -> mpmath.mpf:
+    """80-digit D(a, b) = phi(a) - phi(b) - phi'(b)(a - b) for the Spence
+    function.  phi uses the reflected form t^2/2 + t ln q - Li2(q) with
+    q = -expm1(-t): near the boundary exp(-t) rounds to 1 even at 80 digits."""
+
+    def phi(t):
+        if t == 0:
+            return mpmath.mpf(0)
+        q = -mpmath.expm1(-t)
+        return t * t / 2 + t * mpmath.log(q) - mpmath.polylog(2, q)
+
+    with mpmath.workdps(80):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return phi(a) - phi(b) - mpmath.log(mpmath.expm1(b)) * (a - b)
+
+
+class TestSpenceAccuracy:
+    @pytest.mark.parametrize("b", [1e-148, 1e-8, 1e-3, 0.1, 1.0, 5.0, 30.0, 100.0])
+    def test_distance_against_80_digits(self, b):
+        fn = lg.spence(1)
+        points = [0.0] + [b * (1.0 + r) for r in (1e-7, -1e-7, 1e-3, -1e-3, 0.3, -0.3, 2.0, 10.0)]
+        for a in points:
+            expected = spence_distance_reference(a, b)
+            got = lg.bregman_distance(fn, [a], [b])
+            assert abs(got - expected) <= 1e-12 * expected, (a, b, got, float(expected))
+
+    def test_vector_distance_sums_coordinates(self):
+        # near and far coordinates in one call
+        fn = lg.spence(3)
+        a, b = np.array([1.0 + 1e-6, 0.0, 40.0]), np.array([1.0, 2.0, 3.0])
+        expected = sum(spence_distance_reference(x, y) for x, y in zip(a, b))
+        assert lg.bregman_distance(fn, a, b) == pytest.approx(float(expected), rel=1e-14)
+
+    def test_value_and_conjugate_value(self):
+        fn = lg.spence(4)
+        z = np.array([1e-140, 1e-3, 1.0, 50.0])
+        with mpmath.workdps(40):
+            expected = sum(mpmath.quad(lambda s: mpmath.log(mpmath.expm1(s)), [0, t]) for t in z)
+        assert fn.value(z) == pytest.approx(float(expected), rel=1e-14)
+        t = np.array([-40.0, -1.0, 0.0, 3.0])
+        expected = -sum(mpmath.polylog(2, -mpmath.exp(x)) for x in t)
+        assert fn.conj_value(t) == pytest.approx(float(expected), rel=1e-14)
 
 
 class TestValues:

@@ -57,6 +57,13 @@ class TestAffineMap:
             assert bound >= true * (1 - 1e-8)
             assert bound <= true * (1 + 1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_op_norm_bound_of_huge_entries(self):
+        # M^T M overflows beyond ~1e154; the bound rescales by a power of two
+        bound = AffineMap.from_dense([[1e200, 0.0]], [0.0]).op_norm_bound
+        # the bound carries a relative safety margin of 1e-9, plus rounding
+        assert 1e200 <= bound <= 1e200 * (1.0 + 1.1e-9)
+
     def test_residual(self):
         amap = AffineMap.from_dense([[1.0, 2.0]], [3.0])
         assert amap.residual(np.array([1.0, 1.0])) == pytest.approx([0.0])
