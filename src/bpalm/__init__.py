@@ -30,8 +30,6 @@ from .newton import (
     NewtonTrace,
     newton_decrement,
     newton_step,
-    predicted_for_context,
-    predicted_newton_steps,
     solve_subproblem,
 )
 from .outer import (

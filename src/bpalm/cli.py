@@ -34,6 +34,7 @@ import numpy as np
 from . import diagnostics
 from .exceptions import BpalmError, DimensionError, ParseError
 from .legendre import BregmanGeometry, bregman_distance, box_barrier, energy, spence, von_neumann
+from .newton import REGIMES
 from .outer import RhoSchedule, SolveReport, SolveStatus, SolverConfig, run
 from .penalty import penalty_for
 from .problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective, canonicalize_triplets
@@ -249,7 +250,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--problem", required=True, help="path to a problem JSON document")
     p.add_argument("--primal", choices=["energy", "box_barrier"], default=None)
     p.add_argument("--dual", choices=["energy", "von_neumann", "spence"], default=None)
-    p.add_argument("--regime", choices=["qsc", "qsc_lipschitz", "sc"], default="qsc")
+    p.add_argument("--regime", choices=sorted(REGIMES), default="qsc")
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--sigma-growth", type=float, default=2.0)
     p.add_argument("--rho", type=float, default=0.5)

@@ -22,7 +22,7 @@ class FactorizationError(BpalmError):
 
 
 class InvalidRegimeError(BpalmError):
-    """Moduli required by the requested complexity regime are missing."""
+    """The requested complexity regime is unknown or does not cover the problem."""
 
 
 class BisectionFailedError(BpalmError):

@@ -136,6 +136,12 @@ def softmax(t: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def softmax_jacobian(t: np.ndarray) -> np.ndarray:
+    """diag(s) - s s^T with s = softmax(t), the Hessian of log-sum-exp."""
+    s = softmax(t)
+    return np.diag(s) - np.outer(s, s)
+
+
 def softplus_antiderivative(t):
     """-Li2(-exp(t)), the integral of softplus over (-inf, t], elementwise.
 

@@ -1,4 +1,4 @@
-"""Inner second-order oracle: pure Newton steps, decrement, predicted counts.
+"""Inner second-order oracle: pure Newton steps, decrement, and the regimes.
 
 No line search: the outer step-size rule places the warm start inside the
 quadratic-convergence region, so full steps suffice.  A fraction-to-boundary
@@ -18,6 +18,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .auglag import SubproblemContext, make_context
 from .exceptions import FactorizationError, InvalidRegimeError
+from .legendre import BregmanGeometry
+from .problem import ProblemSpec
 
 __all__ = [
     "NewtonStepRecord",
@@ -26,9 +28,11 @@ __all__ = [
     "newton_step",
     "newton_decrement",
     "solve_subproblem",
-    "predicted_newton_steps",
-    "predicted_for_context",
-    "regime_modulus",
+    "qsc_steps",
+    "lipschitz_steps",
+    "sc_steps",
+    "Regime",
+    "REGIMES",
 ]
 
 logger = logging.getLogger(__name__)
@@ -70,7 +74,6 @@ class NewtonTrace:
 
     steps: list[NewtonStepRecord] = field(default_factory=list)
     iterations_used: int = 0
-    predicted: int | None = None
 
 
 @dataclass(frozen=True)
@@ -197,120 +200,164 @@ def _ceil_log2(x: float) -> int:
     return max(0, math.ceil(math.log2(x)))
 
 
-def predicted_newton_steps(
-    regime: str,
-    *,
-    rho: float,
-    m_k: float | None = None,
-    b_value: float | None = None,
-    l_k: float | None = None,
-    sigma: float | None = None,
-    m_psi: float | None = None,
-    c_sigma: float | None = None,
+# Sufficient pure-Newton step counts from the complexity propositions.  All
+# three are double logarithms; a nonpositive inner logarithm means the test is
+# satisfiable immediately and the count clamps to 0.
+def qsc_steps(rho: float, m_k: float, b_value: float) -> int:
+    if m_k == 0.0:
+        return 1  # the subproblem is an exact quadratic: one step solves it
+    b = max(b_value, _TINY_B)
+    # the contraction chain gives theta^(2^T) <= c_k sqrt(2 rho B) / sigma
+    # with c_k = 2 m_k exp(-1) sigma; the count is zero exactly when the
+    # warm start already passes the relative test
+    inner = math.log(
+        1.0 / (2.0 * m_k * math.exp(-1.0) * math.sqrt(2.0 * rho) * math.sqrt(b))
+    )
+    return _ceil_log2(inner)
+
+
+def lipschitz_steps(rho: float, l_k: float, sigma: float) -> int:
+    inner = (
+        math.log(math.sqrt(2.0) * l_k * sigma + math.sqrt(rho))
+        - math.log(math.sqrt(rho))
+        + 1.0
+    )
+    return _ceil_log2(inner)
+
+
+def sc_steps(
+    rho: float, m_k: float, b_value: float, sigma: float, m_psi: float, c_sigma: float
 ) -> int:
-    """Sufficient pure-Newton step counts from the complexity propositions.
+    b = max(b_value, _TINY_B)
+    inner = (
+        math.log(sigma / m_k * math.sqrt(c_sigma + 1.0 / sigma))
+        + max(0.5 * math.log(1.0 / (2.0 * rho * b)), math.log(3.0 * m_psi))
+    ) / math.log(2.0)
+    return _ceil_log2(inner)
 
-    All three formulas are double logarithms; a nonpositive inner logarithm
-    means the test is satisfiable immediately and the count clamps to 0.
-    """
-    if rho is None or rho <= 0.0:
-        raise InvalidRegimeError("predicted counts require rho > 0")
 
-    if regime == "qsc":
-        if m_k is None or b_value is None:
-            raise InvalidRegimeError("qsc prediction needs m_k and b_value")
-        if m_k == 0.0:
-            return 1  # the subproblem is an exact quadratic: one step solves it
-        b = max(b_value, _TINY_B)
-        # the contraction chain gives theta^(2^T) <= c_k sqrt(2 rho B) / sigma
-        # with c_k = 2 m_k exp(-1) sigma; the count is zero exactly when the
-        # warm start already passes the relative test
-        inner = math.log(
-            1.0 / (2.0 * m_k * math.exp(-1.0) * math.sqrt(2.0 * rho) * math.sqrt(b))
+def _qsc_modulus(ctx: SubproblemContext) -> float | None:
+    m = max(
+        ctx.sigma * ctx.penalty.qsc_modulus * ctx.problem.map.op_norm_bound,
+        ctx.problem.f.qsc_modulus,
+    )
+    return m if m > 0.0 else None
+
+
+def _sc_modulus(ctx: SubproblemContext) -> float | None:
+    m_psi = ctx.geometry.primal.sc_modulus
+    m_f = ctx.problem.f.sc_modulus
+    if m_psi is None or m_f is None:
+        return None
+    m = max(m_f, math.sqrt(ctx.sigma) * m_psi)
+    return m if m > 0.0 else None
+
+
+def _qsc_admissibility(problem, penalty, geometry, x, y) -> Callable[[float], bool]:
+    """The per-anchor step-size test; anchor quantities are hoisted so
+    backtracking only pays for the sigma-dependent parts."""
+    A = problem.map.A
+    residual = problem.map.residual(x)
+    grad_f = problem.f.grad(x)
+    grad_phi_y = geometry.dual.grad(y)
+    m_f = problem.f.qsc_modulus
+    alpha = penalty.qsc_modulus
+    norm_a = problem.map.op_norm_bound
+
+    def admissible(sigma: float) -> bool:
+        u = grad_phi_y + sigma * residual
+        g_k = float(np.linalg.norm(grad_f + A.T @ penalty.grad(u)))
+        bound = math.inf
+        if g_k * m_f > 0.0:
+            bound = 1.0 / (2.0 * g_k * m_f)
+        pull = 2.0 * g_k * alpha * norm_a
+        if pull > 0.0:
+            bound = min(bound, 1.0 / math.sqrt(pull))
+        return sigma <= bound
+
+    return admissible
+
+
+def _sc_admissibility(problem, penalty, geometry, x, y) -> Callable[[float], bool]:
+    """Keep the warm start inside the quadratic convergence region of the
+    local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1."""
+    A = problem.map.A
+    m_psi = geometry.primal.sc_modulus
+    m_f_sc = problem.f.sc_modulus
+    inv_hess = 1.0 / geometry.primal.hess_diag(x)
+    base = problem.f.grad(x) + A.T @ y
+    pull = A.T @ problem.map.residual(x)
+
+    def admissible(sigma: float) -> bool:
+        m_k = max(m_f_sc, math.sqrt(sigma) * m_psi)
+        g_j = base + sigma * pull
+        quad = float(g_j @ (inv_hess * g_j))
+        return 16.0 * m_k * m_k * quad * sigma < 1.0
+
+    return admissible
+
+
+def _qsc_count(ctx: SubproblemContext, b_value: float) -> int | None:
+    if not ctx.penalty.smooth:
+        return None  # a kinked penalty carries no C^3 certificate
+    return qsc_steps(ctx.rho, _qsc_modulus(ctx) or 0.0, b_value)
+
+
+def _lipschitz_count(ctx: SubproblemContext, b_value: float) -> int | None:
+    beta = ctx.penalty.lipschitz_modulus
+    l_f = ctx.problem.f.lipschitz_modulus
+    if beta is None or l_f is None:
+        return None
+    l_k = l_f + beta * ctx.sigma * ctx.problem.map.op_norm_bound**2 + 1.0 / ctx.sigma
+    return lipschitz_steps(ctx.rho, l_k, ctx.sigma)
+
+
+def _sc_count(ctx: SubproblemContext, b_value: float) -> int | None:
+    m_k = _sc_modulus(ctx)
+    m_psi = ctx.geometry.primal.sc_modulus
+    # the curvature bound c_sigma is known for quadratic objectives only
+    if m_k is None or not m_psi or ctx.problem.f.variant != "quadratic":
+        return None
+    c_sigma = ctx.sigma * ctx.problem.map.op_norm_bound**2 + ctx.problem.f.lipschitz_modulus
+    return sc_steps(ctx.rho, m_k, b_value, ctx.sigma, m_psi, c_sigma)
+
+
+def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:
+    if problem.g.variant != "zero" or geometry.dual.kind != "energy":
+        raise InvalidRegimeError(
+            "sc regime covers equality constraints with the Euclidean dual"
         )
-        return _ceil_log2(inner)
-
-    if regime == "qsc_lipschitz":
-        if l_k is None or sigma is None:
-            raise InvalidRegimeError("qsc_lipschitz prediction needs l_k and sigma")
-        inner = (
-            math.log(math.sqrt(2.0) * l_k * sigma + math.sqrt(rho))
-            - math.log(math.sqrt(rho))
-            + 1.0
+    if not geometry.primal.sc_modulus:
+        raise InvalidRegimeError(
+            "sc regime needs a self-concordant primal geometry (box barrier)"
         )
-        return _ceil_log2(inner)
-
-    if regime == "sc":
-        if None in (m_k, b_value, sigma, m_psi, c_sigma) or m_k <= 0.0 or m_psi <= 0.0:
-            raise InvalidRegimeError(
-                "sc prediction needs positive m_k, m_psi plus b_value, sigma, c_sigma"
-            )
-        b = max(b_value, _TINY_B)
-        inner = (
-            math.log(sigma / m_k * math.sqrt(c_sigma + 1.0 / sigma))
-            + max(0.5 * math.log(1.0 / (2.0 * rho * b)), math.log(3.0 * m_psi))
-        ) / math.log(2.0)
-        return _ceil_log2(inner)
-
-    raise InvalidRegimeError(f"unknown regime {regime!r}")
+    if problem.f.sc_modulus is None:
+        raise InvalidRegimeError("sc regime needs an objective SC modulus")
 
 
-def regime_modulus(ctx: SubproblemContext, regime: str) -> float | None:
-    """Generalized self-concordance modulus of the subproblem objective."""
-    if regime in ("qsc", "qsc_lipschitz"):
-        m = max(
-            ctx.sigma * ctx.penalty.qsc_modulus * ctx.problem.map.op_norm_bound,
-            ctx.problem.f.qsc_modulus,
-        )
-        return m if m > 0.0 else None
-    if regime == "sc":
-        m_psi = ctx.geometry.primal.sc_modulus
-        m_f = ctx.problem.f.sc_modulus
-        if m_psi is None or m_f is None:
+@dataclass(frozen=True)
+class Regime:
+    """One complexity regime: ``modulus`` is the subproblem's generalized
+    self-concordance modulus (None when zero or unknown), ``admissibility``
+    builds at an anchor the step-size test that puts the warm start inside
+    Newton's quadratic region, ``predicted`` is the sufficient Newton count,
+    and ``validate`` rejects the problems the regime does not cover."""
+
+    modulus: Callable[[SubproblemContext], float | None]
+    admissibility: Callable[..., Callable[[float], bool]]
+    _count: Callable[[SubproblemContext, float], int | None]
+    validate: Callable[[ProblemSpec, BregmanGeometry], None] = lambda problem, geometry: None
+
+    def predicted(self, ctx: SubproblemContext, b_value: float) -> int | None:
+        """None where the regime gives no bound: rho = 0 or a modulus the
+        problem does not carry."""
+        if ctx.rho <= 0.0:
             return None
-        m = max(m_f, math.sqrt(ctx.sigma) * m_psi)
-        return m if m > 0.0 else None
-    raise InvalidRegimeError(f"unknown regime {regime!r}")
+        return self._count(ctx, b_value)
 
 
-def predicted_for_context(ctx: SubproblemContext, regime: str, b_value: float) -> int:
-    """Assemble the regime's inputs from a context and evaluate the bound."""
-    norm_a = ctx.problem.map.op_norm_bound
-    if regime == "qsc":
-        if not ctx.penalty.smooth:
-            raise InvalidRegimeError(
-                f"{ctx.penalty.closed_form} carries no C^3 certificate"
-            )
-        m_k = regime_modulus(ctx, "qsc") or 0.0
-        return predicted_newton_steps("qsc", rho=ctx.rho, m_k=m_k, b_value=b_value)
-    if regime == "qsc_lipschitz":
-        beta = ctx.penalty.lipschitz_modulus
-        l_f = ctx.problem.f.lipschitz_modulus
-        if beta is None:
-            raise InvalidRegimeError(
-                f"{ctx.penalty.closed_form} is not Lipschitz smooth"
-            )
-        if l_f is None:
-            raise InvalidRegimeError("objective carries no Lipschitz modulus")
-        l_k = l_f + beta * ctx.sigma * norm_a**2 + 1.0 / ctx.sigma
-        return predicted_newton_steps(
-            "qsc_lipschitz", rho=ctx.rho, l_k=l_k, sigma=ctx.sigma
-        )
-    if regime == "sc":
-        m_k = regime_modulus(ctx, "sc")
-        m_psi = ctx.geometry.primal.sc_modulus
-        if m_k is None or not m_psi:
-            raise InvalidRegimeError("sc prediction needs a self-concordant geometry")
-        if ctx.problem.f.variant != "quadratic":
-            raise InvalidRegimeError("sc curvature bound is available for quadratics")
-        c_sigma = ctx.sigma * norm_a**2 + ctx.problem.f.lipschitz_modulus
-        return predicted_newton_steps(
-            "sc",
-            rho=ctx.rho,
-            m_k=m_k,
-            b_value=b_value,
-            sigma=ctx.sigma,
-            m_psi=m_psi,
-            c_sigma=c_sigma,
-        )
-    raise InvalidRegimeError(f"unknown regime {regime!r}")
+REGIMES = {
+    "qsc": Regime(_qsc_modulus, _qsc_admissibility, _qsc_count),
+    "qsc_lipschitz": Regime(_qsc_modulus, _qsc_admissibility, _lipschitz_count),
+    "sc": Regime(_sc_modulus, _sc_admissibility, _sc_count, _sc_validate),
+}

@@ -25,12 +25,7 @@ from .exceptions import (
     InvalidRegimeError,
 )
 from .legendre import BregmanGeometry
-from .newton import (
-    NewtonTrace,
-    predicted_for_context,
-    regime_modulus,
-    solve_subproblem,
-)
+from .newton import REGIMES, NewtonTrace, solve_subproblem
 from .penalty import DualPenalty, penalty_for
 from .problem import KKTResiduals, ProblemSpec, kkt_residuals
 
@@ -119,7 +114,7 @@ class SolverConfig:
             raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
         if self.sigma_growth < 1.0:
             raise DomainError(f"sigma growth must be >= 1, got {self.sigma_growth}")
-        if self.regime not in ("qsc", "qsc_lipschitz", "sc"):
+        if self.regime not in REGIMES:
             raise InvalidRegimeError(f"unknown regime {self.regime!r}")
 
 
@@ -200,7 +195,7 @@ def default_start(geometry: BregmanGeometry) -> tuple[np.ndarray, np.ndarray]:
     return x0, y0
 
 
-def _validate(cfg: SolverConfig, problem: ProblemSpec, penalty: DualPenalty) -> None:
+def _validate(cfg: SolverConfig, problem: ProblemSpec) -> None:
     psi, phi = cfg.geometry.primal, cfg.geometry.dual
     if psi.dim != problem.n:
         raise DimensionError(
@@ -220,66 +215,7 @@ def _validate(cfg: SolverConfig, problem: ProblemSpec, penalty: DualPenalty) -> 
         raise DomainError(
             "box-constrained objectives need the box-barrier primal geometry"
         )
-    if cfg.regime == "sc":
-        if problem.g.variant != "zero" or phi.kind != "energy":
-            raise InvalidRegimeError(
-                "sc regime covers equality constraints with the Euclidean dual"
-            )
-        if not psi.sc_modulus:
-            raise InvalidRegimeError(
-                "sc regime needs a self-concordant primal geometry (box barrier)"
-            )
-        if problem.f.sc_modulus is None:
-            raise InvalidRegimeError("sc regime needs an objective SC modulus")
-
-
-def _admissibility_test(
-    cfg: SolverConfig,
-    problem: ProblemSpec,
-    penalty: DualPenalty,
-    x: np.ndarray,
-    y: np.ndarray,
-):
-    """Build the per-anchor step-size test; anchor quantities are hoisted so
-    backtracking only pays for the sigma-dependent parts."""
-    A = problem.map.A
-    residual = problem.map.residual(x)
-    grad_f = problem.f.grad(x)
-
-    if cfg.regime in ("qsc", "qsc_lipschitz"):
-        grad_phi_y = cfg.geometry.dual.grad(y)
-        m_f = problem.f.qsc_modulus
-        alpha = penalty.qsc_modulus
-        norm_a = problem.map.op_norm_bound
-
-        def admissible(sigma: float) -> bool:
-            u = grad_phi_y + sigma * residual
-            g_k = float(np.linalg.norm(grad_f + A.T @ penalty.grad(u)))
-            bound = math.inf
-            if g_k * m_f > 0.0:
-                bound = 1.0 / (2.0 * g_k * m_f)
-            pull = 2.0 * g_k * alpha * norm_a
-            if pull > 0.0:
-                bound = min(bound, 1.0 / math.sqrt(pull))
-            return sigma <= bound
-
-        return admissible
-
-    # sc: keep the warm start inside the quadratic convergence region of the
-    # local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1
-    m_psi = cfg.geometry.primal.sc_modulus
-    m_f_sc = problem.f.sc_modulus
-    inv_hess = 1.0 / cfg.geometry.primal.hess_diag(x)
-    base = grad_f + A.T @ y
-    pull = A.T @ residual
-
-    def admissible(sigma: float) -> bool:
-        m_k = max(m_f_sc, math.sqrt(sigma) * m_psi)
-        g_j = base + sigma * pull
-        quad = float(g_j @ (inv_hess * g_j))
-        return 16.0 * m_k * m_k * quad * sigma < 1.0
-
-    return admissible
+    REGIMES[cfg.regime].validate(problem, cfg.geometry)
 
 
 def select_sigma(
@@ -294,7 +230,7 @@ def select_sigma(
 
     Returns the step size and whether backtracking had to shrink the target.
     """
-    admissible = _admissibility_test(cfg, problem, penalty, x, y)
+    admissible = REGIMES[cfg.regime].admissibility(problem, penalty, cfg.geometry, x, y)
     for j in range(_MAX_BACKTRACKS):
         sigma = target * _SHRINK**j
         if sigma < cfg.sigma_min:
@@ -317,10 +253,9 @@ def outer_iteration(
     sigma, clipped = select_sigma(cfg, problem, penalty, state.x, state.y, target)
     rho = cfg.rho_schedule.value(state.k)
     ctx = make_context(problem, penalty, cfg.geometry, state.x, state.y, sigma, rho)
+    regime = REGIMES[cfg.regime]
 
-    inner = solve_subproblem(
-        ctx, start=state.x, cap=cfg.newton_cap, modulus=regime_modulus(ctx, cfg.regime)
-    )
+    inner = solve_subproblem(ctx, start=state.x, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
     s = inner.s
     psi = cfg.geometry.primal
 
@@ -330,11 +265,9 @@ def outer_iteration(
     x_next = inner.x_plus if inner.x_plus is not None else s
 
     try:
-        predicted = predicted_for_context(ctx, cfg.regime, inner.b_value)
-    except (InvalidRegimeError, ArithmeticError, ValueError):
-        # no bound for this regime, or none computable in floats (B = inf)
+        predicted = regime.predicted(ctx, inner.b_value)
+    except (ArithmeticError, ValueError):  # no bound computable in floats (B = inf)
         predicted = None
-    inner.trace.predicted = predicted
 
     v_k = inner.grad - (psi.grad(s) - psi.grad(state.x)) / sigma
     residuals = kkt_residuals(problem, s, y_next)
@@ -380,7 +313,7 @@ def run(
     """Drive outer iterations until the progress proxy and the KKT residuals
     both fall below their tolerances."""
     penalty = penalty_for(problem.g, cfg.geometry.dual)
-    _validate(cfg, problem, penalty)
+    _validate(cfg, problem)
     if x0 is None or y0 is None:
         dx, dy = default_start(cfg.geometry)
         x0 = dx if x0 is None else np.asarray(x0, dtype=float)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import UnsupportedError
-from .legendre import LegendreFunction, sigmoid, softmax, softplus, softplus_antiderivative
+from .legendre import LegendreFunction, sigmoid, softmax, softmax_jacobian
+from .legendre import softplus, softplus_antiderivative
 from .problem import NonsmoothTerm
 
 __all__ = ["DualPenalty", "penalty_for", "CLOSED_FORMS"]
@@ -54,8 +55,7 @@ class DualPenalty:
         diag = self.hess_diag_or_none(u)
         if diag is not None:
             return np.diag(diag)
-        s = softmax(u)
-        return np.diag(s) - np.outer(s, s)
+        return softmax_jacobian(u)
 
     def hess_diag_or_none(self, u) -> np.ndarray | None:
         """Diagonal of the Hessian when it is diagonal, else None."""

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import DimensionError, DomainError, ParseError, UnsupportedError
-from .legendre import sigmoid, softmax, softplus
+from .legendre import sigmoid, softmax, softmax_jacobian, softplus
 
 __all__ = [
     "AffineMap",
@@ -165,7 +165,7 @@ class SmoothObjective:
             raise DomainError("quadratic objective: W and c must be finite")
         if not np.allclose(W, W.T, atol=1e-12):
             raise DomainError("quadratic objective requires symmetric W")
-        W = 0.5 * (W + W.T)
+        W = 0.5 * W + 0.5 * W.T  # halving first cannot overflow
         if box is not None:
             lo = np.atleast_1d(np.asarray(box[0], dtype=float)).copy()
             hi = np.atleast_1d(np.asarray(box[1], dtype=float)).copy()
@@ -226,7 +226,7 @@ class SmoothObjective:
                 n,
                 lambda x: float(np.logaddexp.reduce(x)),
                 softmax,
-                lambda x: np.diag(softmax(x)) - np.outer(softmax(x), softmax(x)),
+                softmax_jacobian,
                 qsc_modulus=2.0,
                 lipschitz_modulus=1.0,
             )

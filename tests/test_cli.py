@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bpalm.cli import main, parse_problem, write_problem_file
 from bpalm.exceptions import DimensionError, ParseError
+from bpalm.newton import REGIMES
 
 
 @pytest.fixture
@@ -515,7 +516,7 @@ def _documents(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on huge entries
 @settings(max_examples=200, deadline=None)
-@given(doc=_documents(), regime=st.sampled_from(["qsc", "qsc_lipschitz", "sc"]))
+@given(doc=_documents(), regime=st.sampled_from(sorted(REGIMES)))
 def test_fuzzed_documents_never_raise(doc, regime):
     """Any document ends in exit 0, 1 or 2, or a usage error (64)."""
     with tempfile.TemporaryDirectory() as tmp:

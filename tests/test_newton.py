@@ -10,17 +10,19 @@ from scipy.linalg import LinAlgError
 import bpalm.newton
 from bpalm.auglag import make_context
 from bpalm.exceptions import FactorizationError, InvalidRegimeError
-from bpalm.legendre import BregmanGeometry, box_barrier, energy, von_neumann
+from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
+    REGIMES,
     _clamped_step,
+    lipschitz_steps,
     newton_decrement,
     newton_step,
-    predicted_newton_steps,
-    regime_modulus,
+    qsc_steps,
+    sc_steps,
     solve_subproblem,
 )
 from bpalm.outer import SolverConfig, run
-from bpalm.penalty import penalty_for
+from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
 
@@ -294,7 +296,7 @@ class TestDeferredDecrement:
             ctx = make_context(
                 ps, penalty, geometry, rec.x_anchor, rec.y_anchor, rec.sigma, rec.rho
             )
-            modulus = regime_modulus(ctx, cfg.regime) or 1.0
+            modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
             assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
 
     def test_cap_reached_without_acceptance(self, factor_calls):
@@ -309,49 +311,118 @@ class TestDeferredDecrement:
 class TestPredictedCounts:
     def test_qsc_worked_example(self):
         # M = 1, rho = 1e-4, B = 1e-4 -> ceil(log2 ln(1 / (4 e^-1 sqrt(2e-4) 1e-2)))
-        assert predicted_newton_steps("qsc", rho=1e-4, m_k=1.0, b_value=1e-4) == 4
+        assert qsc_steps(1e-4, 1.0, 1e-4) == 4
 
     def test_lipschitz_worked_example(self):
         # L sigma = 1, rho = 0.25 -> ceil(log2(ln(sqrt2 + .5) - ln .5 + 1)) = 2
-        assert predicted_newton_steps("qsc_lipschitz", rho=0.25, l_k=1.0, sigma=1.0) == 2
+        assert lipschitz_steps(0.25, 1.0, 1.0) == 2
 
     def test_clamped_at_zero(self):
         # huge B makes the inner logarithm nonpositive
-        assert predicted_newton_steps("qsc", rho=0.9, m_k=10.0, b_value=1e6) == 0
+        assert qsc_steps(0.9, 10.0, 1e6) == 0
 
     def test_quadratic_special_case(self):
-        assert predicted_newton_steps("qsc", rho=0.5, m_k=0.0, b_value=1.0) == 1
+        assert qsc_steps(0.5, 0.0, 1.0) == 1
 
     def test_sc_formula(self):
-        t = predicted_newton_steps(
-            "sc", rho=0.5, m_k=1.0, b_value=1e-6, sigma=4.0, m_psi=1.0, c_sigma=10.0
-        )
+        t = sc_steps(rho=0.5, m_k=1.0, b_value=1e-6, sigma=4.0, m_psi=1.0, c_sigma=10.0)
         inner = (
             math.log(4.0 * math.sqrt(10.0 + 0.25))
             + max(0.5 * math.log(1.0 / (2 * 0.5 * 1e-6)), math.log(3.0))
         ) / math.log(2.0)
         assert t == max(0, math.ceil(math.log2(inner)))
 
-    def test_invalid_regimes(self):
-        with pytest.raises(InvalidRegimeError):
-            predicted_newton_steps("qsc", rho=0.0, m_k=1.0, b_value=1.0)
-        with pytest.raises(InvalidRegimeError):
-            predicted_newton_steps("qsc_lipschitz", rho=0.5)
-        with pytest.raises(InvalidRegimeError):
-            predicted_newton_steps("sc", rho=0.5, m_k=0.0, b_value=1.0, sigma=1.0,
-                                   m_psi=1.0, c_sigma=1.0)
-        with pytest.raises(InvalidRegimeError):
-            predicted_newton_steps("trust_region", rho=0.5)
 
 
 class TestRegimeModulus:
     def test_qsc_composition(self):
         ctx = ineq_vn_context(sigma=0.5)
         norm_a = ctx.problem.map.op_norm_bound
-        assert regime_modulus(ctx, "qsc") == pytest.approx(0.5 * 1.0 * norm_a)
+        assert REGIMES["qsc"].modulus(ctx) == pytest.approx(0.5 * 1.0 * norm_a)
 
     def test_quadratic_equality_has_none(self):
-        assert regime_modulus(eq_qp_context(), "qsc") is None
+        assert REGIMES["qsc"].modulus(eq_qp_context()) is None
 
     def test_sc_needs_barrier(self):
-        assert regime_modulus(eq_qp_context(), "sc") is None
+        assert REGIMES["sc"].modulus(eq_qp_context()) is None
+
+
+def box_qp(seed=3, n=4, m=2):
+    """min x'Wx/2 + c'x  s.t.  Ax = b, 0 <= x <= 1, with an interior point."""
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(n, n))
+    lo, hi = np.zeros(n), np.ones(n)
+    A = rng.normal(size=(m, n))
+    ps = ProblemSpec(
+        f=SmoothObjective.quadratic(root @ root.T / n + np.eye(n), rng.normal(size=n), box=(lo, hi)),
+        g=NonsmoothTerm.zero_indicator(),
+        map=AffineMap.from_dense(A, A @ rng.uniform(0.2, 0.8, n)),
+    )
+    return ps, BregmanGeometry(box_barrier(lo, hi), energy(m))
+
+
+def regime_instance(regime):
+    """One small instance per regime: an inequality QP under von_neumann
+    (qsc) or spence (qsc_lipschitz) duals, a box QP under sc."""
+    if regime == "sc":
+        return box_qp()
+    _, ps = small_ineq_run()
+    dual = {"qsc": von_neumann, "qsc_lipschitz": spence}[regime]
+    return ps, BregmanGeometry(energy(ps.n), dual(ps.m))
+
+
+class TestRegimes:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_rho_zero_has_no_prediction(self, regime):
+        ps, geo = regime_instance(regime)
+        pen = penalty_for(ps.g, geo.dual)
+        x0 = np.full(ps.n, 0.5)
+        for rho, has_count in ((0.5, True), (0.0, False)):
+            ctx = make_context(ps, pen, geo, x0, np.ones(ps.m), 0.25, rho)
+            assert (REGIMES[regime].predicted(ctx, 1e-3) is not None) == has_count
+
+    # measured before the regimes became one table: qsc predicts for the
+    # smooth penalties only, qsc_lipschitz for all but sumexp, which has no
+    # Lipschitz modulus, and sc for none (it needs the box barrier)
+    COVERAGE = {
+        "sumexp": {"qsc": 2, "qsc_lipschitz": None, "sc": None},
+        "logsumexp_plus_one": {"qsc": 2, "qsc_lipschitz": 2, "sc": None},
+        "softplus_integral": {"qsc": 2, "qsc_lipschitz": 2, "sc": None},
+        "half_square": {"qsc": 1, "qsc_lipschitz": 2, "sc": None},
+        "max_half_square": {"qsc": None, "qsc_lipschitz": 2, "sc": None},
+        "huber": {"qsc": None, "qsc_lipschitz": 2, "sc": None},
+    }
+
+    @pytest.mark.parametrize("variant,kind", sorted(CLOSED_FORMS))
+    def test_which_closed_forms_get_a_prediction(self, variant, kind):
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(np.eye(2), [0.5, -0.5]),
+            g=NonsmoothTerm(variant),
+            map=AffineMap.from_dense([[1.0, 0.5], [0.0, 1.0]], [0.2, 0.3]),
+        )
+        dual = {"energy": energy, "von_neumann": von_neumann, "spence": spence}[kind](2)
+        geo = BregmanGeometry(energy(2), dual)
+        pen = penalty_for(ps.g, dual)
+        ctx = make_context(ps, pen, geo, np.zeros(2), np.full(2, 0.5), 1.0, 0.5)
+        got = {name: REGIMES[name].predicted(ctx, 1e-3) for name in sorted(REGIMES)}
+        assert got == self.COVERAGE[pen.closed_form]
+
+    # (log2 sigma, T_used, T_predicted) of the first 10 outer iterations,
+    # recorded before the regimes became one table; sigma is a power of two
+    TRAJECTORIES = {
+        "qsc": [(-3, 1, 1), (-3, 1, 2), (-2, 1, 1), (-2, 0, 1), (-2, 0, 1),
+                (-2, 0, 2), (-2, 1, 2), (-2, 1, 2), (-1, 1, 1), (-1, 1, 1)],
+        "qsc_lipschitz": [(-3, 1, 2), (-3, 1, 2), (-3, 1, 2), (-2, 0, 2), (-2, 0, 2),
+                          (-2, 0, 2), (-2, 1, 2), (-2, 1, 2), (-2, 1, 2), (-1, 1, 2)],
+        "sc": [(-2, 1, 2)] * 6 + [(-1, 1, 2)] * 4,
+    }
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_first_iterations_pinned(self, regime):
+        ps, geo = regime_instance(regime)
+        report = run(SolverConfig(geometry=geo, regime=regime, max_outer=10), ps)
+        got = [
+            (math.log2(r.sigma), r.newton.iterations_used, r.predicted_newton)
+            for r in report.trace.records
+        ]
+        assert got == self.TRAJECTORIES[regime]

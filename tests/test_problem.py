@@ -82,6 +82,15 @@ class TestSmoothObjective:
         with pytest.raises(DomainError, match="finite"):
             SmoothObjective.quadratic(W, c)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_symmetrizing_huge_entries_does_not_overflow(self):
+        # 2^1023 + 2^1023 overflows; the halves are exact and add up to 2^1023
+        big = 8.98846567431158e307
+        W = [[0.0, big], [big, 0.0]]
+        f = SmoothObjective.quadratic(W, [0.0, 0.0])
+        np.testing.assert_array_equal(f.W, W)
+        assert math.isfinite(f.lipschitz_modulus)
+
     def test_requires_symmetry(self):
         with pytest.raises(DomainError):
             SmoothObjective.quadratic([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0])
