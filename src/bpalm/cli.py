@@ -12,7 +12,8 @@ Problem files are JSON documents with three sections::
     }
 
 Numbers must be finite; only bounds entries may also be the sentinels
-"inf" / "-inf" (or JSON's Infinity / -Infinity).  Under the sc
+"inf" / "-inf" (or JSON's Infinity / -Infinity).  W must be positive
+semidefinite, and a named objective's n at most 4096.  Under the sc
 regime bounds become the barrier box of the primal geometry; otherwise they
 are appended to an inequality constraint block.  Unknown fields are rejected.
 
@@ -42,8 +43,14 @@ from .problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective, can
 __all__ = ["parse_problem", "write_problem_file", "main"]
 
 _CONSTRAINT_TYPES = {"eq": "zero", "ineq": "orthant", "vecmax": "vecmax", "l1": "one_norm"}
-_DEFAULT_DUAL = {"eq": "energy", "ineq": "von_neumann", "vecmax": "von_neumann", "l1": "energy"}
+# the default dual geometry of each NonsmoothTerm variant
+_DEFAULT_DUAL = {"zero": "energy", "orthant": "von_neumann", "vecmax": "von_neumann",
+                 "one_norm": "energy"}
 _DUAL_FACTORY = {"energy": energy, "von_neumann": von_neumann, "spence": spence}
+
+# A named objective's n is the one dimension no array in the document backs;
+# at the cap each dense n x n matrix of a solve takes 128 MiB.
+_MAX_NAMED_DIMENSION = 4096
 
 # report timing can be pinned through this environment variable so that
 # fixture comparisons are byte-stable
@@ -110,6 +117,8 @@ def _parse_objective(doc: dict) -> SmoothObjective:
     named = doc["named"]
     _require_keys(named, {"name", "n"}, {"name", "n"}, "objective.named")
     n = _dimension(named["n"], "objective.named.n")
+    if n > _MAX_NAMED_DIMENSION:
+        raise DimensionError(f"objective.named.n: at most {_MAX_NAMED_DIMENSION}, got {n}")
     return SmoothObjective.named(str(named["name"]), n)
 
 
@@ -249,7 +258,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="bpalm", description="Bregman proximal augmented Lagrangian solver")
     p.add_argument("--problem", required=True, help="path to a problem JSON document")
     p.add_argument("--primal", choices=["energy", "box_barrier"], default=None)
-    p.add_argument("--dual", choices=["energy", "von_neumann", "spence"], default=None)
+    p.add_argument("--dual", choices=list(_DUAL_FACTORY), default=None)
     p.add_argument("--regime", choices=sorted(REGIMES), default="qsc")
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--sigma-growth", type=float, default=2.0)
@@ -379,8 +388,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    ctype = {v: k for k, v in _CONSTRAINT_TYPES.items()}[problem.g.variant]
-    dual_kind = args.dual or _DEFAULT_DUAL[ctype]
+    dual_kind = args.dual or _DEFAULT_DUAL[problem.g.variant]
     primal_kind = args.primal or ("box_barrier" if problem.f.box is not None else "energy")
     if primal_kind == "box_barrier" and problem.f.box is None:
         parser.error("--primal box_barrier requires bounds and --regime sc")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, InsufficientTraceError, ScaleError
-from .legendre import BregmanGeometry, bregman_distance
+from .legendre import INTERIOR_FLOOR, BregmanGeometry, bregman_distance
 from .outer import SolveTrace
 from .problem import ProblemSpec, lagrangian
 
@@ -177,7 +177,7 @@ def _max_divergence_on_cap(
         grad0 = phi.grad(y0)
     for _ in range(60):
         if phi.nonnegative:
-            grad = wide.grad(np.maximum(y, 1e-148).ravel()).reshape(y.shape) - grad0
+            grad = wide.grad(np.maximum(y, INTERIOR_FLOOR).ravel()).reshape(y.shape) - grad0
         else:
             grad = y - y0
         step = 0.1 * radius / (1.0 + np.linalg.norm(grad, axis=1))

@@ -37,6 +37,11 @@ PI2_6 = math.pi**2 / 6.0
 # iterates produced by multiplicative multiplier updates.
 BOUNDARY_MARGIN = 1e-150
 
+# Multiplicative multiplier updates can underflow to exact zero; orthant
+# iterates are floored here, which must stay above BOUNDARY_MARGIN so the
+# floored point is interior, and is far below every reporting tolerance.
+INTERIOR_FLOOR = 1e-148
+
 
 def _li2_coefficients(terms: int) -> np.ndarray:
     """B_2k / (2k+1)! for k = 1..terms, from the Bernoulli recurrence in
@@ -164,14 +169,12 @@ class LegendreFunction:
     """Base class for the catalog; subclasses fill in the scalar calculus.
 
     The public surface is ``value``, ``grad``, ``conj_grad``, ``conj_value``,
-    ``hess_diag`` and the domain predicates.  ``grad`` and
+    ``hess_diag``, ``start`` and the domain predicates.  ``grad`` and
     ``conj_grad`` are mutually inverse bijections between the domain
     interiors; ``hess_diag`` of conjugate pairs are reciprocal.
     """
 
     kind: str = "abstract"
-    # dom phi is the nonnegative orthant (or its interior), so dual iterates
-    # start at all-ones and are floored above the boundary
     nonnegative: bool = False
 
     def __init__(self, dim: int):
@@ -187,8 +190,14 @@ class LegendreFunction:
         raise NotImplementedError
 
     def conj_in_interior(self, t) -> bool:
-        """Membership of t in int dom of the convex conjugate."""
-        raise NotImplementedError
+        """Membership of t in int dom of the convex conjugate, the whole
+        space unless a subclass narrows it."""
+        _as_vector(t, self.dim)
+        return True
+
+    def start(self) -> np.ndarray:
+        """Default interior point: all-ones on the orthant, else zeros."""
+        return np.ones(self.dim) if self.nonnegative else np.zeros(self.dim)
 
     # -- calculus -----------------------------------------------------------
     def value(self, z) -> float:
@@ -250,9 +259,6 @@ class Energy(LegendreFunction):
 
     in_interior = in_domain
 
-    def conj_in_interior(self, t) -> bool:
-        return True
-
     def value(self, z) -> float:
         z = _as_vector(z, self.dim)
         return 0.5 * float(z @ z)
@@ -280,10 +286,10 @@ class Energy(LegendreFunction):
         return 0.5 * float(d @ d)
 
 
-class VonNeumann(LegendreFunction):
-    """phi(t) = t ln t - t on [0, inf); D_phi is the Kullback-Leibler divergence."""
+class _Orthant(LegendreFunction):
+    """dom phi is the nonnegative orthant (or its interior), so dual iterates
+    start at all-ones and are floored at INTERIOR_FLOOR."""
 
-    kind = "von_neumann"
     nonnegative = True
 
     def in_domain(self, z) -> bool:
@@ -292,9 +298,11 @@ class VonNeumann(LegendreFunction):
     def in_interior(self, z) -> bool:
         return bool(np.all(_as_vector(z, self.dim) > BOUNDARY_MARGIN))
 
-    def conj_in_interior(self, t) -> bool:
-        _as_vector(t, self.dim)
-        return True
+
+class VonNeumann(_Orthant):
+    """phi(t) = t ln t - t on [0, inf); D_phi is the Kullback-Leibler divergence."""
+
+    kind = "von_neumann"
 
     def value(self, z) -> float:
         z = _as_vector(z, self.dim)
@@ -326,18 +334,14 @@ class VonNeumann(LegendreFunction):
         return float(np.sum(_kl_terms(z1, z2)))
 
 
-class Burg(LegendreFunction):
+class Burg(_Orthant):
     """phi(t) = -ln t on (0, inf); D_phi is the Itakura-Saito divergence."""
 
     kind = "burg"
-    nonnegative = True
     sc_modulus = 1.0
 
     def in_domain(self, z) -> bool:
         return bool(np.all(_as_vector(z, self.dim) > 0.0))
-
-    def in_interior(self, z) -> bool:
-        return bool(np.all(_as_vector(z, self.dim) > BOUNDARY_MARGIN))
 
     def conj_in_interior(self, t) -> bool:
         return bool(np.all(_as_vector(t, self.dim) < -BOUNDARY_MARGIN))
@@ -385,7 +389,7 @@ def _spence_q(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, dilog(q)
 
 
-class Spence(LegendreFunction):
+class Spence(_Orthant):
     """phi(t) = integral of ln(exp(tau) - 1) on [0, t], with dom phi = [0, inf).
 
     The derivative pair is phi'(t) = ln(exp(t) - 1) and its inverse the
@@ -410,17 +414,6 @@ class Spence(LegendreFunction):
     """
 
     kind = "spence"
-    nonnegative = True
-
-    def in_domain(self, z) -> bool:
-        return bool(np.all(_as_vector(z, self.dim) >= 0.0))
-
-    def in_interior(self, z) -> bool:
-        return bool(np.all(_as_vector(z, self.dim) > BOUNDARY_MARGIN))
-
-    def conj_in_interior(self, t) -> bool:
-        _as_vector(t, self.dim)
-        return True
 
     def value(self, z) -> float:
         z = _as_vector(z, self.dim)
@@ -512,9 +505,8 @@ class BoxBarrier(LegendreFunction):
             and np.all(self.upper - z > BOUNDARY_MARGIN)
         )
 
-    def conj_in_interior(self, t) -> bool:
-        _as_vector(t, self.dim)
-        return True
+    def start(self) -> np.ndarray:
+        return 0.5 * (self.lower + self.upper)
 
     def value(self, z) -> float:
         z = _as_vector(z, self.dim)
@@ -619,6 +611,9 @@ class Product(LegendreFunction):
     def conj_in_interior(self, t) -> bool:
         return all(fn.conj_in_interior(part) for fn, part in self._split(t))
 
+    def start(self) -> np.ndarray:
+        return np.concatenate([fn.start() for fn in self.blocks])
+
     def value(self, z) -> float:
         return float(sum(fn.value(part) for fn, part in self._split(z)))
 
@@ -645,28 +640,9 @@ class Product(LegendreFunction):
         )
 
 
-def energy(dim: int) -> Energy:
-    return Energy(dim)
-
-
-def von_neumann(dim: int) -> VonNeumann:
-    return VonNeumann(dim)
-
-
-def burg(dim: int) -> Burg:
-    return Burg(dim)
-
-
-def spence(dim: int) -> Spence:
-    return Spence(dim)
-
-
-def box_barrier(lower, upper) -> BoxBarrier:
-    return BoxBarrier(lower, upper)
-
-
-def product(blocks) -> Product:
-    return Product(blocks)
+# the catalog's constructor names are the classes themselves
+energy, von_neumann, burg, spence = Energy, VonNeumann, Burg, Spence
+box_barrier, product = BoxBarrier, Product
 
 
 def bregman_distance(fn: LegendreFunction, z1, z2) -> float:

@@ -24,7 +24,7 @@ from .exceptions import (
     DomainError,
     InvalidRegimeError,
 )
-from .legendre import BregmanGeometry
+from .legendre import INTERIOR_FLOOR, BregmanGeometry
 from .newton import REGIMES, NewtonTrace, solve_subproblem
 from .penalty import DualPenalty, penalty_for
 from .problem import KKTResiduals, ProblemSpec, kkt_residuals
@@ -43,14 +43,15 @@ __all__ = [
     "default_start",
 ]
 
-# multiplicative multiplier updates can underflow to exact zero; the floor
-# keeps dual iterates strictly inside the positive geometries' domains (just
-# above the boundary margin) and is far below every reporting tolerance
-_TINY_POSITIVE = 1e-148
-
 # sigma backtracking; perfbench/workloads.py counts backtracks assuming 0.5
 _MAX_BACKTRACKS = 40
 _SHRINK = 0.5
+_SIGMA_MIN = 1e-12
+
+# a multiplier norm above _DIVERGENCE_NORM, or _STAGNATION_LIMIT clipped
+# iterations in a row without primal progress, stop the run as diverged
+_DIVERGENCE_NORM = 1e12
+_STAGNATION_LIMIT = 50
 
 
 class SolveStatus(Enum):
@@ -105,9 +106,6 @@ class SolverConfig:
     tol_kkt: float = 1e-8
     max_outer: int = 200
     newton_cap: int = 50
-    sigma_min: float = 1e-12
-    divergence_norm: float = 1e12
-    stagnation_limit: int = 50
 
     def __post_init__(self):
         if self.sigma0 <= 0.0:
@@ -182,17 +180,8 @@ class SolveReport:
 
 
 def default_start(geometry: BregmanGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Interior default starts: zeros/midpoint primal, zeros/all-ones dual."""
-    psi, phi = geometry.primal, geometry.dual
-    if psi.kind == "box_barrier":
-        x0 = 0.5 * (psi.lower + psi.upper)
-    else:
-        x0 = np.zeros(psi.dim)
-    if phi.nonnegative:
-        y0 = np.ones(phi.dim)
-    else:
-        y0 = np.zeros(phi.dim)
-    return x0, y0
+    """Each geometry's interior default start (`LegendreFunction.start`)."""
+    return geometry.primal.start(), geometry.dual.start()
 
 
 def _validate(cfg: SolverConfig, problem: ProblemSpec) -> None:
@@ -233,12 +222,12 @@ def select_sigma(
     admissible = REGIMES[cfg.regime].admissibility(problem, penalty, cfg.geometry, x, y)
     for j in range(_MAX_BACKTRACKS):
         sigma = target * _SHRINK**j
-        if sigma < cfg.sigma_min:
+        if sigma < _SIGMA_MIN:
             break
         if admissible(sigma):
             return sigma, j > 0
     raise BisectionFailedError(
-        f"no admissible sigma >= {cfg.sigma_min} below target {target}"
+        f"no admissible sigma >= {_SIGMA_MIN} below target {target}"
     )
 
 
@@ -261,7 +250,7 @@ def outer_iteration(
 
     y_next = ctx.multiplier_candidate(s)
     if cfg.geometry.dual.nonnegative:
-        y_next = np.maximum(y_next, _TINY_POSITIVE)
+        y_next = np.maximum(y_next, INTERIOR_FLOOR)
     x_next = inner.x_plus if inner.x_plus is not None else s
 
     try:
@@ -351,7 +340,7 @@ def run(
         if converged:
             status = SolveStatus.OPTIMAL
             break
-        if float(np.linalg.norm(state.y)) > cfg.divergence_norm:
+        if float(np.linalg.norm(state.y)) > _DIVERGENCE_NORM:
             status = SolveStatus.DIVERGED
             break
         if (
@@ -360,7 +349,7 @@ def run(
             and resid.primal_res > 0.999 * best_primal
         ):
             stall += 1
-            if stall >= cfg.stagnation_limit:
+            if stall >= _STAGNATION_LIMIT:
                 status = SolveStatus.DIVERGED
                 break
         else:

@@ -33,16 +33,27 @@ __all__ = [
 # constraints only up to roundoff (e.g. softmax sums to 1 +/- eps).
 _DOMAIN_TOL = 1e-9
 
+# The semidefiniteness test factors W / 2^e + 8 n eps I, with 2^e the binary
+# scale of W's largest entry (at least the smallest normal, below which
+# rounding is absolute).  Cholesky's backward error there is a modest multiple
+# of n eps, so singular PSD matrices (zero, rank one) pass, and a W with an
+# eigenvalue below -8 n eps 2^e fails.
+_PSD_SLACK = 8.0 * np.finfo(float).eps
+
+
+def _binary_scale(peak: float) -> float:
+    """The power of two 2^e (at most 2**1023) with peak / 2^e in [1, 2);
+    dividing by it changes no digit."""
+    return 2.0 ** (math.frexp(peak)[1] - 1)
+
 
 def spectral_norm_bound(M: np.ndarray) -> float:
     """Upper bound on the spectral norm via power iteration on M^T M."""
     if M.size == 0:
         return 0.0
     peak = float(np.max(np.abs(M)))
-    if 2.0**500 < peak < math.inf:
-        # M^T M would overflow; an exact power-of-two scale (at most 2**1023)
-        # changes no digit
-        scale = 2.0 ** (math.frexp(peak)[1] - 1)
+    if 2.0**500 < peak < math.inf:  # M^T M would overflow
+        scale = _binary_scale(peak)
         return scale * spectral_norm_bound(M / scale)
     G = M.T @ M
     n = G.shape[0]
@@ -116,11 +127,26 @@ class AffineMap:
         return self.A @ x - self.b
 
 
+# smooth convex test objectives with known moduli:
+# name -> (value, gradient, Hessian, qsc modulus, Lipschitz modulus or None)
+_NAMED = {
+    "sumexp": (lambda x: float(np.sum(np.exp(x))), np.exp, lambda x: np.diag(np.exp(x)), 1.0, None),
+    "logsumexp": (lambda x: float(np.logaddexp.reduce(x)), softmax, softmax_jacobian, 2.0, 1.0),
+    "logistic": (
+        lambda x: float(np.sum(softplus(x))),
+        sigmoid,
+        lambda x: np.diag(sigmoid(x) * (1.0 - sigmoid(x))),
+        1.0,
+        0.25,
+    ),
+}
+
+
 class SmoothObjective:
     """Smooth convex part of the composite objective.
 
-    Either a (possibly box-constrained) convex quadratic or a callback triple
-    of evaluators.  Carries the generalized self-concordance moduli the
+    Either a (possibly box-constrained) convex quadratic or a named objective
+    from `_NAMED`.  Carries the generalized self-concordance moduli the
     path-following rules consume: ``qsc_modulus`` always, ``lipschitz_modulus``
     and ``sc_modulus`` when available.
     """
@@ -139,7 +165,6 @@ class SmoothObjective:
         lipschitz_modulus: float | None = None,
         sc_modulus: float | None = None,
         box: tuple[np.ndarray, np.ndarray] | None = None,
-        domain_predicate=None,
     ):
         self.variant = variant
         self.n = int(n)
@@ -152,7 +177,6 @@ class SmoothObjective:
         self.lipschitz_modulus = lipschitz_modulus
         self.sc_modulus = sc_modulus
         self.box = box
-        self.domain_predicate = domain_predicate
 
     @classmethod
     def quadratic(cls, W, c, *, box=None) -> "SmoothObjective":
@@ -166,6 +190,12 @@ class SmoothObjective:
         if not np.allclose(W, W.T, atol=1e-12):
             raise DomainError("quadratic objective requires symmetric W")
         W = 0.5 * W + 0.5 * W.T  # halving first cannot overflow
+        n = c.size
+        scale = _binary_scale(max(float(np.max(np.abs(W))), np.finfo(float).tiny))
+        try:
+            cho_factor(W / scale + n * _PSD_SLACK * np.eye(n))
+        except LinAlgError:
+            raise DomainError("quadratic objective requires positive semidefinite W") from None
         if box is not None:
             lo = np.atleast_1d(np.asarray(box[0], dtype=float)).copy()
             hi = np.atleast_1d(np.asarray(box[1], dtype=float)).copy()
@@ -186,78 +216,33 @@ class SmoothObjective:
         )
 
     @classmethod
-    def from_callbacks(
-        cls,
-        n: int,
-        value_fn,
-        grad_fn,
-        hess_fn,
-        *,
-        qsc_modulus: float,
-        lipschitz_modulus: float | None = None,
-        sc_modulus: float | None = None,
-        domain_predicate=None,
-    ) -> "SmoothObjective":
+    def named(cls, name: str, n: int) -> "SmoothObjective":
+        """The smooth convex test objective ``_NAMED[name]`` on R^n."""
+        if name not in _NAMED:
+            raise UnsupportedError(f"unknown named objective {name!r}")
+        value_fn, grad_fn, hess_fn, qsc, lipschitz = _NAMED[name]
         return cls(
             "callback",
             n=n,
             value_fn=value_fn,
             grad_fn=grad_fn,
             hess_fn=hess_fn,
-            qsc_modulus=qsc_modulus,
-            lipschitz_modulus=lipschitz_modulus,
-            sc_modulus=sc_modulus,
-            domain_predicate=domain_predicate,
+            qsc_modulus=qsc,
+            lipschitz_modulus=lipschitz,
         )
-
-    @classmethod
-    def named(cls, name: str, n: int) -> "SmoothObjective":
-        """Smooth convex test objectives with known moduli."""
-        if name == "sumexp":
-            return cls.from_callbacks(
-                n,
-                lambda x: float(np.sum(np.exp(x))),
-                lambda x: np.exp(x),
-                lambda x: np.diag(np.exp(x)),
-                qsc_modulus=1.0,
-            )
-        if name == "logsumexp":
-            return cls.from_callbacks(
-                n,
-                lambda x: float(np.logaddexp.reduce(x)),
-                softmax,
-                softmax_jacobian,
-                qsc_modulus=2.0,
-                lipschitz_modulus=1.0,
-            )
-        if name == "logistic":
-            return cls.from_callbacks(
-                n,
-                lambda x: float(np.sum(softplus(x))),
-                sigmoid,
-                lambda x: np.diag(sigmoid(x) * (1.0 - sigmoid(x))),
-                qsc_modulus=1.0,
-                lipschitz_modulus=0.25,
-            )
-        raise UnsupportedError(f"unknown named objective {name!r}")
 
     # The gradient of a box-constrained quadratic extends continuously to the
     # closed box, so domain checks accept the closure; golden solutions sit on
     # active bounds and must remain evaluable.
-    def _check_domain(self, x: np.ndarray, tol: float = _DOMAIN_TOL) -> None:
-        if self.box is not None:
-            lo, hi = self.box
-            if np.any(x < lo - tol) or np.any(x > hi + tol):
-                raise DomainError("point outside the objective's box domain")
-        if self.domain_predicate is not None and not self.domain_predicate(x):
-            raise DomainError("point rejected by the objective's domain predicate")
-
     def in_domain(self, x: np.ndarray) -> bool:
-        try:
-            self._check_domain(x)
-        except DomainError:
-            return False
-        return True
+        if self.box is None:
+            return True
+        lo, hi = self.box
+        return not (np.any(x < lo - _DOMAIN_TOL) or np.any(x > hi + _DOMAIN_TOL))
+
+    def _check_domain(self, x: np.ndarray) -> None:
+        if not self.in_domain(x):
+            raise DomainError("point outside the objective's box domain")
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

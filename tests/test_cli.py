@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
+from bpalm import cli, newton
 from bpalm.cli import main, parse_problem, write_problem_file
 from bpalm.exceptions import DimensionError, ParseError
 from bpalm.newton import REGIMES
@@ -168,12 +170,24 @@ class TestMain:
         assert rc == 2
         assert "error: subproblem Hessian or gradient is not finite" in err
 
-    def test_trace_decrement_failure_exit_two(self, tmp_path, capsys):
-        # the concave objective is stationary at the start, so the solve
-        # factorizes nothing; the trace's decrement column needs H = -4
-        path = tmp_path / "concave.json"
-        path.write_text(json.dumps(_ineq_document(W=[[0, 0, -5.0]], c=[0.0], A=[], b=[0.0], type="eq")))
+    def test_trace_decrement_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the factorizations the trace's decrement column pays for come after
+        # run returns; from there on every Cholesky fails
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(_ineq_document(c=[0.0], A=[], b=[0.0], type="eq")))
         assert main(["--problem", str(path)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        solve = cli.run
+
+        def run_then_refuse(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            monkeypatch.setattr(newton, "cho_factor", refuse)
+            return report
+
+        monkeypatch.setattr(cli, "run", run_then_refuse)
         rc = main(["--problem", str(path), "--trace", str(tmp_path / "trace.csv")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -432,6 +446,29 @@ def _ineq_document(**overrides):
     return {"objective": {"quadratic": objective}, "constraint": constraint}
 
 
+def _assert_one_error_line(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN, Infinity literals
+    rc = main(["--problem", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+# n far beyond what any array in the document backs (a 29 TiB Hessian)
+_OVERSIZED_NAMED = {
+    "objective": {"named": {"name": "sumexp", "n": 2000000}},
+    "constraint": {"type": "eq", "m": 1, "A": [], "b": [0.0]},
+}
+# min -x_1^2/2 s.t. x_0 = 0 is unbounded, and its start is stationary
+_INDEFINITE = {
+    "objective": {"quadratic": {"n": 2, "W": [[0, 0, 1.0], [1, 1, -1.0]], "c": [0.0, 0.0]}},
+    "constraint": {"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [0.0]},
+}
+
+
 class TestBadNumbers:
     """Malformed or non-finite numbers exit 2 with one error line."""
 
@@ -447,14 +484,13 @@ class TestBadNumbers:
         ids=["nan_in_c", "infinity_in_A", "n_not_a_number", "string_triplet_value", "inf_in_b"],
     )
     def test_exit_two(self, overrides, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(_ineq_document(**overrides)))  # NaN, Infinity literals
-        rc = main(["--problem", str(path)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        _assert_one_error_line(_ineq_document(**overrides), tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "doc", [_OVERSIZED_NAMED, _INDEFINITE], ids=["oversized_named", "indefinite_quadratic"]
+    )
+    def test_rejected_documents_exit_two(self, doc, tmp_path, capsys):
+        _assert_one_error_line(doc, tmp_path, capsys)
 
     def test_infinite_bounds_still_accepted(self, tmp_path):
         path = tmp_path / "bounds.json"
@@ -495,9 +531,16 @@ def _documents(draw):
         return draw(st.lists(st.one_of(entry, number) if bad else entry, max_size=rows * cols))
 
     if draw(st.booleans()):
-        W = []  # each triplet mirrored, so that W is symmetric
+        # each triplet mirrored, with |v| added at both of its diagonal ends,
+        # so that W is symmetric and diagonally dominant: semidefinite unless
+        # a number is bad or a sum overflows
+        W = []
         for e in triplets(n, n):
-            W += [[e[0], e[1], e[2]], [e[1], e[0], e[2]]] if isinstance(e, tuple) else [e]
+            if isinstance(e, tuple) and isinstance(e[2], float):
+                i, j, v = e
+                W += [[i, j, v], [j, i, v], [i, i, abs(v)], [j, j, abs(v)]]
+            else:
+                W += [[e[0], e[1], e[2]], [e[1], e[0], e[2]]] if isinstance(e, tuple) else [e]
         objective = {"quadratic": {"n": dimension(n), "W": W, "c": vector(n)}}
     else:
         name = draw(st.sampled_from(["sumexp", "logsumexp", "logistic"]))
@@ -517,6 +560,8 @@ def _documents(draw):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on huge entries
 @settings(max_examples=200, deadline=None)
 @given(doc=_documents(), regime=st.sampled_from(sorted(REGIMES)))
+@example(doc=_OVERSIZED_NAMED, regime="qsc")
+@example(doc=_INDEFINITE, regime="qsc")
 def test_fuzzed_documents_never_raise(doc, regime):
     """Any document ends in exit 0, 1 or 2, or a usage error (64)."""
     with tempfile.TemporaryDirectory() as tmp:

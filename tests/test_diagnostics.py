@@ -176,7 +176,7 @@ def cap_search_per_start(phi, y0, radius):
     return best
 
 
-@pytest.mark.parametrize("factory", [spence, von_neumann, energy])
+@pytest.mark.parametrize("factory", [spence, von_neumann, energy], ids=lambda cls: cls.kind)
 @pytest.mark.parametrize("m", [1, 5])
 def test_batched_cap_search_matches_per_start_loop(factory, m):
     rng = np.random.default_rng(m)

@@ -353,10 +353,25 @@ class TestProductAndGeometry:
             lg.energy(0)
 
 
-@pytest.mark.parametrize("factory", [lg.energy, lg.von_neumann, lg.burg, lg.spence])
+@pytest.mark.parametrize(
+    "factory", [lg.energy, lg.von_neumann, lg.burg, lg.spence], ids=lambda cls: cls.kind
+)
 def test_nonnegative_means_negative_points_lie_outside(factory):
     fn = factory(2)
     assert fn.nonnegative == (not fn.in_domain(-np.ones(2)))
+
+
+@pytest.mark.parametrize("fn", catalog() + [lg.product(catalog(2))], ids=lambda fn: fn.kind)
+def test_start_is_interior(fn):
+    z0 = fn.start()
+    assert z0.shape == (fn.dim,)
+    assert fn.in_interior(z0)
+
+
+def test_interior_floor_is_interior():
+    assert lg.INTERIOR_FLOOR > lg.BOUNDARY_MARGIN
+    for fn in (lg.von_neumann(1), lg.burg(1), lg.spence(1)):
+        assert fn.in_interior([lg.INTERIOR_FLOOR])
 
 
 def test_spence_hessian_value():

@@ -169,7 +169,7 @@ class TestRun:
         x0, y0 = default_start(BregmanGeometry(box_barrier([0.0], [2.0]), energy(1)))
         np.testing.assert_allclose(x0, [1.0])
 
-    @pytest.mark.parametrize("factory", [energy, von_neumann, burg, spence])
+    @pytest.mark.parametrize("factory", [energy, von_neumann, burg, spence], ids=lambda cls: cls.kind)
     def test_default_dual_start_follows_the_domain(self, factory):
         dual = factory(3)
         _, y0 = default_start(BregmanGeometry(energy(2), dual))

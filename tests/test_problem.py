@@ -19,6 +19,7 @@ from bpalm.problem import (
     project_simplex,
     spectral_norm_bound,
 )
+from bpalm.problem import _NAMED
 
 
 def simple_eq_qp():
@@ -84,12 +85,30 @@ class TestSmoothObjective:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_symmetrizing_huge_entries_does_not_overflow(self):
-        # 2^1023 + 2^1023 overflows; the halves are exact and add up to 2^1023
+        # 2^1023 + 2^1023 overflows; the halves are exact and add up to 2^1023,
+        # and the semidefiniteness test factors W at an exact smaller scale
         big = 8.98846567431158e307
-        W = [[0.0, big], [big, 0.0]]
+        W = [[big, 0.5 * big], [0.5 * big, big]]
         f = SmoothObjective.quadratic(W, [0.0, 0.0])
         np.testing.assert_array_equal(f.W, W)
         assert math.isfinite(f.lipschitz_modulus)
+
+    @pytest.mark.parametrize(
+        "W",
+        [np.zeros((300, 300)), np.outer(np.arange(300.0) - 150.0, np.arange(300.0) - 150.0),
+         np.full((2, 2), 1e-310), np.diag([1e300, 1e-300])],
+        ids=["zero", "rank_one", "subnormal_rank_one", "wide_range_diagonal"],
+    )
+    def test_singular_and_badly_scaled_psd_accepted(self, W):
+        SmoothObjective.quadratic(W, np.zeros(W.shape[0]))
+
+    @pytest.mark.parametrize(
+        "W", [[[0.0, 0.0], [0.0, -1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0, 1e308], [1e308, 0.0]]],
+        ids=["negative_diagonal", "indefinite", "huge_indefinite"],
+    )
+    def test_requires_semidefinite(self, W):
+        with pytest.raises(DomainError, match="semidefinite"):
+            SmoothObjective.quadratic(W, [0.0, 0.0])
 
     def test_requires_symmetry(self):
         with pytest.raises(DomainError):
@@ -102,7 +121,7 @@ class TestSmoothObjective:
         with pytest.raises(DomainError):
             f.grad(np.array([2.0]))
 
-    @pytest.mark.parametrize("name", ["sumexp", "logsumexp", "logistic"])
+    @pytest.mark.parametrize("name", sorted(_NAMED))
     def test_named_derivatives(self, name):
         f = SmoothObjective.named(name, 3)
         rng = np.random.default_rng(3)
