@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .exceptions import DomainError
 from .legendre import BregmanGeometry, bregman_distance
 from .penalty import DualPenalty
 from .problem import ProblemSpec
+
+if TYPE_CHECKING:
+    from .newton import SpectralSystem
 
 __all__ = ["SubproblemContext", "AcceptanceCheck", "make_context"]
 
@@ -44,7 +48,11 @@ class AcceptanceCheck:
 
 @dataclass(frozen=True)
 class SubproblemContext:
-    """Frozen state defining one subproblem; all evaluations are pure."""
+    """Frozen state defining one subproblem; all evaluations are pure.
+
+    ``system`` is the run's constraint-space Newton system, shared by every
+    context of the run, or None where Newton steps assemble ``hess``.
+    """
 
     problem: ProblemSpec
     penalty: DualPenalty
@@ -55,6 +63,7 @@ class SubproblemContext:
     rho: float
     grad_phi_y: np.ndarray
     grad_psi_x: np.ndarray
+    system: SpectralSystem | None = None
 
     def dual_argument(self, s: np.ndarray) -> np.ndarray:
         return self.grad_phi_y + self.sigma * self.problem.map.residual(s)
@@ -140,6 +149,16 @@ class SubproblemContext:
         return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
 
 
+def _frozen(z) -> np.ndarray:
+    """z as a read-only float array; an array that is already read-only and
+    owns its data is shared, not copied."""
+    z = np.asarray(z, dtype=float)
+    if z.flags.writeable or not z.flags.owndata:
+        z = z.copy()
+        z.flags.writeable = False
+    return z
+
+
 def make_context(
     problem: ProblemSpec,
     penalty: DualPenalty,
@@ -148,9 +167,10 @@ def make_context(
     y_anchor,
     sigma: float,
     rho: float,
+    system: SpectralSystem | None = None,
 ) -> SubproblemContext:
-    x_anchor = np.asarray(x_anchor, dtype=float).copy()
-    y_anchor = np.asarray(y_anchor, dtype=float).copy()
+    x_anchor = _frozen(x_anchor)
+    y_anchor = _frozen(y_anchor)
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= rho < 1.0:
@@ -159,8 +179,6 @@ def make_context(
         raise DomainError("primal anchor must be interior to the primal geometry")
     if not geometry.dual.in_interior(y_anchor):
         raise DomainError("dual anchor must be interior to the dual geometry")
-    x_anchor.flags.writeable = False
-    y_anchor.flags.writeable = False
     grad_phi_y = geometry.dual.grad(y_anchor)
     grad_phi_y.flags.writeable = False
     grad_psi_x = geometry.primal.grad(x_anchor)
@@ -175,4 +193,5 @@ def make_context(
         rho=float(rho),
         grad_phi_y=grad_phi_y,
         grad_psi_x=grad_psi_x,
+        system=system,
     )

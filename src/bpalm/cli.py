@@ -328,7 +328,9 @@ def _diagnostics_payload(report, problem, geometry, golden) -> tuple[dict, list[
     payload["fejer_monotone"] = fejer.monotone
     payload["fejer_violations"] = fejer.violations
     try:
-        rate = diagnostics.rate_fit(report.trace, gx, gy, geometry)
+        rate = diagnostics.rate_fit(
+            report.trace, gx, gy, geometry, distances=fejer.distances
+        )
         payload["superlinear"] = rate.superlinear
         payload["final_ratio"] = rate.ratios[-1] if rate.ratios else None
     except BpalmError:

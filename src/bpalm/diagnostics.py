@@ -78,19 +78,28 @@ class RateEstimate:
 
 
 def rate_fit(
-    trace: SolveTrace, x_star, y_star, geometry: BregmanGeometry
+    trace: SolveTrace,
+    x_star,
+    y_star,
+    geometry: BregmanGeometry,
+    distances: list[float] | None = None,
 ) -> RateEstimate:
     """Contraction factors q_k = d_{k+1}/d_k of the distance to the solution.
 
     Superlinear verdict: the last five ratios decrease strictly and the final
     one is below 0.1.  The series truncates where distances reach rounding
     noise (an exact solve drives them to zero and the ratio degenerates).
+    ``distances`` is the D(z*, z_k) series of the same trace and solution
+    when the caller has it, as `fejer_check` returns it; it is computed
+    here otherwise.
     """
     if len(trace.records) < 6:
         raise InsufficientTraceError(
             f"rate fit needs at least 6 iterations, trace has {len(trace.records)}"
         )
-    d = _distance_series(trace, x_star, y_star, geometry)
+    d = distances
+    if d is None:
+        d = _distance_series(trace, x_star, y_star, geometry)
     ratios = []
     for k in range(len(d) - 1):
         if d[k] <= _DISTANCE_FLOOR or d[k + 1] <= _DISTANCE_FLOOR:

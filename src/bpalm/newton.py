@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .auglag import SubproblemContext, make_context
 from .exceptions import FactorizationError, InvalidRegimeError
@@ -25,6 +25,7 @@ __all__ = [
     "NewtonStepRecord",
     "NewtonTrace",
     "InnerSolve",
+    "SpectralSystem",
     "newton_step",
     "newton_decrement",
     "solve_subproblem",
@@ -117,11 +118,83 @@ def _clamped_step(ctx: SubproblemContext, s: np.ndarray, direction: np.ndarray) 
     return s + t * direction
 
 
+class SpectralSystem:
+    """Constraint-space Newton systems for a quadratic objective under the
+    energy primal, built once per run from eigh(W) = Q diag(lam) Q^T.
+
+    With w = 1/(lam + 1/sigma), B = A Q and D = diag(d) the penalty
+    Hessian, the subproblem Hessian is
+    H = Q (diag(1/w) + sigma B^T D B) Q^T, and Woodbury with
+    E = diag(sqrt(sigma d)) gives
+
+        H^{-1} g = Q (r - w * B^T E K^{-1} E B r),   r = w * Q^T g,
+
+    where K = I + E G E and G = B diag(w) B^T.  K is m x m with eigenvalues
+    at least 1 and holds no 1/(sigma d), so entries of d that underflow to 0
+    need no special case.  G depends on sigma only and is kept for the last
+    sigma seen.
+    """
+
+    def __init__(self, W: np.ndarray, A: np.ndarray):
+        try:
+            lam, self.Q = eigh(W)
+        except LinAlgError as exc:
+            raise FactorizationError("eigendecomposition of W did not converge") from exc
+        # W is validated PSD; a negative rounding-level eigenvalue would
+        # make w change sign at large sigma
+        self.lam = np.maximum(lam, 0.0)
+        self.B = A @ self.Q
+        self._sigma = self._w = self._G = None
+
+    @classmethod
+    def for_run(
+        cls, problem: ProblemSpec, geometry: BregmanGeometry
+    ) -> "SpectralSystem | None":
+        """The run's system, or None where the dense n x n path is used: a
+        non-quadratic objective, a non-energy primal geometry, or m >= n."""
+        if (
+            problem.f.variant != "quadratic"
+            or geometry.primal.kind != "energy"
+            or problem.m >= problem.n
+        ):
+            return None
+        return cls(problem.f.W, problem.map.A)
+
+    def _gram(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        if sigma != self._sigma:
+            w = 1.0 / (self.lam + 1.0 / sigma)
+            root = self.B * np.sqrt(w)
+            self._w, self._G, self._sigma = w, root @ root.T, sigma
+        return self._w, self._G
+
+    def solve(self, sigma: float, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """H^{-1} g for H = W + I/sigma + sigma A^T diag(d) A."""
+        w, G = self._gram(sigma)
+        e = np.sqrt(sigma * d)
+        K = G * e
+        K *= e[:, None]
+        K[np.diag_indices_from(K)] += 1.0
+        r = w * (self.Q.T @ g)
+        z = e * _solve_spd(K, e * (self.B @ r))
+        return self.Q @ (r - w * (self.B.T @ z))
+
+
 def _newton_direction(
     ctx: SubproblemContext, s: np.ndarray, g: np.ndarray, scale: float
 ) -> tuple[np.ndarray, float]:
-    """The Newton direction at s, with gradient g, and its scaled decrement."""
-    d = -_solve_spd(ctx.hess(s), g)
+    """The Newton direction at s, with gradient g, and its scaled decrement.
+
+    The run's spectral system solves in constraint space whenever the
+    penalty Hessian is diagonal; otherwise the n x n Hessian is assembled.
+    """
+    system = ctx.system
+    diag = None
+    if system is not None:
+        diag = ctx.penalty.hess_diag_or_none(ctx.dual_argument(s))
+    if diag is None:
+        d = -_solve_spd(ctx.hess(s), g)
+    else:
+        d = -system.solve(ctx.sigma, diag, g)
     return d, scale * math.sqrt(max(float(-g @ d), 0.0))
 
 
@@ -134,9 +207,12 @@ def _deferred_decrement(ctx: SubproblemContext, s: np.ndarray, scale: float):
     """
     problem, penalty, geometry = ctx.problem, ctx.penalty, ctx.geometry
     x_anchor, y_anchor, sigma, rho = ctx.x_anchor, ctx.y_anchor, ctx.sigma, ctx.rho
+    system = ctx.system
 
     def decrement() -> float:
-        rebuilt = make_context(problem, penalty, geometry, x_anchor, y_anchor, sigma, rho)
+        rebuilt = make_context(
+            problem, penalty, geometry, x_anchor, y_anchor, sigma, rho, system
+        )
         return _newton_direction(rebuilt, s, rebuilt.grad(s), scale)[1]
 
     return decrement

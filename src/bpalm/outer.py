@@ -25,7 +25,7 @@ from .exceptions import (
     InvalidRegimeError,
 )
 from .legendre import INTERIOR_FLOOR, BregmanGeometry
-from .newton import REGIMES, NewtonTrace, solve_subproblem
+from .newton import REGIMES, NewtonTrace, SpectralSystem, solve_subproblem
 from .penalty import DualPenalty, penalty_for
 from .problem import KKTResiduals, ProblemSpec, kkt_residuals
 
@@ -236,12 +236,16 @@ def outer_iteration(
     problem: ProblemSpec,
     penalty: DualPenalty,
     state: IterateState,
+    system: SpectralSystem | None = None,
 ) -> tuple[IterateState, OuterRecord]:
-    """One outer step; on inner failure the state is returned unchanged."""
+    """One outer step; on inner failure the state is returned unchanged.
+
+    ``system`` is the run's constraint-space Newton system, if it has one.
+    """
     target = cfg.sigma0 if state.sigma_prev is None else state.sigma_prev * cfg.sigma_growth
     sigma, clipped = select_sigma(cfg, problem, penalty, state.x, state.y, target)
     rho = cfg.rho_schedule.value(state.k)
-    ctx = make_context(problem, penalty, cfg.geometry, state.x, state.y, sigma, rho)
+    ctx = make_context(problem, penalty, cfg.geometry, state.x, state.y, sigma, rho, system)
     regime = REGIMES[cfg.regime]
 
     inner = solve_subproblem(ctx, start=state.x, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
@@ -252,6 +256,10 @@ def outer_iteration(
     if cfg.geometry.dual.nonnegative:
         y_next = np.maximum(y_next, INTERIOR_FLOOR)
     x_next = inner.x_plus if inner.x_plus is not None else s
+    # one read-only array each, shared by the record, the next state and the
+    # next context's anchors
+    x_next.flags.writeable = False
+    y_next.flags.writeable = False
 
     try:
         predicted = regime.predicted(ctx, inner.b_value)
@@ -271,8 +279,8 @@ def outer_iteration(
         x_anchor=ctx.x_anchor,
         y_anchor=ctx.y_anchor,
         s=s,
-        x_next=np.asarray(x_next, dtype=float).copy(),
-        y_next=y_next.copy(),
+        x_next=x_next,
+        y_next=y_next,
         b_value=inner.b_value,
         grad_norm=float(np.linalg.norm(inner.grad)),
         newton=inner.trace,
@@ -284,12 +292,7 @@ def outer_iteration(
     if not inner.accepted:
         return state, record
 
-    new_state = IterateState(
-        x=np.asarray(x_next, dtype=float).copy(),
-        y=y_next.copy(),
-        k=state.k + 1,
-        sigma_prev=sigma,
-    )
+    new_state = IterateState(x=x_next, y=y_next, k=state.k + 1, sigma_prev=sigma)
     return new_state, record
 
 
@@ -320,10 +323,12 @@ def run(
     status = SolveStatus.MAX_ITER
     best_primal = math.inf
     stall = 0
+    # built here, per call: W's eigendecomposition is part of the solve
+    system = SpectralSystem.for_run(problem, cfg.geometry)
 
     for _ in range(cfg.max_outer):
         try:
-            state, record = outer_iteration(cfg, problem, penalty, state)
+            state, record = outer_iteration(cfg, problem, penalty, state, system)
         except BisectionFailedError:
             status = SolveStatus.INNER_FAILURE
             break

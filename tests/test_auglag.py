@@ -294,3 +294,19 @@ class TestContextValidation:
         ctx = eq_qp_context()
         with pytest.raises(ValueError):
             ctx.x_anchor[0] = 5.0
+
+    def test_only_writable_anchors_copied(self):
+        ctx = eq_qp_context()
+        frozen = np.array([0.25])
+        frozen.flags.writeable = False
+        writable = np.array([0.5])
+        view = writable[:]
+        view.flags.writeable = False  # read-only, but its owner is not
+        shared = make_context(
+            ctx.problem, ctx.penalty, ctx.geometry, frozen, view, 1.0, 0.0
+        )
+        assert shared.x_anchor is frozen
+        assert shared.y_anchor is not view and not shared.y_anchor.flags.writeable
+        assert make_context(
+            ctx.problem, ctx.penalty, ctx.geometry, writable, frozen, 1.0, 0.0
+        ).x_anchor is not writable

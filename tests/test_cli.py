@@ -340,6 +340,26 @@ class TestMain:
         diag = json.loads(capsys.readouterr().out)["diagnostics"]
         assert diag["superlinear"] is True
 
+    def test_rate_fit_reuses_the_fejer_distances(self, ineq_doc, capsys, monkeypatch):
+        import bpalm.diagnostics as dg
+
+        monkeypatch.setenv("BPALM_WALL_TIME_MS", "0")
+        series = []
+        distance_series = dg._distance_series
+        monkeypatch.setattr(
+            dg, "_distance_series", lambda *a: series.append(a) or distance_series(*a)
+        )
+        argv = ["--problem", ineq_doc, "--dual", "spence", "--report", "json", "--diagnose"]
+        main(argv)
+        shared = capsys.readouterr().out
+        assert len(series) == 1
+        # the report is byte-identical to one whose rate fit builds its own series
+        rate_fit = dg.rate_fit
+        monkeypatch.setattr(dg, "rate_fit", lambda *a, distances: rate_fit(*a))
+        main(argv)
+        assert capsys.readouterr().out == shared
+        assert len(series) == 3
+
     def test_diagnose_conic_on_inequality(self, ineq_doc, capsys):
         rc = main(["--problem", ineq_doc, "--report", "json", "--diagnose"])
         assert rc == 0

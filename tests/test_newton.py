@@ -8,11 +8,12 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import bpalm.newton
-from bpalm.auglag import make_context
+from bpalm.auglag import SubproblemContext, make_context
 from bpalm.exceptions import FactorizationError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
     REGIMES,
+    SpectralSystem,
     _clamped_step,
     lipschitz_steps,
     newton_decrement,
@@ -196,6 +197,7 @@ class TestFactorization:
     def test_singular_hessian_raises(self, caplog):
         class BadContext:
             geometry = eq_qp_context().geometry
+            system = None
 
             def grad(self, s):
                 return np.array([1.0, 1.0])
@@ -214,6 +216,7 @@ class TestFactorization:
     def test_indefinite_hessian_fails(self):
         class IndefContext:
             geometry = eq_qp_context().geometry
+            system = None
 
             def grad(self, s):
                 return np.array([1.0])
@@ -229,6 +232,7 @@ class TestFactorization:
     def test_non_finite_system_fails(self, hess, grad):
         class OverflowContext:
             geometry = eq_qp_context().geometry
+            system = None
 
             def grad(self, s):
                 return np.array([grad])
@@ -287,14 +291,26 @@ class TestDeferredDecrement:
         assert [rec.newton.steps[-1].decrement for rec in records] == first
         assert factor_calls["ok"] == report.total_newton_steps + report.outer_iterations
 
-    def test_deferred_value_matches_direct_decrement(self):
+    def test_deferred_value_matches_direct_decrement(self, monkeypatch):
+        # the reference contexts share the run's spectral system, so both
+        # sides take the same constraint-space solve
+        built = []
+        for_run = SpectralSystem.for_run
+
+        def capture(problem, geometry):
+            built.append(for_run(problem, geometry))
+            return built[-1]
+
+        monkeypatch.setattr(SpectralSystem, "for_run", capture)
         cfg, ps = small_ineq_run()
         report = run(cfg, ps)
+        [system] = built
+        assert system is not None
         geometry = cfg.geometry
         penalty = penalty_for(ps.g, geometry.dual)
         for rec in report.trace.records:
             ctx = make_context(
-                ps, penalty, geometry, rec.x_anchor, rec.y_anchor, rec.sigma, rec.rho
+                ps, penalty, geometry, rec.x_anchor, rec.y_anchor, rec.sigma, rec.rho, system
             )
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
             assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
@@ -306,6 +322,158 @@ class TestDeferredDecrement:
         assert inner.trace.iterations_used == 2 and len(inner.trace.steps) == 3
         assert factor_calls["ok"] == 2
         assert inner.trace.steps[-1].decrement == newton_decrement(ctx, inner.s, 1.0)
+
+
+def spectral_pieces(seed, n=12, m=5, shift=0.5):
+    """W = R R'/n + shift I (the benchmark instances' family; shift 0 and a
+    thin R make W singular), a wide A and a gradient."""
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(n, n if shift else n - 1))
+    W = root @ root.T / n + shift * np.eye(n)
+    return W, rng.normal(size=(m, n)), rng.normal(size=n)
+
+
+def backward_error(H, x, g):
+    """||Hx - g|| / (||H|| ||x|| + ||g||), spectral norm."""
+    return np.linalg.norm(H @ x - g) / (
+        np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(g)
+    )
+
+
+def dense_hessian(W, A, sigma, d):
+    return W + np.eye(W.shape[0]) / sigma + sigma * (A.T * d) @ A
+
+
+def dispatch_case(case):
+    """A small problem, geometry and regime for each Newton-system path."""
+    rng = np.random.default_rng(15)
+    A, b = rng.normal(size=(2, 4)), rng.uniform(0.5, 1.0, 2)
+    quad = SmoothObjective.quadratic(np.eye(4), rng.normal(size=4))
+    orthant = NonsmoothTerm.nonneg_orthant_indicator()
+    geo = BregmanGeometry(energy(4), von_neumann(2))
+    if case == "box_barrier":
+        return (*box_qp(), "sc")
+    if case == "named_objective":
+        ps = ProblemSpec(SmoothObjective.named("logistic", 4), orthant, AffineMap.from_dense(A, b))
+    elif case == "logsumexp_plus_one":
+        ps = ProblemSpec(quad, NonsmoothTerm.vecmax(), AffineMap.from_dense(A, b))
+    elif case == "m_not_below_n":
+        ps = ProblemSpec(quad, orthant, AffineMap.from_dense(rng.normal(size=(4, 4)), np.ones(4)))
+        geo = BregmanGeometry(energy(4), von_neumann(4))
+    else:
+        ps = ProblemSpec(quad, orthant, AffineMap.from_dense(A, b))
+    return ps, geo, "qsc"
+
+
+class TestSpectralSystem:
+    """Constraint-space Newton solves for quadratic objectives under the
+    energy primal."""
+
+    @pytest.mark.parametrize("log2_sigma", [-20, -10, 0, 10, 20])
+    def test_backward_error_over_wide_spectra(self, log2_sigma):
+        sigma = 2.0**log2_sigma
+        W, A, g = spectral_pieces(11)
+        system = SpectralSystem(W, A)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            d = np.exp(rng.uniform(-30.0, 30.0, A.shape[0]))
+            d[rng.integers(A.shape[0])] = 0.0
+            x = system.solve(sigma, d, g)
+            assert backward_error(dense_hessian(W, A, sigma, d), x, g) <= 1e-14
+
+    def test_backward_error_with_singular_objective(self):
+        # w = 1/(lam + 1/sigma) reaches sigma on W's null space, and the
+        # Woodbury correction cancels terms that large: at sigma = 2^20 the
+        # error grows to about 6e-13, where the dense path needs its SPD lift
+        # and reaches about 8e-14
+        W, A, g = spectral_pieces(11, shift=0.0)
+        system = SpectralSystem(W, A)
+        rng = np.random.default_rng(12)
+        for log2_sigma in (-20, 0, 20):
+            sigma = 2.0**log2_sigma
+            d = np.exp(rng.uniform(-30.0, 30.0, A.shape[0]))
+            d[rng.integers(A.shape[0])] = 0.0
+            x = system.solve(sigma, d, g)
+            assert backward_error(dense_hessian(W, A, sigma, d), x, g) <= 1e-11
+
+    def test_agrees_with_dense_path(self):
+        W, A, g = spectral_pieces(13)
+        system = SpectralSystem(W, A)
+        rng = np.random.default_rng(14)
+        for sigma in (2.0**-6, 0.5, 1.0, 8.0, 2.0**6):
+            d = np.exp(rng.uniform(-9.0, 9.0, A.shape[0]))
+            dense = np.linalg.solve(dense_hessian(W, A, sigma, d), g)
+            x = system.solve(sigma, d, g)
+            assert np.linalg.norm(x - dense) <= 1e-8 * np.linalg.norm(dense)
+
+    def test_newton_oracle_agrees_with_dense_context(self):
+        cfg, ps = small_ineq_run()
+        pen = penalty_for(ps.g, cfg.geometry.dual)
+        system = SpectralSystem.for_run(ps, cfg.geometry)
+        x0, y0 = np.full(ps.n, 0.1), np.full(ps.m, 0.5)
+        args = (ps, pen, cfg.geometry, x0, y0, 0.25, 0.5)
+        dense, spectral = make_context(*args), make_context(*args, system)
+        s = np.linspace(-0.3, 0.3, ps.n)
+        np.testing.assert_allclose(newton_step(spectral, s), newton_step(dense, s), rtol=1e-8)
+        assert newton_decrement(spectral, s, 2.0) == pytest.approx(
+            newton_decrement(dense, s, 2.0), rel=1e-8
+        )
+
+    @pytest.fixture
+    def hess_calls(self, monkeypatch):
+        calls = []
+        original = SubproblemContext.hess
+
+        def counting(ctx, s):
+            calls.append(ctx.system)
+            return original(ctx, s)
+
+        monkeypatch.setattr(SubproblemContext, "hess", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "case",
+        ["box_barrier", "logsumexp_plus_one", "m_not_below_n", "named_objective", "spectral"],
+    )
+    def test_dispatch(self, case, hess_calls, monkeypatch):
+        factored = []
+        original = bpalm.newton.cho_factor
+
+        def recording(K, *args, **kwargs):
+            factored.append(K.shape[0])
+            return original(K, *args, **kwargs)
+
+        monkeypatch.setattr(bpalm.newton, "cho_factor", recording)
+        ps, geo, regime = dispatch_case(case)
+        report = run(SolverConfig(geometry=geo, regime=regime, max_outer=20), ps)
+        assert report.total_newton_steps > 0
+        if case == "spectral":
+            assert hess_calls == []
+            assert set(factored) == {ps.m}
+        else:
+            assert len(hess_calls) == report.total_newton_steps
+            assert set(factored) == {ps.n}
+        # only the logsumexp case has a system, and it falls back per step
+        assert all((system is not None) == (case == "logsumexp_plus_one") for system in hess_calls)
+
+    def seeded_qp(self):
+        rng = np.random.default_rng(60)
+        n, m = 60, 30
+        root = rng.normal(size=(n, n))
+        return ProblemSpec(
+            f=SmoothObjective.quadratic(root @ root.T / n + np.eye(n), rng.normal(size=n)),
+            g=NonsmoothTerm.nonneg_orthant_indicator(),
+            map=AffineMap.from_dense(rng.normal(size=(m, n)), rng.uniform(-0.5, 0.5, m)),
+        )
+
+    # (outer iterations, Newton steps) recorded with the dense n x n path
+    @pytest.mark.parametrize("dual, counts", [(von_neumann, (62, 53)), (spence, (66, 57))])
+    def test_counts_match_dense_path(self, dual, counts):
+        ps = self.seeded_qp()
+        cfg = SolverConfig(geometry=BregmanGeometry(energy(60), dual(30)), max_outer=3000)
+        report = run(cfg, ps)
+        assert report.status.value == "optimal"
+        assert (report.outer_iterations, report.total_newton_steps) == counts
 
 
 class TestPredictedCounts:

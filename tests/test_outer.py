@@ -143,6 +143,18 @@ class TestOuterIteration:
         assert rec.newton.steps[0].step_norm == 0.0
 
 
+    def test_next_iterate_is_shared_not_copied(self):
+        # x_next and y_next are one read-only array each: the record's, the
+        # next state's and the next context's anchors
+        rep = run(vn_cfg(ineq_qp(), max_outer=5, tol_b=0.0, tol_kkt=0.0), ineq_qp())
+        records = rep.trace.records
+        assert len(records) == 5 and all(rec.accepted for rec in records)
+        for prev, rec in zip(records, records[1:]):
+            assert rec.x_anchor is prev.x_next and rec.y_anchor is prev.y_next
+        assert not records[-1].x_next.flags.writeable
+        assert not records[-1].y_next.flags.writeable
+
+
 class TestRun:
     def test_equality_qp(self):
         rep = run(eq_cfg(tol_b=1e-10, tol_kkt=1e-8), eq_qp())
