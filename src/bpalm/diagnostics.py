@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, InsufficientTraceError, ScaleError
-from .legendre import INTERIOR_FLOOR, BregmanGeometry, bregman_distance
+from .legendre import BLOCK_COORDS, INTERIOR_FLOOR, BregmanGeometry, bregman_distance
 from .outer import SolveTrace
 from .problem import ProblemSpec, lagrangian
 
@@ -39,19 +39,15 @@ _DISTANCE_FLOOR = 1e-28
 def _distance_series(
     trace: SolveTrace, x_star, y_star, geometry: BregmanGeometry
 ) -> list[float]:
-    """D(z*, z_k) along the anchor sequence, starting at the initial point."""
-    x_star = np.asarray(x_star, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
-    points = [(trace.x0, trace.y0)] + [(r.x_next, r.y_next) for r in trace.records]
-    series = []
-    for x_k, y_k in points:
-        d = bregman_distance(geometry.primal, x_star, x_k) + bregman_distance(
-            geometry.dual, y_star, y_k
-        )
-        series.append(d)
-    if series and math.isinf(series[0]):
-        raise DomainError("oracle solution lies outside the geometry's domain")
-    return series
+    """D(z*, z_k) along the anchor sequence, starting at the initial point,
+    from one distance call per geometry on the stacked anchors."""
+
+    def distances(fn, z_star, start, attr):  # one geometry's stack at a time
+        anchors = np.array([start] + [getattr(r, attr) for r in trace.records], dtype=float)
+        return bregman_distance(fn, z_star, anchors)
+
+    primal = distances(geometry.primal, x_star, trace.x0, "x_next")
+    return (primal + distances(geometry.dual, y_star, trace.y0, "y_next")).tolist()
 
 
 @dataclass
@@ -66,6 +62,8 @@ def fejer_check(
 ) -> FejerResult:
     """Nonincrease of D(z*, z_k) along the run, within a 1e-10 slack."""
     d = _distance_series(trace, x_star, y_star, geometry)
+    if math.isinf(d[0]):
+        raise DomainError("oracle solution lies outside the geometry's domain")
     violations = [k for k in range(len(d) - 1) if d[k + 1] > d[k] + _FEJER_SLACK]
     return FejerResult(monotone=not violations, distances=d, violations=violations)
 
@@ -90,8 +88,8 @@ def rate_fit(
     one is below 0.1.  The series truncates where distances reach rounding
     noise (an exact solve drives them to zero and the ratio degenerates).
     ``distances`` is the D(z*, z_k) series of the same trace and solution
-    when the caller has it, as `fejer_check` returns it; it is computed
-    here otherwise.
+    when the caller has it, as `fejer_check` returns it; `fejer_check`
+    computes it otherwise.
     """
     if len(trace.records) < 6:
         raise InsufficientTraceError(
@@ -99,7 +97,7 @@ def rate_fit(
         )
     d = distances
     if d is None:
-        d = _distance_series(trace, x_star, y_star, geometry)
+        d = fejer_check(trace, x_star, y_star, geometry).distances
     ratios = []
     for k in range(len(d) - 1):
         if d[k] <= _DISTANCE_FLOOR or d[k + 1] <= _DISTANCE_FLOOR:
@@ -128,32 +126,49 @@ def ergodic_gap_check(
     test_points: list[tuple[np.ndarray, np.ndarray]],
 ) -> ErgodicGapResult:
     """Verify L(s_bar_K, y) - L(x, y_bar_K) <= (D(x, x0) + D(y, y0)) / sum sigma
-    at every prefix K and every test point; returns the worst signed excess."""
-    worst = -math.inf
-    worst_k = worst_point = -1
-    weight = 0.0
-    sx = np.zeros(problem.n)
-    sy = np.zeros(problem.m)
-    rhs_num = []
-    for x, y in test_points:
-        rhs_num.append(
-            bregman_distance(geometry.primal, np.asarray(x, float), trace.x0)
-            + bregman_distance(geometry.dual, np.asarray(y, float), trace.y0)
-        )
-    for k, rec in enumerate(trace.records):
-        weight += rec.sigma
-        sx = sx + rec.sigma * rec.s
-        sy = sy + rec.sigma * rec.y_next
-        s_bar = sx / weight
-        y_bar = sy / weight
-        for j, (x, y) in enumerate(test_points):
-            lhs = lagrangian(problem, s_bar, y) - lagrangian(problem, x, y_bar)
-            if math.isnan(lhs):
-                continue  # both Lagrangians infinite; the bound is vacuous here
-            excess = lhs - rhs_num[j] / weight
-            if excess > worst:
-                worst, worst_k, worst_point = excess, k, j
-    return ErgodicGapResult(max_violation=worst, worst_k=worst_k, worst_point=worst_point)
+    at every prefix K and every test point; returns the worst signed excess,
+    the first in (K, point) order among equals."""
+    n, m = problem.n, problem.m
+    xs = np.array([x for x, _ in test_points], dtype=float).reshape(-1, n)
+    ys = np.array([y for _, y in test_points], dtype=float).reshape(-1, m)
+    rhs = bregman_distance(geometry.primal, xs, trace.x0) + bregman_distance(
+        geometry.dual, ys, trace.y0
+    )
+    excess = np.empty((len(trace.records), len(test_points)))
+    averages = _ergodic_averages(trace, lambda r: np.concatenate([r.s, r.y_next]), n + m)
+    with np.errstate(invalid="ignore"):
+        for rows, weight, bars in averages:
+            s_bar, y_bar = bars[:, :n], bars[:, n:]
+            for j in range(len(test_points)):
+                lhs = lagrangian(problem, s_bar, ys[j]) - lagrangian(problem, xs[j], y_bar)
+                excess[rows, j] = lhs - rhs[j] / weight
+    # NaN where both Lagrangians are infinite: the bound is vacuous there
+    excess[np.isnan(excess)] = -math.inf
+    if excess.size == 0 or excess.max() == -math.inf:
+        return ErgodicGapResult(max_violation=-math.inf, worst_k=-1, worst_point=-1)
+    k, j = np.unravel_index(np.argmax(excess), excess.shape)
+    return ErgodicGapResult(max_violation=float(excess[k, j]), worst_k=int(k), worst_point=int(j))
+
+
+def _ergodic_averages(trace: SolveTrace, vector, dim: int):
+    """Per block of consecutive records: its rows, the weights sum_{i<=k}
+    sigma_i and the sigma-weighted averages of ``vector(record)``, per prefix k.
+
+    np.cumsum adds in record order and each block starts from the sum the last
+    one ended with, so every prefix is bit for bit the running sum; blocks of at
+    most BLOCK_COORDS coordinates bound the memory.
+    """
+    records = trace.records
+    weight = np.cumsum([r.sigma for r in records])
+    carried = np.zeros(dim)
+    step = max(1, BLOCK_COORDS // dim)
+    for lo in range(0, len(records), step):
+        rows = slice(lo, lo + step)
+        prefix = np.array([r.sigma * vector(r) for r in records[rows]])
+        prefix[0] += carried
+        np.cumsum(prefix, axis=0, out=prefix)
+        carried = prefix[-1].copy()
+        yield rows, weight[rows], prefix / weight[rows, None]
 
 
 def _max_divergence_on_cap(
@@ -178,7 +193,7 @@ def _max_divergence_on_cap(
     starts.append(np.tril(np.ones((m, m)))[1:] * mix_levels[:, None])
     y = np.vstack(starts)
 
-    best = max(bregman_distance(phi, c, y0) for c in [np.zeros(m), *y])
+    best = np.max(bregman_distance(phi, np.vstack([np.zeros(m), y]), y0))
     if phi.nonnegative:
         # the geometry is separable, so one function of dimension k*m takes
         # the gradients of all k starts in one call
@@ -194,7 +209,7 @@ def _max_divergence_on_cap(
         norm = np.linalg.norm(y, axis=1)
         pos = norm > 0
         y[pos] *= (radius / norm[pos])[:, None]
-    return max(best, max(bregman_distance(phi, c, y0) for c in y))
+    return float(max(best, np.max(bregman_distance(phi, y, y0))))
 
 
 @dataclass
@@ -225,26 +240,17 @@ def conic_feasibility_check(
     d_dual_max = _max_divergence_on_cap(geometry, trace.y0, radius)
     f_star = problem.f.value(x_star)
 
-    weight = 0.0
-    sx = np.zeros(problem.n)
-    obj_gaps, feas_gaps, bounds = [], [], []
-    worst = -math.inf
-    for rec in trace.records:
-        weight += rec.sigma
-        sx = sx + rec.sigma * rec.s
-        s_bar = sx / weight
-        obj = abs(problem.f.value(s_bar) - f_star)
-        feas = float(np.linalg.norm(np.maximum(problem.map.residual(s_bar), 0.0)))
-        bound = (d_primal + d_dual_max) / weight
-        obj_gaps.append(obj)
-        feas_gaps.append(feas)
-        bounds.append(bound)
-        worst = max(worst, max(obj, feas) - bound)
+    obj, feas, bounds = (np.empty(len(trace.records)) for _ in range(3))
+    for rows, weight, s_bar in _ergodic_averages(trace, lambda r: r.s, problem.n):
+        obj[rows] = np.abs(problem.f.value(s_bar) - f_star)
+        excess = np.maximum(problem.map.residual(s_bar), 0.0)
+        feas[rows] = np.sqrt(np.vecdot(excess, excess))  # np.linalg.norm's sum per row
+        bounds[rows] = (d_primal + d_dual_max) / weight
     return ConicFeasibilityResult(
-        max_excess=worst,
-        objective_gaps=obj_gaps,
-        feasibility_gaps=feas_gaps,
-        bounds=bounds,
+        max_excess=float(np.max(np.maximum(obj, feas) - bounds, initial=-math.inf)),
+        objective_gaps=obj.tolist(),
+        feasibility_gaps=feas.tolist(),
+        bounds=bounds.tolist(),
     )
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -36,6 +38,10 @@ PI2_6 = math.pi**2 / 6.0
 # 1/t**2 finite; a larger margin would reject the tiny-but-positive dual
 # iterates produced by multiplicative multiplier updates.
 BOUNDARY_MARGIN = 1e-150
+
+# Stacks of points are evaluated in blocks of rows of at most this many
+# coordinates (a row is never split), 64 KiB per temporary array
+BLOCK_COORDS = 8192
 
 # Multiplicative multiplier updates can underflow to exact zero; orthant
 # iterates are floored here, which must stay above BOUNDARY_MARGIN so the
@@ -158,11 +164,18 @@ def softplus_antiderivative(t):
     return np.where(t > 0.0, PI2_6 + 0.5 * t * t + li, -li)
 
 
-def _as_vector(z, dim: int) -> np.ndarray:
+def _as_vector(z, dim: int, stack: bool = False) -> np.ndarray:
+    """z as a vector of length dim; with ``stack``, as points of shape (..., dim)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim != 1 or z.size != dim:
+    if z.shape[-1] != dim or (z.ndim != 1 and not stack):
         raise DimensionError(f"expected vector of length {dim}, got shape {z.shape}")
     return z
+
+
+def all_rows(mask: np.ndarray):
+    """All of each row of a mask: a bool for one point, an array for a stack."""
+    out = mask.all(axis=-1)
+    return bool(out) if out.ndim == 0 else out
 
 
 class LegendreFunction:
@@ -182,7 +195,7 @@ class LegendreFunction:
             raise DimensionError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
 
-    # -- domain -------------------------------------------------------------
+    # -- domain: points of shape (..., dim), one answer per row -------------
     def in_domain(self, z) -> bool:
         raise NotImplementedError
 
@@ -226,11 +239,12 @@ class LegendreFunction:
     # SC constant on the domain interior; None when no global constant exists.
     sc_modulus: float | None = None
 
-    def distance(self, z1: np.ndarray, z2: np.ndarray) -> float:
-        """Raw Bregman distance for interior arguments; subclasses override
-        with cancellation-free forms (the generic value difference loses all
-        accuracy once z1 and z2 agree to ~8 digits)."""
-        return self.value(z1) - self.value(z2) - float(self.grad(z2) @ (z1 - z2))
+    def distance(self, z1: np.ndarray, z2: np.ndarray):
+        """Bregman distance per row of float arrays z1, z2 of one shape
+        (..., dim), z1 in the domain and z2 in its interior.  Each geometry
+        has its own cancellation-free form: the plain value difference loses
+        all accuracy once z1 and z2 agree to ~8 digits."""
+        raise NotImplementedError
 
     def _require_interior(self, z) -> np.ndarray:
         z = _as_vector(z, self.dim)
@@ -281,9 +295,9 @@ class Energy(LegendreFunction):
         _as_vector(t, self.dim)
         return np.ones(self.dim)
 
-    def distance(self, z1, z2) -> float:
-        d = _as_vector(z1, self.dim) - _as_vector(z2, self.dim)
-        return 0.5 * float(d @ d)
+    def distance(self, z1, z2):
+        d = z1 - z2
+        return 0.5 * np.vecdot(d, d)
 
 
 class _Orthant(LegendreFunction):
@@ -293,10 +307,10 @@ class _Orthant(LegendreFunction):
     nonnegative = True
 
     def in_domain(self, z) -> bool:
-        return bool(np.all(_as_vector(z, self.dim) >= 0.0))
+        return all_rows(_as_vector(z, self.dim, True) >= 0.0)
 
     def in_interior(self, z) -> bool:
-        return bool(np.all(_as_vector(z, self.dim) > BOUNDARY_MARGIN))
+        return all_rows(_as_vector(z, self.dim, True) > BOUNDARY_MARGIN)
 
 
 class VonNeumann(_Orthant):
@@ -328,10 +342,8 @@ class VonNeumann(_Orthant):
     def conj_hess_diag(self, t) -> np.ndarray:
         return np.exp(_as_vector(t, self.dim))
 
-    def distance(self, z1, z2) -> float:
-        z1 = _as_vector(z1, self.dim)
-        z2 = _as_vector(z2, self.dim)
-        return float(np.sum(_kl_terms(z1, z2)))
+    def distance(self, z1, z2):
+        return np.sum(_kl_terms(z1, z2), axis=-1)
 
 
 class Burg(_Orthant):
@@ -341,7 +353,7 @@ class Burg(_Orthant):
     sc_modulus = 1.0
 
     def in_domain(self, z) -> bool:
-        return bool(np.all(_as_vector(z, self.dim) > 0.0))
+        return all_rows(_as_vector(z, self.dim, True) > 0.0)
 
     def conj_in_interior(self, t) -> bool:
         return bool(np.all(_as_vector(t, self.dim) < -BOUNDARY_MARGIN))
@@ -370,10 +382,8 @@ class Burg(_Orthant):
         t = self._require_conj_interior(t)
         return 1.0 / (t * t)
 
-    def distance(self, z1, z2) -> float:
-        z1 = _as_vector(z1, self.dim)
-        z2 = _as_vector(z2, self.dim)
-        return float(np.sum(_excess_log((z1 - z2) / z2)))
+    def distance(self, z1, z2):
+        return np.sum(_excess_log((z1 - z2) / z2), axis=-1)
 
 
 # 20-point Gauss-Legendre rule on [0, 1] for the near branch of the Spence
@@ -382,11 +392,34 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GL_NODES = 0.5 * (1.0 + _GL_NODES)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
+# coordinates per chunk of rows in the Spence distance (a row is never split);
+# the near branch's temporaries take 20 nodes per coordinate
+_SPENCE_CHUNK = 1024
+
 
 def _spence_q(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q = 1 - exp(-t) and its dilogarithm Li2(q), one dilog pass."""
     q = -np.expm1(-t)
     return q, dilog(q)
+
+
+def _spence_sums(a, b, d, near, count):
+    """Per row of a, b (d = a - b) with ``count`` near coordinates each, the
+    near-branch integrals and the far-branch terms of the Spence distance."""
+    rows = len(a)
+    dn, bn = d[near].reshape(rows, count), b[near].reshape(rows, count)
+    s = dn[..., None] * _GL_NODES
+    # -expm1(-s)/expm1(b) without overflow: -s <= b/2, and the clip only acts
+    # where exp(-b) is already 0
+    r = -np.expm1(np.minimum(-s, 700.0)) * (np.exp(-bn) / -np.expm1(-bn))[..., None]
+    af, bf = a[~near], b[~near]
+    k = af.size
+    q, li = _spence_q(np.concatenate([af, bf]))
+    qa, qb = q[:k], q[k:]
+    # a ln(q_a/q_b) -> 0 as a -> 0
+    far = af * np.log(np.where(af > 0.0, qa, qb) / qb) + li[k:] - li[:k]
+    near_sums = np.vecdot(dn, np.log1p(r) @ _GL_WEIGHTS)
+    return near_sums, np.sum(far.reshape(rows, a.shape[-1] - count), axis=-1)
 
 
 class Spence(_Orthant):
@@ -411,6 +444,11 @@ class Spence(_Orthant):
     Against an 80-digit reference both are accurate to a few ulps, for b
     from the boundary margin up to hundreds; the plain value difference
     carries an absolute error of about 1e-15 instead.
+
+    A stack of rows is sorted by each row's count of near coordinates, so
+    rows with equal counts form (rows, count) blocks whose sums run in the
+    same order as a one-point call: a row's distance does not depend on the
+    stack it came in.
     """
 
     kind = "spence"
@@ -444,28 +482,26 @@ class Spence(_Orthant):
     def conj_hess_diag(self, t) -> np.ndarray:
         return sigmoid(_as_vector(t, self.dim))
 
-    def distance(self, z1, z2) -> float:
-        a = _as_vector(z1, self.dim)
-        b = _as_vector(z2, self.dim)
+    def distance(self, z1, z2):
+        shape = z1.shape[:-1]
+        a, b = z1.reshape(-1, self.dim), z2.reshape(-1, self.dim)
         d = a - b
+        total = 0.5 * np.vecdot(d, d)
         near = np.abs(d) <= 0.5 * b
-        total = 0.5 * float(d @ d)
-
-        dn, bn = d[near], b[near]
-        s = dn[:, None] * _GL_NODES
-        # -expm1(-s)/expm1(b) without overflow: -s <= b/2, and the clip only
-        # acts where exp(-b) is already 0
-        r = -np.expm1(np.minimum(-s, 700.0)) * (np.exp(-bn) / -np.expm1(-bn))[:, None]
-        total += float(dn @ (np.log1p(r) @ _GL_WEIGHTS))
-
-        af, bf = a[~near], b[~near]
-        k = af.size
-        q, li = _spence_q(np.concatenate([af, bf]))
-        qa, qb = q[:k], q[k:]
-        # a ln(q_a/q_b) -> 0 as a -> 0
-        ratio = np.log(np.where(af > 0.0, qa, qb) / qb)
-        total += float(np.sum(af * ratio + li[k:] - li[:k]))
-        return total
+        counts = near.sum(axis=1)
+        order = np.argsort(counts, kind="stable")
+        step = max(1, _SPENCE_CHUNK // self.dim)
+        lo = 0
+        for c, run in groupby(counts[order].tolist()):
+            hi = lo + len(list(run))
+            for r0 in range(lo, hi, step):
+                rows = order[r0 : min(r0 + step, hi)]
+                if rows.size == order.size:  # every row, in stack order: a view
+                    rows = slice(None)
+                for sums in _spence_sums(a[rows], b[rows], d[rows], near[rows], c):
+                    total[rows] += sums  # near, then far, as for one point
+            lo = hi
+        return total.reshape(shape)
 
 
 class BoxBarrier(LegendreFunction):
@@ -495,15 +531,12 @@ class BoxBarrier(LegendreFunction):
         self.upper.flags.writeable = False
 
     def in_domain(self, z) -> bool:
-        z = _as_vector(z, self.dim)
-        return bool(np.all(z > self.lower) and np.all(z < self.upper))
+        z = _as_vector(z, self.dim, True)
+        return all_rows((z > self.lower) & (z < self.upper))
 
     def in_interior(self, z) -> bool:
-        z = _as_vector(z, self.dim)
-        return bool(
-            np.all(z - self.lower > BOUNDARY_MARGIN)
-            and np.all(self.upper - z > BOUNDARY_MARGIN)
-        )
+        z = _as_vector(z, self.dim, True)
+        return all_rows((z - self.lower > BOUNDARY_MARGIN) & (self.upper - z > BOUNDARY_MARGIN))
 
     def start(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -531,13 +564,11 @@ class BoxBarrier(LegendreFunction):
             out[i] = self._invert_scalar(float(t[i]), self.lower[i], self.upper[i])
         return out
 
-    def distance(self, z1, z2) -> float:
-        z1 = _as_vector(z1, self.dim)
-        z2 = _as_vector(z2, self.dim)
+    def distance(self, z1, z2):
         delta = z1 - z2
         upper_part = _excess_log(-delta / (self.upper - z2))
         lower_part = _excess_log(delta / (z2 - self.lower))
-        return 0.5 * float(delta @ delta) + float(np.sum(upper_part + lower_part))
+        return 0.5 * np.vecdot(delta, delta) + np.sum(upper_part + lower_part, axis=-1)
 
     @staticmethod
     def _invert_scalar(target: float, lo: float, hi: float) -> float:
@@ -598,15 +629,15 @@ class Product(LegendreFunction):
         mods = [fn.sc_modulus for fn in blocks]
         self.sc_modulus = None if any(m is None for m in mods) else max(mods)
 
-    def _split(self, z):
-        z = _as_vector(z, self.dim)
-        return [(fn, z[s]) for fn, s in zip(self.blocks, self._slices)]
+    def _split(self, z, stack: bool = False):
+        z = _as_vector(z, self.dim, stack)
+        return [(fn, z[..., s]) for fn, s in zip(self.blocks, self._slices)]
 
     def in_domain(self, z) -> bool:
-        return all(fn.in_domain(part) for fn, part in self._split(z))
+        return reduce(np.logical_and, (fn.in_domain(p) for fn, p in self._split(z, True)))
 
     def in_interior(self, z) -> bool:
-        return all(fn.in_interior(part) for fn, part in self._split(z))
+        return reduce(np.logical_and, (fn.in_interior(p) for fn, p in self._split(z, True)))
 
     def conj_in_interior(self, t) -> bool:
         return all(fn.conj_in_interior(part) for fn, part in self._split(t))
@@ -632,12 +663,8 @@ class Product(LegendreFunction):
     def conj_hess_diag(self, t) -> np.ndarray:
         return np.concatenate([fn.conj_hess_diag(part) for fn, part in self._split(t)])
 
-    def distance(self, z1, z2) -> float:
-        parts1 = self._split(z1)
-        parts2 = self._split(z2)
-        return float(
-            sum(fn.distance(p1, p2) for (fn, p1), (_, p2) in zip(parts1, parts2))
-        )
+    def distance(self, z1, z2):
+        return sum(fn.distance(z1[..., s], z2[..., s]) for fn, s in zip(self.blocks, self._slices))
 
 
 # the catalog's constructor names are the classes themselves
@@ -645,19 +672,28 @@ energy, von_neumann, burg, spence = Energy, VonNeumann, Burg, Spence
 box_barrier, product = BoxBarrier, Product
 
 
-def bregman_distance(fn: LegendreFunction, z1, z2) -> float:
+def bregman_distance(fn: LegendreFunction, z1, z2):
     """D(z1, z2) = phi(z1) - phi(z2) - <grad phi(z2), z1 - z2>.
 
     Extended-real: +inf unless z1 is in the domain and z2 in its interior;
-    always nonnegative, zero exactly when z1 == z2.
+    always nonnegative, zero exactly when z1 == z2.  Stacks of points, of
+    shapes (..., dim) that broadcast, give one distance per row, each equal
+    to the one-point call on that row; one point gives a float.
     """
-    z1 = _as_vector(z1, fn.dim)
-    z2 = _as_vector(z2, fn.dim)
-    if not fn.in_domain(z1) or not fn.in_interior(z2):
-        return math.inf
-    if np.array_equal(z1, z2):
-        return 0.0
-    return max(fn.distance(z1, z2), 0.0)
+    z1 = _as_vector(z1, fn.dim, True)
+    z2 = _as_vector(z2, fn.dim, True)
+    valid = fn.in_domain(z1) & fn.in_interior(z2)
+    live = valid & (z1 != z2).any(axis=-1)
+    if live.ndim == 0:
+        return max(float(fn.distance(z1, z2)), 0.0) if live else (0.0 if valid else math.inf)
+    out = np.where(valid, 0.0, np.full(live.shape, math.inf))
+    z1, z2 = (np.broadcast_to(z, live.shape + (fn.dim,)).reshape(-1, fn.dim) for z in (z1, z2))
+    rows = np.flatnonzero(live)
+    step = max(1, BLOCK_COORDS // fn.dim)
+    for lo in range(0, rows.size, step):
+        block = rows[lo : lo + step]
+        out.flat[block] = np.maximum(fn.distance(z1[block], z2[block]), 0.0)
+    return out
 
 
 def dual_bregman_distance(fn: LegendreFunction, t1, t2) -> float:

@@ -19,6 +19,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from .auglag import SubproblemContext, make_context
 from .exceptions import FactorizationError, InvalidRegimeError
 from .legendre import BregmanGeometry
+from .penalty import penalty_for
 from .problem import ProblemSpec
 
 __all__ = [
@@ -151,11 +152,13 @@ class SpectralSystem:
         cls, problem: ProblemSpec, geometry: BregmanGeometry
     ) -> "SpectralSystem | None":
         """The run's system, or None where the dense n x n path is used: a
-        non-quadratic objective, a non-energy primal geometry, or m >= n."""
+        non-quadratic objective, a non-energy primal geometry, m >= n, or a
+        penalty whose Hessian is not diagonal."""
         if (
             problem.f.variant != "quadratic"
             or geometry.primal.kind != "energy"
             or problem.m >= problem.n
+            or not penalty_for(problem.g, geometry.dual).diagonal
         ):
             return None
         return cls(problem.f.W, problem.map.A)
@@ -184,16 +187,14 @@ def _newton_direction(
 ) -> tuple[np.ndarray, float]:
     """The Newton direction at s, with gradient g, and its scaled decrement.
 
-    The run's spectral system solves in constraint space whenever the
-    penalty Hessian is diagonal; otherwise the n x n Hessian is assembled.
+    The run's spectral system, when it has one, solves in constraint space;
+    otherwise the n x n Hessian is assembled.
     """
     system = ctx.system
-    diag = None
-    if system is not None:
-        diag = ctx.penalty.hess_diag_or_none(ctx.dual_argument(s))
-    if diag is None:
+    if system is None:
         d = -_solve_spd(ctx.hess(s), g)
     else:
+        diag = ctx.penalty.hess_diag_or_none(ctx.dual_argument(s))
         d = -system.solve(ctx.sigma, diag, g)
     return d, scale * math.sqrt(max(float(-g @ d), 0.0))
 

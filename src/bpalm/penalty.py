@@ -57,6 +57,11 @@ class DualPenalty:
             return np.diag(diag)
         return softmax_jacobian(u)
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether the Hessian is diagonal, so `hess_diag_or_none` gives it."""
+        return self._hess_diag is not None
+
     def hess_diag_or_none(self, u) -> np.ndarray | None:
         """Diagonal of the Hessian when it is diagonal, else None."""
         if self._hess_diag is None:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import DimensionError, DomainError, ParseError, UnsupportedError
-from .legendre import sigmoid, softmax, softmax_jacobian, softplus
+from .legendre import all_rows, sigmoid, softmax, softmax_jacobian, softplus
 
 __all__ = [
     "AffineMap",
@@ -124,16 +124,19 @@ class AffineMap:
         return self.A.shape[1]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x - self.b
+        """Ax - b, per row of x, one matrix-vector product each."""
+        return np.matmul(self.A, np.asarray(x)[..., None])[..., 0] - self.b
 
 
 # smooth convex test objectives with known moduli:
-# name -> (value, gradient, Hessian, qsc modulus, Lipschitz modulus or None)
+# name -> (value per row, gradient, Hessian, qsc modulus, Lipschitz modulus or None)
 _NAMED = {
-    "sumexp": (lambda x: float(np.sum(np.exp(x))), np.exp, lambda x: np.diag(np.exp(x)), 1.0, None),
-    "logsumexp": (lambda x: float(np.logaddexp.reduce(x)), softmax, softmax_jacobian, 2.0, 1.0),
+    "sumexp": (
+        lambda x: np.sum(np.exp(x), axis=-1), np.exp, lambda x: np.diag(np.exp(x)), 1.0, None
+    ),
+    "logsumexp": (lambda x: np.logaddexp.reduce(x, axis=-1), softmax, softmax_jacobian, 2.0, 1.0),
     "logistic": (
-        lambda x: float(np.sum(softplus(x))),
+        lambda x: np.sum(softplus(x), axis=-1),
         sigmoid,
         lambda x: np.diag(sigmoid(x) * (1.0 - sigmoid(x))),
         1.0,
@@ -233,24 +236,28 @@ class SmoothObjective:
 
     # The gradient of a box-constrained quadratic extends continuously to the
     # closed box, so domain checks accept the closure; golden solutions sit on
-    # active bounds and must remain evaluable.
+    # active bounds and must remain evaluable.  Stacks of points get one
+    # answer per row.
     def in_domain(self, x: np.ndarray) -> bool:
         if self.box is None:
             return True
         lo, hi = self.box
-        return not (np.any(x < lo - _DOMAIN_TOL) or np.any(x > hi + _DOMAIN_TOL))
+        return all_rows(~((x < lo - _DOMAIN_TOL) | (x > hi + _DOMAIN_TOL)))
 
     def _check_domain(self, x: np.ndarray) -> None:
         if not self.in_domain(x):
             raise DomainError("point outside the objective's box domain")
 
     def value(self, x: np.ndarray) -> float:
+        """f(x), one value per row for points x of shape (..., n)."""
         x = np.asarray(x, dtype=float)
-        if not self.in_domain(x):
-            return math.inf
         if self.variant == "quadratic":
-            return 0.5 * float(x @ (self.W @ x)) + float(self.c @ x)
-        return float(self._value_fn(x))
+            wx = np.matmul(self.W, x[..., None])[..., 0]
+            out = 0.5 * np.vecdot(x, wx) + np.vecdot(self.c, x)
+        else:
+            out = self._value_fn(x)
+        out = np.where(self.in_domain(x), out, math.inf)
+        return float(out) if out.ndim == 0 else out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -318,15 +325,18 @@ class NonsmoothTerm:
         return float(np.sum(np.abs(w)))
 
     def conj_value(self, y: np.ndarray, tol: float = _DOMAIN_TOL) -> float:
+        """g*(y), an indicator: one value per row for y of shape (..., m)."""
         y = np.asarray(y, dtype=float)
         if self.variant == "zero":
-            return 0.0
-        if self.variant == "orthant":
-            return 0.0 if np.all(y >= -tol) else math.inf
-        if self.variant == "vecmax":
-            on_simplex = np.all(y >= -tol) and abs(float(y.sum()) - 1.0) <= tol
-            return 0.0 if on_simplex else math.inf
-        return 0.0 if np.all(np.abs(y) <= 1.0 + tol) else math.inf
+            inside = np.ones(y.shape[:-1], dtype=bool)
+        elif self.variant == "orthant":
+            inside = all_rows(y >= -tol)
+        elif self.variant == "vecmax":
+            inside = all_rows(y >= -tol) & (np.abs(y.sum(axis=-1) - 1.0) <= tol)
+        else:
+            inside = all_rows(np.abs(y) <= 1.0 + tol)
+        out = np.where(inside, 0.0, math.inf)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -363,16 +373,18 @@ class KKTResiduals:
 
 
 def lagrangian(ps: ProblemSpec, x, y) -> float:
-    """L(x, y) = f(x) + <Ax - b, y> - g*(y), extended-real valued."""
+    """L(x, y) = f(x) + <Ax - b, y> - g*(y), extended-real valued: +inf off
+    dom f, else -inf off dom g*.  Stacks x of shape (..., n) and y of shape
+    (..., m) broadcast row by row and give one value per row."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fx = ps.f.value(x)
-    if fx == math.inf:
-        return math.inf
     gstar = ps.g.conj_value(y)
-    if gstar == math.inf:
-        return -math.inf
-    return fx + float(ps.map.residual(x) @ y) - gstar
+    with np.errstate(invalid="ignore"):  # inf - inf in rows the masks replace
+        out = fx + np.vecdot(ps.map.residual(x), y) - gstar
+    out = np.where(gstar == math.inf, -math.inf, out)
+    out = np.where(fx == math.inf, math.inf, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def kkt_residuals(ps: ProblemSpec, x, y) -> KKTResiduals:

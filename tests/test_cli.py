@@ -302,6 +302,23 @@ class TestMain:
         assert calls == []
         assert diagnosed.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize(
+        "doc, dual", [("eq_doc", "energy"), ("ineq_doc", "von_neumann"), ("ineq_doc", "spence")]
+    )
+    def test_distance_column_identical_with_and_without_diagnose(
+        self, doc, dual, tmp_path, capsys, request
+    ):
+        problem = request.getfixturevalue(doc)
+        columns = []
+        for extra in ([], ["--diagnose"]):
+            trace = tmp_path / f"trace{len(extra)}.csv"
+            main(["--problem", problem, "--dual", dual, "--trace", str(trace), *extra])
+            rows = [line.split(",") for line in trace.read_text().splitlines()]
+            columns.append([row[rows[0].index("D_to_solution")] for row in rows[1:]])
+        capsys.readouterr()
+        assert columns[0] == columns[1]
+        assert len(columns[0]) > 1 and all(cell for cell in columns[0])
+
     def test_diagnose_payload(self, eq_doc, capsys):
         rc = main(["--problem", eq_doc, "--report", "json", "--diagnose"])
         assert rc == 0

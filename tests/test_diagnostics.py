@@ -14,7 +14,7 @@ from bpalm.legendre import (
     von_neumann,
 )
 from bpalm.oracle import golden_suite
-from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, run
+from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, SolveTrace, run
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
 
@@ -184,6 +184,72 @@ def test_batched_cap_search_matches_per_start_loop(factory, m):
     geo = BregmanGeometry(energy(2), factory(m))
     got = dg._max_divergence_on_cap(geo, y0, 3.0)
     assert got == pytest.approx(cap_search_per_start(geo.dual, y0, 3.0), rel=1e-12)
+
+
+def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):
+    # each check evaluates its Bregman distances on stacks of iterates, so the
+    # number of calls is the same for 150 records as for 10
+    gp = [g for g in golden_suite() if g.family == "ineq"][7]
+    ps = gp.problem
+    geo = BregmanGeometry(energy(ps.n), spence(ps.m))
+    cfg = SolverConfig(geometry=geo, tol_b=1e-300, tol_kkt=1e-300, max_outer=150)
+    trace = run(cfg, ps).trace
+    assert len(trace.records) >= 100
+    calls = []
+    original = dg.bregman_distance
+    monkeypatch.setattr(dg, "bregman_distance", lambda *a: calls.append(a) or original(*a))
+
+    def count(trace):
+        calls.clear()
+        dg.fejer_check(trace, gp.x_star, gp.y_star, geo)
+        dg.rate_fit(trace, gp.x_star, gp.y_star, geo)
+        points = [(gp.x_star, gp.y_star), (np.zeros(ps.n), geo.dual.start())]
+        dg.ergodic_gap_check(trace, ps, geo, points)
+        dg.conic_feasibility_check(trace, ps, geo, gp.x_star, gp.y_star)
+        return len(calls)
+
+    short = SolveTrace(x0=trace.x0, y0=trace.y0, records=trace.records[:10])
+    assert count(trace) == count(short) > 0
+
+
+@pytest.mark.parametrize("block", [None, 20], ids=["one_block", "carried_blocks"])
+def test_ergodic_checks_match_running_sums(block, monkeypatch):
+    # the prefix-sum averages and row-wise Lagrangians reproduce the
+    # record-by-record definition exactly, also when the sums are carried
+    # from one block of records to the next
+    from bpalm.problem import lagrangian
+
+    if block is not None:
+        monkeypatch.setattr(dg, "BLOCK_COORDS", block)
+    gp = [g for g in golden_suite() if g.family == "ineq"][4]
+    ps = gp.problem
+    geo = BregmanGeometry(energy(ps.n), von_neumann(ps.m))
+    trace = run(SolverConfig(geometry=geo, max_outer=300), ps).trace
+    points = [(gp.x_star, gp.y_star), (np.zeros(ps.n), 2.0 * np.ones(ps.m))]
+    rhs = [
+        bregman_distance(geo.primal, x, trace.x0) + bregman_distance(geo.dual, y, trace.y0)
+        for x, y in points
+    ]
+    weight, sx, sy, excess, conic = 0.0, np.zeros(ps.n), np.zeros(ps.m), [], []
+    bound_num = bregman_distance(geo.primal, gp.x_star, trace.x0) + dg._max_divergence_on_cap(
+        geo, trace.y0, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
+    )
+    for rec in trace.records:
+        weight += rec.sigma
+        sx = sx + rec.sigma * rec.s
+        sy = sy + rec.sigma * rec.y_next
+        s_bar, y_bar = sx / weight, sy / weight
+        excess.append(
+            [lagrangian(ps, s_bar, y) - lagrangian(ps, x, y_bar) - r / weight
+             for (x, y), r in zip(points, rhs)]
+        )
+        obj = abs(ps.f.value(s_bar) - ps.f.value(gp.x_star))
+        feas = float(np.linalg.norm(np.maximum(ps.map.residual(s_bar), 0.0)))
+        conic.append(max(obj, feas) - bound_num / weight)
+    gap = dg.ergodic_gap_check(trace, ps, geo, points)
+    k, j = np.unravel_index(np.argmax(excess), (len(excess), 2))
+    assert (gap.max_violation, gap.worst_k, gap.worst_point) == (excess[k][j], k, j)
+    assert dg.conic_feasibility_check(trace, ps, geo, gp.x_star, gp.y_star).max_excess == max(conic)
 
 
 class TestDualAsymptotics:

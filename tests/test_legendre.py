@@ -325,6 +325,92 @@ class TestBregmanDistance:
             assert got == pytest.approx(expected, rel=1e-5)
 
 
+def sample_points(fn, rng, k, spread=2.0):
+    """k interior points of fn as the rows of a (k, dim) array."""
+    if fn.kind == "product":
+        return np.hstack([sample_points(block, rng, k, spread) for block in fn.blocks])
+    return np.array([sample_interior(fn, rng, spread) for _ in range(k)])
+
+
+def outside_point(fn):
+    """A point outside the domain (so also off its interior); the energy has none."""
+    if fn.kind == "product":
+        return np.concatenate(
+            [np.zeros(b.dim) if b.kind == "energy" else outside_point(b) for b in fn.blocks]
+        )
+    return fn.upper + 1.0 if fn.kind == "box_barrier" else -np.ones(fn.dim)
+
+
+STACK_CATALOG = catalog(4) + [lg.product(catalog(2))]
+
+
+def one_point_calls(fn, z1, z2):
+    z1, z2 = np.broadcast_arrays(z1, z2)
+    return np.array([lg.bregman_distance(fn, a, b) for a, b in zip(z1, z2)])
+
+
+class TestStackedDistances:
+    """A (K, dim) stack gives the K one-point distances, bit for bit."""
+
+    @pytest.mark.parametrize("fn", STACK_CATALOG, ids=lambda f: f.kind)
+    def test_stack_equals_one_point_calls(self, fn):
+        rng = np.random.default_rng(21)
+        z1, z2 = sample_points(fn, rng, 40), sample_points(fn, rng, 40)
+        z1[5] = z2[5]
+        z1[6] = z2[6] * (1.0 + 1e-9)
+        if fn.kind != "energy":
+            z1[7] = outside_point(fn)
+            z2[8] = outside_point(fn)
+        got = lg.bregman_distance(fn, z1, z2)
+        assert got.shape == (40,)
+        np.testing.assert_array_equal(got, one_point_calls(fn, z1, z2))
+        assert got[5] == 0.0
+        assert 0.0 < got[6] < 1e-12
+        if fn.kind != "energy":
+            assert got[7] == got[8] == math.inf
+        assert isinstance(lg.bregman_distance(fn, z1[0], z2[0]), float)
+
+    @pytest.mark.parametrize("fn", STACK_CATALOG, ids=lambda f: f.kind)
+    def test_both_broadcast_directions(self, fn):
+        rng = np.random.default_rng(22)
+        one, many = sample_points(fn, rng, 1)[0], sample_points(fn, rng, 30)
+        many[3] = one
+        # one solution z* against many iterates z_k
+        to_many = lg.bregman_distance(fn, one, many)
+        np.testing.assert_array_equal(to_many, one_point_calls(fn, one, many))
+        # many candidates against one anchor y0
+        from_many = lg.bregman_distance(fn, many, one)
+        np.testing.assert_array_equal(from_many, one_point_calls(fn, many, one))
+        assert to_many[3] == from_many[3] == 0.0
+        grid = lg.bregman_distance(fn, many.reshape(5, 6, fn.dim), one)
+        np.testing.assert_array_equal(grid, from_many.reshape(5, 6))
+
+    @pytest.mark.parametrize("fn", STACK_CATALOG, ids=lambda f: f.kind)
+    def test_wrong_last_axis_length(self, fn):
+        z = sample_points(fn, np.random.default_rng(24), 3)
+        with pytest.raises(DimensionError):
+            lg.bregman_distance(fn, z[:, :-1], z[0, :-1])
+        with pytest.raises(DimensionError):
+            lg.bregman_distance(fn, z, np.ones(fn.dim + 1))
+
+    def test_spence_rows_mixing_near_and_far_coordinates(self):
+        # row i sends i mod 101 coordinates beyond |a - b| <= b/2, so the stack
+        # holds every near count from 0 to 100 and spans several row blocks
+        fn = lg.spence(100)
+        rng = np.random.default_rng(23)
+        b = np.exp(rng.uniform(-5.0, 3.0, 100))
+        z = b * (1.0 + 0.4 * rng.uniform(-1.0, 1.0, (400, 100)))
+        for i, row in enumerate(z):
+            far = rng.permutation(100)[: i % 101]
+            row[far] = b[far] * rng.choice([0.0, 0.3, 3.0, 40.0], far.size)
+        near_counts = np.count_nonzero(np.abs(z - b) <= 0.5 * b, axis=1)
+        assert set(near_counts) == set(range(101))
+        assert z.size > 2 * lg.BLOCK_COORDS
+        got = lg.bregman_distance(fn, z, b)
+        np.testing.assert_array_equal(got, one_point_calls(fn, z, b))
+        np.testing.assert_array_equal(lg.bregman_distance(fn, b, z), one_point_calls(fn, b, z))
+
+
 class TestProductAndGeometry:
     def test_product_decomposes(self):
         blocks = [lg.energy(2), lg.von_neumann(1), lg.box_barrier([0.0], [1.0])]

@@ -436,25 +436,33 @@ class TestSpectralSystem:
         ["box_barrier", "logsumexp_plus_one", "m_not_below_n", "named_objective", "spectral"],
     )
     def test_dispatch(self, case, hess_calls, monkeypatch):
-        factored = []
-        original = bpalm.newton.cho_factor
+        factored, decomposed = [], []
+        original, original_eigh = bpalm.newton.cho_factor, bpalm.newton.eigh
 
         def recording(K, *args, **kwargs):
             factored.append(K.shape[0])
             return original(K, *args, **kwargs)
 
+        def recording_eigh(W, *args, **kwargs):
+            decomposed.append(W.shape[0])
+            return original_eigh(W, *args, **kwargs)
+
         monkeypatch.setattr(bpalm.newton, "cho_factor", recording)
+        monkeypatch.setattr(bpalm.newton, "eigh", recording_eigh)
         ps, geo, regime = dispatch_case(case)
         report = run(SolverConfig(geometry=geo, regime=regime, max_outer=20), ps)
         assert report.total_newton_steps > 0
         if case == "spectral":
             assert hess_calls == []
             assert set(factored) == {ps.m}
+            assert decomposed == [ps.n]
         else:
             assert len(hess_calls) == report.total_newton_steps
             assert set(factored) == {ps.n}
-        # only the logsumexp case has a system, and it falls back per step
-        assert all((system is not None) == (case == "logsumexp_plus_one") for system in hess_calls)
+            # no path that assembles the n x n Hessian pays for eigh(W),
+            # logsumexp_plus_one included: its penalty Hessian is not diagonal
+            assert decomposed == []
+        assert all(system is None for system in hess_calls)
 
     def seeded_qp(self):
         rng = np.random.default_rng(60)
