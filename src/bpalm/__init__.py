@@ -24,7 +24,7 @@ from .problem import (
     lagrangian,
 )
 from .penalty import DualPenalty, penalty_for
-from .auglag import AcceptanceCheck, SubproblemContext, make_context
+from .auglag import AcceptanceCheck, Anchor, SubproblemContext, evaluate_anchor, make_context
 from .newton import (
     InnerSolve,
     NewtonTrace,

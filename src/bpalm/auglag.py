@@ -20,7 +20,7 @@ For the Euclidean primal geometry the left side reduces to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +33,14 @@ from .problem import ProblemSpec
 if TYPE_CHECKING:
     from .newton import SpectralSystem
 
-__all__ = ["SubproblemContext", "AcceptanceCheck", "make_context"]
+__all__ = [
+    "Anchor",
+    "PointEvaluation",
+    "SubproblemContext",
+    "AcceptanceCheck",
+    "evaluate_anchor",
+    "make_context",
+]
 
 
 @dataclass(frozen=True)
@@ -47,30 +54,89 @@ class AcceptanceCheck:
 
 
 @dataclass(frozen=True)
+class Anchor:
+    """The outer iterate (x, y) and what both the step-size test and the
+    subproblem read there: r = Ax - b, grad f(x) and grad phi(y), each
+    evaluated once.  Every array is read-only."""
+
+    x: np.ndarray
+    y: np.ndarray
+    residual: np.ndarray
+    grad_f: np.ndarray
+    grad_phi_y: np.ndarray
+
+
+@dataclass(frozen=True)
+class PointEvaluation:
+    """What the subproblem reads at one iterate s, each computed once:
+    r = As - b, grad f(s), grad psi(s), the dual argument
+    u = grad phi(y) + sigma r and the multiplier candidate y_plus = P'(u).
+    Every array is read-only."""
+
+    s: np.ndarray
+    residual: np.ndarray
+    grad_f: np.ndarray
+    grad_psi: np.ndarray
+    u: np.ndarray
+    y_plus: np.ndarray
+
+
+@dataclass(frozen=True)
 class SubproblemContext:
     """Frozen state defining one subproblem; all evaluations are pure.
 
     ``system`` is the run's constraint-space Newton system, shared by every
-    context of the run, or None where Newton steps assemble ``hess``.
+    context of the run, or None where Newton steps assemble ``hess``.  The
+    last evaluated point is kept while it cannot change (see `evaluate`), so
+    the gradient, the acceptance test and the Newton system at one iterate
+    share its evaluation.
     """
 
     problem: ProblemSpec
     penalty: DualPenalty
     geometry: BregmanGeometry
-    x_anchor: np.ndarray
-    y_anchor: np.ndarray
+    anchor: Anchor
     sigma: float
     rho: float
-    grad_phi_y: np.ndarray
     grad_psi_x: np.ndarray
     system: SpectralSystem | None = None
+    _last: PointEvaluation | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def x_anchor(self) -> np.ndarray:
+        return self.anchor.x
+
+    @property
+    def y_anchor(self) -> np.ndarray:
+        return self.anchor.y
+
+    def evaluate(self, s) -> PointEvaluation:
+        """The point quantities at s.  The last point is kept for the next
+        call only if s cannot change under it: a read-only array that owns
+        its data, as the anchor and the Newton iterates are.  At the anchor,
+        r, grad f and grad psi are the anchor's own."""
+        last = self._last
+        if last is not None and s is last.s and not s.flags.writeable:
+            return last
+        s = np.asarray(s, dtype=float)
+        if s is self.anchor.x:
+            r, grad_f, grad_psi = self.anchor.residual, self.anchor.grad_f, self.grad_psi_x
+        else:
+            r = _readonly(self.problem.map.residual(s))
+            grad_f = _readonly(self.problem.f.grad(s))
+            grad_psi = _readonly(self.geometry.primal.grad(s))
+        u = _readonly(self.anchor.grad_phi_y + self.sigma * r)
+        point = PointEvaluation(s, r, grad_f, grad_psi, u, _readonly(self.penalty.grad(u)))
+        if _immutable(s):
+            object.__setattr__(self, "_last", point)
+        return point
 
     def dual_argument(self, s: np.ndarray) -> np.ndarray:
-        return self.grad_phi_y + self.sigma * self.problem.map.residual(s)
+        return self.evaluate(s).u
 
     def multiplier_candidate(self, s: np.ndarray) -> np.ndarray:
         """y_plus(s), the exact maximizer of the dual block."""
-        return self.penalty.grad(self.dual_argument(s))
+        return self.evaluate(s).y_plus
 
     def value(self, s) -> float:
         s = np.asarray(s, dtype=float)
@@ -86,17 +152,16 @@ class SubproblemContext:
         return fs + (self.penalty.value(self.dual_argument(s)) + prox) / self.sigma
 
     def grad(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        psi = self.geometry.primal
-        pull = self.problem.map.A.T @ self.multiplier_candidate(s)
-        prox = (psi.grad(s) - self.grad_psi_x) / self.sigma
-        return self.problem.f.grad(s) + pull + prox
+        point = self.evaluate(s)
+        pull = self.problem.map.A.T @ point.y_plus
+        prox = (point.grad_psi - self.grad_psi_x) / self.sigma
+        return point.grad_f + pull + prox
 
     def hess(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+        point = self.evaluate(s)
+        s, u = point.s, point.u
         psi = self.geometry.primal
         A = self.problem.map.A
-        u = self.dual_argument(s)
         diag = self.penalty.hess_diag_or_none(u)
         if diag is None:
             H = self.sigma * (A.T @ self.penalty.hess(u) @ A)
@@ -105,25 +170,24 @@ class SubproblemContext:
             # power-of-two sigma it rounds exactly like sigma * (A^T D A)
             H = (A.T * (self.sigma * diag)) @ A
         H += self.problem.f.hess(s)
-        H[np.diag_indices_from(H)] += psi.hess_diag(s) / self.sigma
+        diagonal = np.einsum("ii->i", H)  # a strided view: no index arrays
+        diagonal += psi.hess_diag(s) / self.sigma
         return H
 
     def anchor_gap(self, s) -> float:
         """D_psi(s, x) + D_phi(y_plus(s), y): the progress proxy B."""
-        s = np.asarray(s, dtype=float)
-        primal = bregman_distance(self.geometry.primal, s, self.x_anchor)
-        dual = bregman_distance(
-            self.geometry.dual, self.multiplier_candidate(s), self.y_anchor
-        )
+        point = self.evaluate(s)
+        primal = bregman_distance(self.geometry.primal, point.s, self.x_anchor)
+        dual = bregman_distance(self.geometry.dual, point.y_plus, self.y_anchor)
         return primal + dual
 
     def extragradient(self, s, grad: np.ndarray | None = None) -> np.ndarray:
         """x_plus(s) = grad_psi*(grad_psi(s) - sigma grad(s))."""
-        s = np.asarray(s, dtype=float)
+        point = self.evaluate(s)
         psi = self.geometry.primal
         if grad is None:
-            grad = self.grad(s)
-        target = psi.grad(s) - self.sigma * grad
+            grad = self.grad(point.s)
+        target = point.grad_psi - self.sigma * grad
         if not psi.conj_in_interior(target):
             raise DomainError("corrected point leaves int dom of the conjugate")
         return psi.conj_grad(target)
@@ -149,49 +213,62 @@ class SubproblemContext:
         return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
 
 
-def _frozen(z) -> np.ndarray:
-    """z as a read-only float array; an array that is already read-only and
-    owns its data is shared, not copied."""
-    z = np.asarray(z, dtype=float)
-    if z.flags.writeable or not z.flags.owndata:
-        z = z.copy()
-        z.flags.writeable = False
+def _immutable(z: np.ndarray) -> bool:
+    """Whether z cannot change under a reader: read-only, owning its data."""
+    return not z.flags.writeable and z.flags.owndata
+
+
+def _readonly(z: np.ndarray) -> np.ndarray:
+    """A freshly computed array, made read-only in place."""
+    z.flags.writeable = False
     return z
+
+
+def _frozen(z) -> np.ndarray:
+    """z as a read-only float array; an immutable array is shared, not copied."""
+    z = np.asarray(z, dtype=float)
+    if not _immutable(z):
+        z = _readonly(z.copy())
+    return z
+
+
+def evaluate_anchor(problem: ProblemSpec, geometry: BregmanGeometry, x, y) -> Anchor:
+    """The anchor at (x, y), which must be interior to the geometries."""
+    x = _frozen(x)
+    y = _frozen(y)
+    if not geometry.primal.in_interior(x):
+        raise DomainError("primal anchor must be interior to the primal geometry")
+    if not geometry.dual.in_interior(y):
+        raise DomainError("dual anchor must be interior to the dual geometry")
+    return Anchor(
+        x=x,
+        y=y,
+        residual=_readonly(problem.map.residual(x)),
+        grad_f=_readonly(problem.f.grad(x)),
+        grad_phi_y=_readonly(geometry.dual.grad(y)),
+    )
 
 
 def make_context(
     problem: ProblemSpec,
     penalty: DualPenalty,
     geometry: BregmanGeometry,
-    x_anchor,
-    y_anchor,
+    anchor: Anchor,
     sigma: float,
     rho: float,
     system: SpectralSystem | None = None,
 ) -> SubproblemContext:
-    x_anchor = _frozen(x_anchor)
-    y_anchor = _frozen(y_anchor)
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    if not geometry.primal.in_interior(x_anchor):
-        raise DomainError("primal anchor must be interior to the primal geometry")
-    if not geometry.dual.in_interior(y_anchor):
-        raise DomainError("dual anchor must be interior to the dual geometry")
-    grad_phi_y = geometry.dual.grad(y_anchor)
-    grad_phi_y.flags.writeable = False
-    grad_psi_x = geometry.primal.grad(x_anchor)
-    grad_psi_x.flags.writeable = False
     return SubproblemContext(
         problem=problem,
         penalty=penalty,
         geometry=geometry,
-        x_anchor=x_anchor,
-        y_anchor=y_anchor,
+        anchor=anchor,
         sigma=float(sigma),
         rho=float(rho),
-        grad_phi_y=grad_phi_y,
-        grad_psi_x=grad_psi_x,
+        grad_psi_x=_readonly(geometry.primal.grad(anchor.x)),
         system=system,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
-from .auglag import SubproblemContext, make_context
+from .auglag import SubproblemContext, evaluate_anchor, make_context
 from .exceptions import FactorizationError, InvalidRegimeError
 from .legendre import BregmanGeometry
 from .penalty import penalty_for
@@ -176,7 +176,8 @@ class SpectralSystem:
         e = np.sqrt(sigma * d)
         K = G * e
         K *= e[:, None]
-        K[np.diag_indices_from(K)] += 1.0
+        diagonal = np.einsum("ii->i", K)  # a strided view: no index arrays
+        diagonal += 1.0
         r = w * (self.Q.T @ g)
         z = e * _solve_spd(K, e * (self.B @ r))
         return self.Q @ (r - w * (self.B.T @ z))
@@ -211,9 +212,8 @@ def _deferred_decrement(ctx: SubproblemContext, s: np.ndarray, scale: float):
     system = ctx.system
 
     def decrement() -> float:
-        rebuilt = make_context(
-            problem, penalty, geometry, x_anchor, y_anchor, sigma, rho, system
-        )
+        anchor = evaluate_anchor(problem, geometry, x_anchor, y_anchor)
+        rebuilt = make_context(problem, penalty, geometry, anchor, sigma, rho, system)
         return _newton_direction(rebuilt, s, rebuilt.grad(s), scale)[1]
 
     return decrement
@@ -243,7 +243,9 @@ def solve_subproblem(
     """Iterate Newton steps until the relative acceptance test passes.
 
     The test also runs at the warm start, so a near-optimal anchor needs no
-    step at all.  Hitting the cap is reported, not raised.
+    step at all.  Hitting the cap is reported, not raised.  Each iterate is
+    made read-only, so the context evaluates it once for the gradient, the
+    acceptance test and the Newton system.
     """
     scale = modulus if modulus and modulus > 0.0 else 1.0
     cap = max(cap, 0)
@@ -267,6 +269,7 @@ def solve_subproblem(
         d, lam = _newton_direction(ctx, s, g, scale)
         trace.steps.append(NewtonStepRecord(grad_norm, lam, step_norm, False))
         s_next = _clamped_step(ctx, s, d)
+        s_next.flags.writeable = False
         step_norm = float(np.linalg.norm(s_next - s))
         s = s_next
 
@@ -330,13 +333,11 @@ def _sc_modulus(ctx: SubproblemContext) -> float | None:
     return m if m > 0.0 else None
 
 
-def _qsc_admissibility(problem, penalty, geometry, x, y) -> Callable[[float], bool]:
-    """The per-anchor step-size test; anchor quantities are hoisted so
+def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], bool]:
+    """The per-anchor step-size test; it reads the anchor's evaluation, so
     backtracking only pays for the sigma-dependent parts."""
     A = problem.map.A
-    residual = problem.map.residual(x)
-    grad_f = problem.f.grad(x)
-    grad_phi_y = geometry.dual.grad(y)
+    residual, grad_f, grad_phi_y = anchor.residual, anchor.grad_f, anchor.grad_phi_y
     m_f = problem.f.qsc_modulus
     alpha = penalty.qsc_modulus
     norm_a = problem.map.op_norm_bound
@@ -355,15 +356,15 @@ def _qsc_admissibility(problem, penalty, geometry, x, y) -> Callable[[float], bo
     return admissible
 
 
-def _sc_admissibility(problem, penalty, geometry, x, y) -> Callable[[float], bool]:
+def _sc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], bool]:
     """Keep the warm start inside the quadratic convergence region of the
     local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1."""
     A = problem.map.A
     m_psi = geometry.primal.sc_modulus
     m_f_sc = problem.f.sc_modulus
-    inv_hess = 1.0 / geometry.primal.hess_diag(x)
-    base = problem.f.grad(x) + A.T @ y
-    pull = A.T @ problem.map.residual(x)
+    inv_hess = 1.0 / geometry.primal.hess_diag(anchor.x)
+    base = anchor.grad_f + A.T @ anchor.y
+    pull = A.T @ anchor.residual
 
     def admissible(sigma: float) -> bool:
         m_k = max(m_f_sc, math.sqrt(sigma) * m_psi)
@@ -416,7 +417,7 @@ def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:
 class Regime:
     """One complexity regime: ``modulus`` is the subproblem's generalized
     self-concordance modulus (None when zero or unknown), ``admissibility``
-    builds at an anchor the step-size test that puts the warm start inside
+    builds from an `Anchor` the step-size test that puts the warm start inside
     Newton's quadratic region, ``predicted`` is the sufficient Newton count,
     and ``validate`` rejects the problems the regime does not cover."""
 

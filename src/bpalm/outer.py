@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .auglag import make_context
+from .auglag import Anchor, evaluate_anchor, make_context
 from .exceptions import (
     BisectionFailedError,
     DimensionError,
@@ -108,10 +108,17 @@ class SolverConfig:
     newton_cap: int = 50
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0:
-            raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.sigma_growth < 1.0:
-            raise DomainError(f"sigma growth must be >= 1, got {self.sigma_growth}")
+        # comparisons written so that NaN fails them; a negative newton_cap
+        # acts as 0
+        if not 0.0 < self.sigma0 < math.inf:
+            raise DomainError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if not 1.0 <= self.sigma_growth < math.inf:
+            raise DomainError(f"sigma growth must be finite and >= 1, got {self.sigma_growth}")
+        for name in ("tol_b", "tol_kkt"):
+            if not getattr(self, name) >= 0.0:
+                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.max_outer < 0:
+            raise DomainError(f"max_outer must be nonnegative, got {self.max_outer}")
         if self.regime not in REGIMES:
             raise InvalidRegimeError(f"unknown regime {self.regime!r}")
 
@@ -211,15 +218,15 @@ def select_sigma(
     cfg: SolverConfig,
     problem: ProblemSpec,
     penalty: DualPenalty,
-    x: np.ndarray,
-    y: np.ndarray,
+    anchor: Anchor,
     target: float,
 ) -> tuple[float, bool]:
-    """Largest step size in {target * shrink^j} passing the regime bound.
+    """Largest step size in {target * shrink^j} passing the regime bound at
+    the anchor.
 
     Returns the step size and whether backtracking had to shrink the target.
     """
-    admissible = REGIMES[cfg.regime].admissibility(problem, penalty, cfg.geometry, x, y)
+    admissible = REGIMES[cfg.regime].admissibility(problem, penalty, cfg.geometry, anchor)
     for j in range(_MAX_BACKTRACKS):
         sigma = target * _SHRINK**j
         if sigma < _SIGMA_MIN:
@@ -241,18 +248,22 @@ def outer_iteration(
     """One outer step; on inner failure the state is returned unchanged.
 
     ``system`` is the run's constraint-space Newton system, if it has one.
+    The anchor, which is also the warm start, is evaluated once for the
+    step-size test and the subproblem; the point evaluation at the solution
+    serves the multiplier update, v and the KKT residuals.
     """
     target = cfg.sigma0 if state.sigma_prev is None else state.sigma_prev * cfg.sigma_growth
-    sigma, clipped = select_sigma(cfg, problem, penalty, state.x, state.y, target)
+    anchor = evaluate_anchor(problem, cfg.geometry, state.x, state.y)
+    sigma, clipped = select_sigma(cfg, problem, penalty, anchor, target)
     rho = cfg.rho_schedule.value(state.k)
-    ctx = make_context(problem, penalty, cfg.geometry, state.x, state.y, sigma, rho, system)
+    ctx = make_context(problem, penalty, cfg.geometry, anchor, sigma, rho, system)
     regime = REGIMES[cfg.regime]
 
-    inner = solve_subproblem(ctx, start=state.x, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
+    inner = solve_subproblem(ctx, start=anchor.x, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
     s = inner.s
-    psi = cfg.geometry.primal
+    at_s = ctx.evaluate(s)
 
-    y_next = ctx.multiplier_candidate(s)
+    y_next = at_s.y_plus
     if cfg.geometry.dual.nonnegative:
         y_next = np.maximum(y_next, INTERIOR_FLOOR)
     x_next = inner.x_plus if inner.x_plus is not None else s
@@ -266,8 +277,8 @@ def outer_iteration(
     except (ArithmeticError, ValueError):  # no bound computable in floats (B = inf)
         predicted = None
 
-    v_k = inner.grad - (psi.grad(s) - psi.grad(state.x)) / sigma
-    residuals = kkt_residuals(problem, s, y_next)
+    v_k = inner.grad - (at_s.grad_psi - ctx.grad_psi_x) / sigma
+    residuals = kkt_residuals(problem, s, y_next, grad_f=at_s.grad_f, residual=at_s.residual)
 
     record = OuterRecord(
         k=state.k,

@@ -387,13 +387,18 @@ def lagrangian(ps: ProblemSpec, x, y) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def kkt_residuals(ps: ProblemSpec, x, y) -> KKTResiduals:
-    """Natural-map optimality residuals; all vanish exactly at saddle points."""
+def kkt_residuals(ps: ProblemSpec, x, y, *, grad_f=None, residual=None) -> KKTResiduals:
+    """Natural-map optimality residuals; all vanish exactly at saddle points.
+
+    ``grad_f`` and ``residual``, when given, are grad f(x) and Ax - b as the
+    caller has already evaluated them.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.size != ps.m:
         raise DimensionError(f"multiplier length {y.size}, expected {ps.m}")
-    grad_f = ps.f.grad(x)  # raises DomainError off the objective's domain
+    if grad_f is None:
+        grad_f = ps.f.grad(x)  # raises DomainError off the objective's domain
     stat = grad_f + ps.map.A.T @ y
     if ps.f.box is not None:
         lo, hi = ps.f.box
@@ -401,7 +406,7 @@ def kkt_residuals(ps: ProblemSpec, x, y) -> KKTResiduals:
     else:
         dual = float(np.linalg.norm(stat))
 
-    r = ps.map.residual(x)
+    r = ps.map.residual(x) if residual is None else residual
     if ps.g.variant == "zero":
         primal = float(np.linalg.norm(r))
         compl = 0.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bpalm.auglag import make_context
+from bpalm.auglag import evaluate_anchor, make_context
 from bpalm.exceptions import DomainError
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.penalty import penalty_for
@@ -21,7 +21,7 @@ def eq_qp_context(sigma=1.0, rho=0.0, x=(0.0,), y=(0.0,)):
     )
     geo = BregmanGeometry(energy(1), energy(1))
     pen = penalty_for(ps.g, geo.dual)
-    return make_context(ps, pen, geo, list(x), list(y), sigma, rho)
+    return make_context(ps, pen, geo, evaluate_anchor(ps, geo, list(x), list(y)), sigma, rho)
 
 
 def ineq_context(dual_kind="von_neumann", sigma=1.0, rho=0.5, x=(0.0,), y=(1.0,)):
@@ -34,7 +34,7 @@ def ineq_context(dual_kind="von_neumann", sigma=1.0, rho=0.5, x=(0.0,), y=(1.0,)
     dual = {"von_neumann": von_neumann, "spence": spence, "energy": energy}[dual_kind](1)
     geo = BregmanGeometry(energy(1), dual)
     pen = penalty_for(ps.g, geo.dual)
-    return make_context(ps, pen, geo, list(x), list(y), sigma, rho)
+    return make_context(ps, pen, geo, evaluate_anchor(ps, geo, list(x), list(y)), sigma, rho)
 
 
 class TestWorkedEqualityQP:
@@ -115,7 +115,8 @@ class TestDerivativeConsistency:
         y = rng.uniform(0.2, 0.9, m)
         A = ps.map.A
         for sigma in (0.5, 0.3, 4.0):
-            ctx = make_context(ps, pen, geo, rng.uniform(-0.5, 0.5, n), y, sigma, 0.5)
+            anchor = evaluate_anchor(ps, geo, rng.uniform(-0.5, 0.5, n), y)
+            ctx = make_context(ps, pen, geo, anchor, sigma, 0.5)
             for _ in range(3):
                 s = rng.uniform(-0.9, 0.9, n)
                 u = ctx.dual_argument(s)
@@ -138,7 +139,7 @@ class TestDerivativeConsistency:
         )
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
         pen = penalty_for(ps.g, geo.dual)
-        ctx = make_context(ps, pen, geo, [0.4, 0.5], [0.1], 2.0, 0.2)
+        ctx = make_context(ps, pen, geo, evaluate_anchor(ps, geo, [0.4, 0.5], [0.1]), 2.0, 0.2)
         rng = np.random.default_rng(4)
         h = 1e-7
         for _ in range(10):
@@ -158,7 +159,8 @@ class TestDerivativeConsistency:
             map=AffineMap.from_dense([[1.0]], [0.5]),
         )
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
-        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, [0.5], [0.0], 1.0, 0.0)
+        anchor = evaluate_anchor(ps, geo, [0.5], [0.0])
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 1.0, 0.0)
         assert ctx.value([1.5]) == math.inf
         assert ctx.value([1.0]) == math.inf  # barrier domain is the open box
 
@@ -225,7 +227,8 @@ class TestStoppingRule:
             map=AffineMap.from_dense([[1.0]], [0.8]),
         )
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
-        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, [0.5], [0.0], 5.0, 0.5)
+        anchor = evaluate_anchor(ps, geo, [0.5], [0.0])
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 5.0, 0.5)
         check = ctx.acceptance_check(np.array([0.9]))
         assert check.domain_ok
         assert 0.0 < check.x_plus[0] < 1.0
@@ -279,6 +282,60 @@ class TestMarginalization:
             assert np.min(np.linalg.eigvalsh(H)) >= psi_floor - 1e-10
 
 
+class TestPointEvaluation:
+    """The context reuses a point's evaluation only for an array that
+    cannot change under it."""
+
+    @staticmethod
+    def context():
+        return ineq_context("spence", sigma=0.5)
+
+    @staticmethod
+    def results(ctx, s):
+        check = ctx.acceptance_check(s)
+        return ctx.grad(s), check.lhs, check.rhs, check.x_plus, ctx.hess(s)
+
+    def assert_fresh(self, ctx, s):
+        for got, want in zip(self.results(ctx, s), self.results(self.context(), s.copy())):
+            np.testing.assert_array_equal(got, want)
+
+    def test_writable_point_mutated_in_place(self):
+        ctx = self.context()
+        s = np.array([0.3])
+        before = self.results(ctx, s)
+        s[0] = -0.2
+        self.assert_fresh(ctx, s)
+        assert ctx.grad(s)[0] != before[0][0]
+
+    def test_read_only_view_of_a_writable_array(self):
+        ctx = self.context()
+        base = np.array([0.3])
+        s = base[:]
+        s.flags.writeable = False
+        before = self.results(ctx, s)
+        base[0] = -0.2
+        self.assert_fresh(ctx, s)
+        assert ctx.grad(s)[0] != before[0][0]
+
+    def test_read_only_point_is_shared(self):
+        ctx = self.context()
+        s = np.array([0.3])
+        s.flags.writeable = False
+        point = ctx.evaluate(s)
+        assert ctx.evaluate(s) is point
+        assert ctx.multiplier_candidate(s) is point.y_plus
+        assert not point.y_plus.flags.writeable and not point.residual.flags.writeable
+        self.assert_fresh(ctx, s)
+
+    def test_anchor_point_reads_the_anchor(self):
+        ctx = self.context()
+        point = ctx.evaluate(ctx.x_anchor)
+        assert point.residual is ctx.anchor.residual
+        assert point.grad_f is ctx.anchor.grad_f
+        assert point.grad_psi is ctx.grad_psi_x
+        self.assert_fresh(ctx, ctx.x_anchor)
+
+
 class TestContextValidation:
     def test_rejects_bad_sigma_rho(self):
         with pytest.raises(DomainError):
@@ -302,11 +359,7 @@ class TestContextValidation:
         writable = np.array([0.5])
         view = writable[:]
         view.flags.writeable = False  # read-only, but its owner is not
-        shared = make_context(
-            ctx.problem, ctx.penalty, ctx.geometry, frozen, view, 1.0, 0.0
-        )
-        assert shared.x_anchor is frozen
-        assert shared.y_anchor is not view and not shared.y_anchor.flags.writeable
-        assert make_context(
-            ctx.problem, ctx.penalty, ctx.geometry, writable, frozen, 1.0, 0.0
-        ).x_anchor is not writable
+        shared = evaluate_anchor(ctx.problem, ctx.geometry, frozen, view)
+        assert shared.x is frozen
+        assert shared.y is not view and not shared.y.flags.writeable
+        assert evaluate_anchor(ctx.problem, ctx.geometry, writable, frozen).x is not writable

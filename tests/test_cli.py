@@ -483,10 +483,10 @@ def _ineq_document(**overrides):
     return {"objective": {"quadratic": objective}, "constraint": constraint}
 
 
-def _assert_one_error_line(doc, tmp_path, capsys):
+def _assert_one_error_line(doc, tmp_path, capsys, *options):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))  # NaN, Infinity literals
-    rc = main(["--problem", str(path)])
+    rc = main(["--problem", str(path), *options])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
@@ -528,6 +528,20 @@ class TestBadNumbers:
     )
     def test_rejected_documents_exit_two(self, doc, tmp_path, capsys):
         _assert_one_error_line(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "--sigma0=nan",
+            "--sigma0=inf",
+            "--sigma-growth=nan",
+            "--tol=nan",
+            "--tol=-1e-8",
+            "--max-outer=-5",
+        ],
+    )
+    def test_bad_solver_options_exit_two(self, option, tmp_path, capsys):
+        _assert_one_error_line(_ineq_document(), tmp_path, capsys, option)
 
     def test_infinite_bounds_still_accepted(self, tmp_path):
         path = tmp_path / "bounds.json"

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import bpalm.newton
-from bpalm.auglag import SubproblemContext, make_context
+from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import FactorizationError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
@@ -34,7 +34,8 @@ def eq_qp_context(sigma=1.0, rho=0.0):
         map=AffineMap.from_dense([[1.0]], [1.0]),
     )
     geo = BregmanGeometry(energy(1), energy(1))
-    return make_context(ps, penalty_for(ps.g, geo.dual), geo, [0.0], [0.0], sigma, rho)
+    anchor = evaluate_anchor(ps, geo, [0.0], [0.0])
+    return make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, sigma, rho)
 
 
 def ineq_vn_context(sigma=0.5, rho=0.5):
@@ -44,7 +45,8 @@ def ineq_vn_context(sigma=0.5, rho=0.5):
         map=AffineMap.from_dense([[1.0]], [1.0]),
     )
     geo = BregmanGeometry(energy(1), von_neumann(1))
-    return make_context(ps, penalty_for(ps.g, geo.dual), geo, [0.0], [1.0], sigma, rho)
+    anchor = evaluate_anchor(ps, geo, [0.0], [1.0])
+    return make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, sigma, rho)
 
 
 class TestNewtonStep:
@@ -55,19 +57,14 @@ class TestNewtonStep:
             assert s == pytest.approx([1 / 3], abs=1e-14)
 
     def test_stationary_point_fixed(self):
-        ctx = make_context(
-            ProblemSpec(
-                f=SmoothObjective.quadratic([[1.0]], [0.0]),
-                g=NonsmoothTerm.zero_indicator(),
-                map=AffineMap.from_dense([[1.0]], [1.0]),
-            ),
-            penalty_for(NonsmoothTerm.zero_indicator(), energy(1)),
-            BregmanGeometry(energy(1), energy(1)),
-            [1.0],
-            [-1.0],
-            1.0,
-            0.0,
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic([[1.0]], [0.0]),
+            g=NonsmoothTerm.zero_indicator(),
+            map=AffineMap.from_dense([[1.0]], [1.0]),
         )
+        geo = BregmanGeometry(energy(1), energy(1))
+        anchor = evaluate_anchor(ps, geo, [1.0], [-1.0])
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 1.0, 0.0)
         assert newton_step(ctx, [1.0]) == pytest.approx([1.0])
 
     def test_clamp_matches_coordinate_loop(self):
@@ -78,7 +75,8 @@ class TestNewtonStep:
             map=AffineMap.from_dense(np.ones((1, 6)), [0.0]),
         )
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
-        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, np.zeros(6), [0.0], 1.0, 0.5)
+        anchor = evaluate_anchor(ps, geo, np.zeros(6), [0.0])
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 1.0, 0.5)
         rng = np.random.default_rng(3)
         for scale in (0.1, 1.0, 10.0):
             s = rng.uniform(lo, hi)
@@ -103,7 +101,8 @@ class TestNewtonStep:
             map=AffineMap.from_dense([[1.0]], [0.9]),
         )
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
-        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, [0.5], [0.0], 100.0, 0.5)
+        anchor = evaluate_anchor(ps, geo, [0.5], [0.0])
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 100.0, 0.5)
         s = newton_step(ctx, [0.5])
         assert 0.0 < s[0] < 1.0
 
@@ -118,7 +117,8 @@ class TestDecrement:
             map=AffineMap.from_dense([[1.0]], [0.0]),
         )
         geo = BregmanGeometry(energy(1), energy(1))
-        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, [0.0], [0.0], 1.0, 0.0)
+        anchor = evaluate_anchor(ps, geo, [0.0], [0.0])
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 1.0, 0.0)
         assert newton_decrement(ctx, [1.0], 1.0) == pytest.approx(math.sqrt(3.0))
 
     def test_scaling_in_modulus(self):
@@ -158,7 +158,8 @@ class TestSolveSubproblem:
         # a start that already passes is accepted with zero iterations
         ps = ctx.problem
         geo = ctx.geometry
-        saddle = make_context(ps, ctx.penalty, geo, [1.0], [1.0], 1.0, 0.5)
+        anchor = evaluate_anchor(ps, geo, [1.0], [1.0])
+        saddle = make_context(ps, ctx.penalty, geo, anchor, 1.0, 0.5)
         inner2 = solve_subproblem(saddle, [1.0], cap=0)
         assert inner2.accepted
         assert inner2.trace.iterations_used == 0
@@ -309,9 +310,8 @@ class TestDeferredDecrement:
         geometry = cfg.geometry
         penalty = penalty_for(ps.g, geometry.dual)
         for rec in report.trace.records:
-            ctx = make_context(
-                ps, penalty, geometry, rec.x_anchor, rec.y_anchor, rec.sigma, rec.rho, system
-            )
+            anchor = evaluate_anchor(ps, geometry, rec.x_anchor, rec.y_anchor)
+            ctx = make_context(ps, penalty, geometry, anchor, rec.sigma, rec.rho, system)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
             assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
 
@@ -411,7 +411,7 @@ class TestSpectralSystem:
         pen = penalty_for(ps.g, cfg.geometry.dual)
         system = SpectralSystem.for_run(ps, cfg.geometry)
         x0, y0 = np.full(ps.n, 0.1), np.full(ps.m, 0.5)
-        args = (ps, pen, cfg.geometry, x0, y0, 0.25, 0.5)
+        args = (ps, pen, cfg.geometry, evaluate_anchor(ps, cfg.geometry, x0, y0), 0.25, 0.5)
         dense, spectral = make_context(*args), make_context(*args, system)
         s = np.linspace(-0.3, 0.3, ps.n)
         np.testing.assert_allclose(newton_step(spectral, s), newton_step(dense, s), rtol=1e-8)
@@ -554,7 +554,8 @@ class TestRegimes:
         pen = penalty_for(ps.g, geo.dual)
         x0 = np.full(ps.n, 0.5)
         for rho, has_count in ((0.5, True), (0.0, False)):
-            ctx = make_context(ps, pen, geo, x0, np.ones(ps.m), 0.25, rho)
+            anchor = evaluate_anchor(ps, geo, x0, np.ones(ps.m))
+            ctx = make_context(ps, pen, geo, anchor, 0.25, rho)
             assert (REGIMES[regime].predicted(ctx, 1e-3) is not None) == has_count
 
     # measured before the regimes became one table: qsc predicts for the
@@ -579,7 +580,8 @@ class TestRegimes:
         dual = {"energy": energy, "von_neumann": von_neumann, "spence": spence}[kind](2)
         geo = BregmanGeometry(energy(2), dual)
         pen = penalty_for(ps.g, dual)
-        ctx = make_context(ps, pen, geo, np.zeros(2), np.full(2, 0.5), 1.0, 0.5)
+        anchor = evaluate_anchor(ps, geo, np.zeros(2), np.full(2, 0.5))
+        ctx = make_context(ps, pen, geo, anchor, 1.0, 0.5)
         got = {name: REGIMES[name].predicted(ctx, 1e-3) for name in sorted(REGIMES)}
         assert got == self.COVERAGE[pen.closed_form]
 

@@ -1,8 +1,11 @@
 """Tests for the outer proximal multiplier driver."""
 
+import math
+
 import numpy as np
 import pytest
 
+from bpalm.auglag import evaluate_anchor
 from bpalm.exceptions import DomainError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, burg, energy, spence, von_neumann
 from bpalm.outer import (
@@ -15,7 +18,8 @@ from bpalm.outer import (
     run,
     select_sigma,
 )
-from bpalm.penalty import penalty_for
+from bpalm.legendre import Spence, VonNeumann
+from bpalm.penalty import DualPenalty, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
 
@@ -80,7 +84,8 @@ class TestSelectSigma:
         )
         cfg = vn_cfg(ps)
         pen = penalty_for(ps.g, cfg.geometry.dual)
-        sigma, clipped = select_sigma(cfg, ps, pen, np.array([0.0]), np.array([1.0]), 1.0)
+        anchor = evaluate_anchor(ps, cfg.geometry, [0.0], [1.0])
+        sigma, clipped = select_sigma(cfg, ps, pen, anchor, 1.0)
         assert sigma == pytest.approx(0.5)
         assert clipped
 
@@ -90,7 +95,8 @@ class TestSelectSigma:
         ps = eq_qp()
         cfg = eq_cfg()
         pen = penalty_for(ps.g, cfg.geometry.dual)
-        sigma, clipped = select_sigma(cfg, ps, pen, np.array([0.0]), np.array([0.0]), 64.0)
+        anchor = evaluate_anchor(ps, cfg.geometry, [0.0], [0.0])
+        sigma, clipped = select_sigma(cfg, ps, pen, anchor, 64.0)
         assert sigma == 64.0
         assert not clipped
 
@@ -104,7 +110,8 @@ class TestSelectSigma:
         cfg = SolverConfig(geometry=BregmanGeometry(box_barrier(lo, hi), energy(1)), regime="sc")
         pen = penalty_for(ps.g, cfg.geometry.dual)
         # x = 0.5 is the saddle with y = 0: grad J vanishes, any sigma passes
-        sigma, clipped = select_sigma(cfg, ps, pen, np.array([0.5]), np.array([0.0]), 8.0)
+        anchor = evaluate_anchor(ps, cfg.geometry, [0.5], [0.0])
+        sigma, clipped = select_sigma(cfg, ps, pen, anchor, 8.0)
         assert sigma == 8.0
         assert not clipped
 
@@ -298,7 +305,85 @@ class TestRun:
 
 
 def test_config_validation():
+    geometry = BregmanGeometry(energy(1), energy(1))
     with pytest.raises(DomainError):
-        SolverConfig(geometry=BregmanGeometry(energy(1), energy(1)), sigma0=0.0)
+        SolverConfig(geometry=geometry, sigma0=0.0)
     with pytest.raises(InvalidRegimeError):
-        SolverConfig(geometry=BregmanGeometry(energy(1), energy(1)), regime="bfgs")
+        SolverConfig(geometry=geometry, regime="bfgs")
+    for bad in (
+        {"sigma0": math.nan},
+        {"sigma0": math.inf},
+        {"sigma_growth": math.nan},
+        {"sigma_growth": math.inf},
+        {"sigma_growth": 0.5},
+        {"tol_b": math.nan},
+        {"tol_b": -1e-10},
+        {"tol_kkt": math.nan},
+        {"tol_kkt": -1e-8},
+        {"max_outer": -5},
+    ):
+        with pytest.raises(DomainError):
+            SolverConfig(geometry=geometry, **bad)
+    # zero tolerances, zero iterations and a negative Newton cap (read as 0)
+    # stay accepted
+    SolverConfig(geometry=geometry, tol_b=0.0, tol_kkt=0.0, max_outer=0, newton_cap=-1)
+
+
+def _small_inequality_qp(seed: int, n: int = 10, m: int = 5) -> ProblemSpec:
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(n, n))
+    return ProblemSpec(
+        f=SmoothObjective.quadratic(root @ root.T / n + np.eye(n), rng.normal(size=n)),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense(rng.normal(size=(m, n)), rng.uniform(-0.5, 0.5, m)),
+    )
+
+
+class TestEvaluationCounts:
+    """Each evaluated point, an anchor (which is also the warm start) or a
+    Newton iterate, computes Ax - b and grad f once; the dual geometry's
+    gradient is taken once per outer iteration, at the anchor."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def count(owner, attr, key):
+            original = owner.__dict__[attr]
+            counts[key] = 0
+
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+        count(AffineMap, "residual", "residual")
+        count(SmoothObjective, "grad", "f_grad")
+        count(DualPenalty, "grad", "penalty_grad")
+        count(VonNeumann, "grad", "dual_grad")
+        count(Spence, "grad", "dual_grad")
+        return counts
+
+    @staticmethod
+    def sigma_trials(cfg, records) -> int:
+        trials, target = 0, cfg.sigma0
+        for rec in records:
+            trials += round(math.log2(target / rec.sigma)) + 1
+            target = rec.sigma * cfg.sigma_growth
+        return trials
+
+    @pytest.mark.parametrize("dual", [von_neumann, spence], ids=["von_neumann", "spence"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_each_point_evaluated_once(self, calls, dual, seed):
+        ps = _small_inequality_qp(seed)
+        cfg = SolverConfig(geometry=BregmanGeometry(energy(ps.n), dual(ps.m)), regime="qsc")
+        report = run(cfg, ps)
+        assert report.status == SolveStatus.OPTIMAL
+        assert report.total_newton_steps > 0
+        points = report.outer_iterations + report.total_newton_steps
+        assert calls["residual"] == points
+        assert calls["f_grad"] == points
+        assert calls["dual_grad"] == report.outer_iterations
+        trials = self.sigma_trials(cfg, report.trace.records)
+        assert calls["penalty_grad"] <= points + trials
