@@ -64,6 +64,8 @@ class Anchor:
     residual: np.ndarray
     grad_f: np.ndarray
     grad_phi_y: np.ndarray
+    # (penalty, sigma, u, P'(u)) of the step-size test's last, accepted trial
+    _trial: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -114,19 +116,25 @@ class SubproblemContext:
         """The point quantities at s.  The last point is kept for the next
         call only if s cannot change under it: a read-only array that owns
         its data, as the anchor and the Newton iterates are.  At the anchor,
-        r, grad f and grad psi are the anchor's own."""
+        r, grad f and grad psi are its own, u and P'(u) its accepted trial's."""
         last = self._last
         if last is not None and s is last.s and not s.flags.writeable:
             return last
         s = np.asarray(s, dtype=float)
+        trial = None
         if s is self.anchor.x:
             r, grad_f, grad_psi = self.anchor.residual, self.anchor.grad_f, self.grad_psi_x
+            trial = self.anchor._trial
         else:
             r = _readonly(self.problem.map.residual(s))
             grad_f = _readonly(self.problem.f.grad(s))
             grad_psi = _readonly(self.geometry.primal.grad(s))
-        u = _readonly(self.anchor.grad_phi_y + self.sigma * r)
-        point = PointEvaluation(s, r, grad_f, grad_psi, u, _readonly(self.penalty.grad(u)))
+        if trial is not None and trial[0] is self.penalty and trial[1] == self.sigma:
+            u, y_plus = _readonly(trial[2]), _readonly(trial[3])  # the same sum, bit for bit
+        else:
+            u = _readonly(self.anchor.grad_phi_y + self.sigma * r)
+            y_plus = _readonly(self.penalty.grad(u))
+        point = PointEvaluation(s, r, grad_f, grad_psi, u, y_plus)
         if _immutable(s):
             object.__setattr__(self, "_last", point)
         return point

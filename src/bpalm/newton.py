@@ -334,8 +334,8 @@ def _sc_modulus(ctx: SubproblemContext) -> float | None:
 
 
 def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], bool]:
-    """The per-anchor step-size test; it reads the anchor's evaluation, so
-    backtracking only pays for the sigma-dependent parts."""
+    """The per-anchor step-size test: it reads the anchor's evaluation, and
+    leaves each trial's u and P'(u) on it for the accepted sigma's context."""
     A = problem.map.A
     residual, grad_f, grad_phi_y = anchor.residual, anchor.grad_f, anchor.grad_phi_y
     m_f = problem.f.qsc_modulus
@@ -344,7 +344,9 @@ def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], 
 
     def admissible(sigma: float) -> bool:
         u = grad_phi_y + sigma * residual
-        g_k = float(np.linalg.norm(grad_f + A.T @ penalty.grad(u)))
+        y_plus = penalty.grad(u)
+        object.__setattr__(anchor, "_trial", (penalty, sigma, u, y_plus))
+        g_k = float(np.linalg.norm(grad_f + A.T @ y_plus))
         bound = math.inf
         if g_k * m_f > 0.0:
             bound = 1.0 / (2.0 * g_k * m_f)

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+# scipy's LAPACK, which the Newton solves use too; numpy bundles a second copy
+from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError, svdvals
 
 from .exceptions import DimensionError, DomainError, ParseError, UnsupportedError
 from .legendre import all_rows, sigmoid, softmax, softmax_jacobian, softplus
@@ -33,47 +34,31 @@ __all__ = [
 # constraints only up to roundoff (e.g. softmax sums to 1 +/- eps).
 _DOMAIN_TOL = 1e-9
 
-# The semidefiniteness test factors W / 2^e + 8 n eps I, with 2^e the binary
-# scale of W's largest entry (at least the smallest normal, below which
-# rounding is absolute).  Cholesky's backward error there is a modest multiple
-# of n eps, so singular PSD matrices (zero, rank one) pass, and a W with an
-# eigenvalue below -8 n eps 2^e fails.
+# The semidefiniteness test refuses W when its smallest computed eigenvalue
+# lies below -8 n eps ||W||_2, ||W||_2 at least the smallest normal (below it
+# rounding is absolute).  The eigensolver errs by a modest multiple of
+# n eps ||W||_2, so singular PSD matrices (zero, rank one) pass.
 _PSD_SLACK = 8.0 * np.finfo(float).eps
 
 
-def _binary_scale(peak: float) -> float:
-    """The power of two 2^e (at most 2**1023) with peak / 2^e in [1, 2);
-    dividing by it changes no digit."""
-    return 2.0 ** (math.frexp(peak)[1] - 1)
+def _rounding_margin(dim: int) -> float:
+    """1 + 4 dim eps, for dim the larger dimension (see `spectral_norm_bound`)."""
+    return 1.0 + 4.0 * dim * np.finfo(float).eps
 
 
 def spectral_norm_bound(M: np.ndarray) -> float:
-    """Upper bound on the spectral norm via power iteration on M^T M."""
+    """Upper bound on ||M||_2 from one SVD of M, which forms no Gram matrix
+    and scales M internally, so that huge entries give a finite bound.
+
+    A computed singular value s is within p eps ||M||_2 of the true one, p a
+    modestly growing function of the dimensions (LAPACK Users' Guide, 4.9;
+    4.7 for symmetric eigenvalues).  With p = max(m, n), ||M||_2 <= s / (1 -
+    p eps) <= s (1 + 2 p eps), and the other 2 p eps of the margin 1 + 4 p eps
+    cover the product's two roundings, whenever ||M||_2 is a normal number.
+    """
     if M.size == 0:
         return 0.0
-    peak = float(np.max(np.abs(M)))
-    if 2.0**500 < peak < math.inf:  # M^T M would overflow
-        scale = _binary_scale(peak)
-        return scale * spectral_norm_bound(M / scale)
-    G = M.T @ M
-    n = G.shape[0]
-    # deterministic start with a mild tilt so it is not orthogonal to the
-    # leading eigenvector of structured matrices
-    v = 1.0 + np.arange(n) / (7.0 * n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        w = G @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new = float(v @ (G @ v))
-        if abs(new - lam) <= 1e-15 * max(1.0, abs(new)):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(max(lam, 0.0)) * (1.0 + 1e-9)
+    return float(svdvals(M, check_finite=False)[0]) * _rounding_margin(max(M.shape))
 
 
 def canonicalize_triplets(triplets, rows: int, cols: int) -> np.ndarray:
@@ -95,7 +80,8 @@ def canonicalize_triplets(triplets, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> Ax - b with a cached upper bound on ||A||."""
+    """x -> Ax - b; ``op_norm_bound`` is `spectral_norm_bound(A)`, which the
+    step-size rules and the predicted Newton counts read."""
 
     A: np.ndarray
     b: np.ndarray
@@ -183,7 +169,10 @@ class SmoothObjective:
 
     @classmethod
     def quadratic(cls, W, c, *, box=None) -> "SmoothObjective":
-        """f(x) = x'Wx/2 + c'x, optionally plus the indicator of a closed box."""
+        """f(x) = x'Wx/2 + c'x, optionally plus the indicator of a closed box.
+        One eigenvalue pass over W gives the semidefiniteness test (see
+        `_PSD_SLACK`) and the Lipschitz modulus: ||W||_2 with the rounding
+        margin of `spectral_norm_bound`."""
         c = np.atleast_1d(np.asarray(c, dtype=float)).copy()
         W = np.atleast_2d(np.asarray(W, dtype=float)).copy()
         if W.shape != (c.size, c.size):
@@ -194,11 +183,10 @@ class SmoothObjective:
             raise DomainError("quadratic objective requires symmetric W")
         W = 0.5 * W + 0.5 * W.T  # halving first cannot overflow
         n = c.size
-        scale = _binary_scale(max(float(np.max(np.abs(W))), np.finfo(float).tiny))
-        try:
-            cho_factor(W / scale + n * _PSD_SLACK * np.eye(n))
-        except LinAlgError:
-            raise DomainError("quadratic objective requires positive semidefinite W") from None
+        lam = eigvalsh(W, check_finite=False)  # ascending
+        norm = max(float(lam[-1]), -float(lam[0]))
+        if lam[0] < -n * _PSD_SLACK * max(norm, np.finfo(float).tiny):
+            raise DomainError("quadratic objective requires positive semidefinite W")
         if box is not None:
             lo = np.atleast_1d(np.asarray(box[0], dtype=float)).copy()
             hi = np.atleast_1d(np.asarray(box[1], dtype=float)).copy()
@@ -213,7 +201,7 @@ class SmoothObjective:
             W=W,
             c=c,
             qsc_modulus=0.0,
-            lipschitz_modulus=spectral_norm_bound(W),
+            lipschitz_modulus=norm * _rounding_margin(n),
             sc_modulus=0.0,
             box=box,
         )

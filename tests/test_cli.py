@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,21 @@ class TestParseProblem:
         ps, golden = parse_problem(str(path))
         assert ps.f.variant == "callback"
         assert golden is None
+
+    def test_named_objective_at_the_dimension_cap(self, tmp_path):
+        # one row of n = 4,096 zeros: the operator-norm bound of the map
+        # forms no n x n Gram matrix (128 MiB)
+        doc = dict(_OVERSIZED_NAMED, objective={"named": {"name": "sumexp", "n": 4096}})
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            ps, _ = parse_problem(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ps.n, ps.m) == (4096, 1)
+        assert peak < 4 * 2**20
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

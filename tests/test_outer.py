@@ -342,7 +342,9 @@ def _small_inequality_qp(seed: int, n: int = 10, m: int = 5) -> ProblemSpec:
 class TestEvaluationCounts:
     """Each evaluated point, an anchor (which is also the warm start) or a
     Newton iterate, computes Ax - b and grad f once; the dual geometry's
-    gradient is taken once per outer iteration, at the anchor."""
+    gradient is taken once per outer iteration, at the anchor; P'(u) once
+    per sigma trial and per Newton iterate, the warm start taking the
+    accepted trial's."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -386,4 +388,5 @@ class TestEvaluationCounts:
         assert calls["f_grad"] == points
         assert calls["dual_grad"] == report.outer_iterations
         trials = self.sigma_trials(cfg, report.trace.records)
-        assert calls["penalty_grad"] <= points + trials
+        # the accepted sigma trial hands u and P'(u) to the warm start
+        assert calls["penalty_grad"] == points + trials - report.outer_iterations

@@ -1,6 +1,11 @@
 """Tests for the composite problem representation and KKT residuals."""
 
+import functools
+import importlib.util
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,54 @@ from bpalm.problem import (
     spectral_norm_bound,
 )
 from bpalm.problem import _NAMED
+
+
+def _load_benchmark_instances():
+    """perfbench/instances.py, which draws the benchmark's problems."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# (workload, n, m, instance seeds) as perfbench/workloads.py defines them;
+# cli_verify's problem files hold these W and A, triplet by triplet
+_BENCHMARK_INSTANCES = [("kl_ineq", 300, 150, range(8)), ("cli_verify", 200, 100, range(4))]
+
+
+@functools.cache
+def _matrices() -> dict:
+    """Every W and A of the benchmark and golden problems, by name."""
+    out = {}
+    make = _load_benchmark_instances().inequality_instance
+    for workload, n, m, seeds in _BENCHMARK_INSTANCES:
+        for seed in seeds:
+            inst = make(seed, n, m)
+            out[f"{workload}_{seed}"] = (inst.W, inst.A)
+    for gp in golden_suite():
+        out[gp.name] = (gp.problem.f.W, gp.problem.map.A)
+    return out
+
+
+def _hadamard_rotated(s, perm_u, perm_v) -> np.ndarray:
+    """U diag(s) V' with U, V column permutations of the 16 x 16 Sylvester
+    Hadamard matrix over 4: orthogonal with entries +-1/4, so for s of few
+    significant bits every entry is exact and the singular values are s."""
+    H = np.ones((1, 1))
+    for _ in range(4):
+        H = np.block([[H, H], [H, -H]])
+    Q = H / 4.0
+    return (Q[:, perm_u] * s) @ Q[:, perm_v].T
+
+
+def _norm_at_top_singular_vector(M) -> float:
+    """||M v||_2 / ||v||_2 for M's top right singular vector v, every sum
+    taken exactly with math.fsum; never above ||M||_2 but by rounding."""
+    v = np.linalg.svd(M)[2][0]
+    Mv = [math.fsum(row * v) for row in M]
+    return math.sqrt(math.fsum(t * t for t in Mv)) / math.sqrt(math.fsum(v * v))
 
 
 def simple_eq_qp():
@@ -55,15 +108,55 @@ class TestAffineMap:
             A = rng.normal(size=rng.integers(1, 6, size=2))
             true = np.linalg.norm(A, 2)
             bound = spectral_norm_bound(A)
-            assert bound >= true * (1 - 1e-8)
+            assert bound >= true
             assert bound <= true * (1 + 1e-6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_op_norm_bound_of_huge_entries(self):
-        # M^T M overflows beyond ~1e154; the bound rescales by a power of two
+        # M^T M would overflow beyond ~1e154; the SVD scales internally
         bound = AffineMap.from_dense([[1e200, 0.0]], [0.0]).op_norm_bound
-        # the bound carries a relative safety margin of 1e-9, plus rounding
+        # the bound carries a relative margin of 4 max(m, n) eps, plus rounding
         assert 1e200 <= bound <= 1e200 * (1.0 + 1.1e-9)
+        bound = AffineMap.from_dense([[1e300, 1e300]], [0.0]).op_norm_bound
+        assert math.sqrt(2.0) * 1e300 <= bound <= math.sqrt(2.0) * 1e300 * (1.0 + 1e-14)
+        big = 2.0**1023
+        bound = AffineMap.from_dense([[big, 0.5 * big]], [0.0]).op_norm_bound
+        assert math.isfinite(bound) and bound >= math.sqrt(1.25) * big
+
+    @pytest.mark.parametrize("which", ["W", "A"])
+    @pytest.mark.parametrize("name", sorted(_matrices()))
+    def test_bounds_are_certified(self, name, which):
+        """The step-size rule's moduli bound ||M||_2 from above on every
+        benchmark and golden matrix."""
+        W, A = _matrices()[name]
+        if which == "W":
+            f = SmoothObjective.quadratic(W, np.zeros(W.shape[0]))
+            M, bound = f.W, f.lipschitz_modulus
+        else:
+            M = A
+            bound = AffineMap.from_dense(A, np.zeros(A.shape[0])).op_norm_bound
+        assert bound >= _norm_at_top_singular_vector(M)
+
+    @pytest.mark.parametrize("gap", [2.0**-20, 2.0**-52], ids=["gap_2^-20", "gap_2^-52"])
+    def test_bound_with_nearly_equal_top_singular_values(self, gap):
+        s = np.array([1.0 - gap, 1.0, 0.75, 0.5] + [0.25] * 12)
+        rng = np.random.default_rng(5)
+        M = _hadamard_rotated(s, rng.permutation(16), rng.permutation(16))
+        bound = spectral_norm_bound(M)
+        assert bound >= 1.0  # the exact ||M||_2
+        assert bound >= _norm_at_top_singular_vector(M)
+        assert bound <= 1.0 + 1e-12
+
+    def test_wide_map_forms_no_gram_matrix(self):
+        A = np.ones((1, 4096))
+        tracemalloc.start()
+        try:
+            amap = AffineMap.from_dense(A, [0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the 4096 x 4096 Gram matrix is 128 MiB
+        assert amap.op_norm_bound >= 64.0
 
     def test_residual(self):
         amap = AffineMap.from_dense([[1.0, 2.0]], [3.0])
@@ -109,6 +202,25 @@ class TestSmoothObjective:
     def test_requires_semidefinite(self, W):
         with pytest.raises(DomainError, match="semidefinite"):
             SmoothObjective.quadratic(W, [0.0, 0.0])
+
+    @staticmethod
+    def _with_smallest_eigenvalue(lam_min):
+        """Q diag(1, 1/2, 1/4, lam_min) Q' with Q the 4 x 4 Hadamard matrix
+        over 2, entries +-1/2; exact for lam_min = -eps."""
+        H = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                      [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+        Q = H / 2.0
+        return (Q * np.array([1.0, 0.5, 0.25, lam_min])) @ Q.T
+
+    def test_eigenvalue_at_rounding_level_accepted(self):
+        W = self._with_smallest_eigenvalue(-np.finfo(float).eps)
+        f = SmoothObjective.quadratic(W, np.zeros(4))
+        assert f.lipschitz_modulus >= 1.0
+
+    def test_eigenvalue_beyond_rounding_rejected(self):
+        W = self._with_smallest_eigenvalue(-1e-10)
+        with pytest.raises(DomainError, match="semidefinite"):
+            SmoothObjective.quadratic(W, np.zeros(4))
 
     def test_requires_symmetry(self):
         with pytest.raises(DomainError):
