@@ -166,21 +166,8 @@ class SubproblemContext:
         return point.grad_f + pull + prox
 
     def hess(self, s) -> np.ndarray:
-        point = self.evaluate(s)
-        s, u = point.s, point.u
-        psi = self.geometry.primal
-        A = self.problem.map.A
-        diag = self.penalty.hess_diag_or_none(u)
-        if diag is None:
-            H = self.sigma * (A.T @ self.penalty.hess(u) @ A)
-        else:
-            # scaling the columns of A^T forms no m x m matrix; for a
-            # power-of-two sigma it rounds exactly like sigma * (A^T D A)
-            H = (A.T * (self.sigma * diag)) @ A
-        H += self.problem.f.hess(s)
-        diagonal = np.einsum("ii->i", H)  # a strided view: no index arrays
-        diagonal += psi.hess_diag(s) / self.sigma
-        return H
+        p = self.evaluate(s)
+        return subproblem_hess(self.problem, self.penalty, self.geometry, self.sigma, p.s, p.u)
 
     def anchor_gap(self, s) -> float:
         """D_psi(s, x) + D_phi(y_plus(s), y): the progress proxy B."""
@@ -238,6 +225,22 @@ def _frozen(z) -> np.ndarray:
     if not _immutable(z):
         z = _readonly(z.copy())
     return z
+
+
+def subproblem_hess(problem, penalty, geometry, sigma: float, s, u) -> np.ndarray:
+    """f''(s) + sigma A^T P''(u) A + psi''(s) / sigma at s, with dual argument u."""
+    A = problem.map.A
+    diag = penalty.hess_diag_or_none(u)
+    if diag is None:
+        H = sigma * (A.T @ penalty.hess(u) @ A)
+    else:
+        # scaling the columns of A^T forms no m x m matrix; for a
+        # power-of-two sigma it rounds exactly like sigma * (A^T D A)
+        H = (A.T * (sigma * diag)) @ A
+    H += problem.f.hess(s)
+    diagonal = np.einsum("ii->i", H)  # a strided view: no index arrays
+    diagonal += geometry.primal.hess_diag(s) / sigma
+    return H
 
 
 def evaluate_anchor(problem: ProblemSpec, geometry: BregmanGeometry, x, y) -> Anchor:

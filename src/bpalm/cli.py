@@ -289,6 +289,9 @@ def _write_trace(
     records = report.trace.records
     if distances is None and golden is not None:
         distances = diagnostics._distance_series(report.trace, *golden, geometry)[1:]
+    # read in sigma order: the spectral system keeps G for the last sigma only
+    order = sorted(range(len(records)), key=lambda i: records[i].sigma)
+    decrements = dict(zip(order, [records[i].decrement for i in order]))
     lines = [",".join(_TRACE_COLUMNS)]
     for i, rec in enumerate(records):
         d_str = "" if distances is None else format(distances[i], ".17g")
@@ -300,7 +303,7 @@ def _write_trace(
             "" if rec.predicted_newton is None else str(rec.predicted_newton),
             format(rec.b_value, ".17g"),
             format(rec.grad_norm, ".17g"),
-            format(rec.decrement, ".17g"),
+            format(decrements[i], ".17g"),
             format(rec.residuals.dual_res, ".17g"),
             format(rec.residuals.primal_res, ".17g"),
             d_str,

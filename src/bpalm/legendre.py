@@ -62,11 +62,12 @@ def _li2_coefficients(terms: int) -> np.ndarray:
 # k-th term shrinks like (ln 2 / 2 pi)^(2k); after 10 terms the remainder is
 # below 1e-22 relative.  Highest power first, for Horner's rule.
 _LI2_COEFFS = _li2_coefficients(10)[::-1]
+LN2 = math.log(2.0)
 
 
-def _li2_series(x: np.ndarray) -> np.ndarray:
-    """Li2(x) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! for x in [-1, 1/2]."""
-    u = -np.log1p(-x)
+def _li2_series(u: np.ndarray) -> np.ndarray:
+    """Li2(x) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u = -ln(1 - x),
+    for |u| <= ln 2 ('t Hooft and Veltman, Nucl. Phys. B 153, 1979)."""
     v = u * u
     poly = np.full_like(u, _LI2_COEFFS[0])
     for c in _LI2_COEFFS[1:]:
@@ -88,7 +89,7 @@ def dilog(x):
     reflected = arr > 0.5
     arg = np.where(reflected, 1.0 - arr, arr)
     arg = np.where(inverted, 1.0 / np.where(inverted, arr, -1.0), arg)
-    li = _li2_series(arg)
+    li = _li2_series(-np.log1p(-arg))
     # ln(-x) on the inverted elements, ln x and ln(1 - x) on the reflected
     # ones, zero elsewhere (including x = 1, where ln x ln(1 - x) -> 0)
     log_x = np.log(np.where(inverted, -arr, np.where(reflected, arr, 1.0)))
@@ -398,9 +399,13 @@ _SPENCE_CHUNK = 1024
 
 
 def _spence_q(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q = 1 - exp(-t) and its dilogarithm Li2(q), one dilog pass."""
-    q = -np.expm1(-t)
-    return q, dilog(q)
+    """q = 1 - exp(-t) and Li2(q) for t >= 0: the series in u = -ln(1 - q) = t
+    up to ln 2, and above, Li2(q) = pi^2/6 + t ln q - Li2(exp(-t)) with
+    ln q = -u for u = -log1p(-exp(-t)), the series variable of Li2(exp(-t))."""
+    far = t > LN2  # the clip keeps the branch np.where drops finite
+    u = np.where(far, -np.log1p(-np.exp(-np.maximum(t, LN2))), t)
+    li = _li2_series(u)
+    return -np.expm1(-t), np.where(far, PI2_6 - t * u - li, li)
 
 
 def _spence_sums(a, b, d, near, count):
@@ -426,10 +431,10 @@ class Spence(_Orthant):
     """phi(t) = integral of ln(exp(tau) - 1) on [0, t], with dom phi = [0, inf).
 
     The derivative pair is phi'(t) = ln(exp(t) - 1) and its inverse the
-    softplus map t* -> ln(1 + exp(t*)).  Values go through the dilogarithm in
-    the reflected form phi(t) = t^2/2 + t ln q - Li2(q) with q = 1 - exp(-t),
-    which keeps Li2's argument accurate for small t, and
-    phi*(t*) = -Li2(-exp(t*)).
+    softplus map t* -> ln(1 + exp(t*)).  Values use phi*(t*) = -Li2(-exp(t*))
+    and phi(t) = t^2/2 + t ln q - Li2(q) with q = 1 - exp(-t), where Li2(q) is
+    the Bernoulli series in its own variable -ln(1 - q) = t up to ln 2, and
+    pi^2/6 + t ln q - Li2(exp(-t)) above (`_spence_q`), never from a rounded q.
 
     The distance is chosen per coordinate, for D(a, b) with d = a - b:
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
-from .auglag import SubproblemContext, evaluate_anchor, make_context
+from .auglag import SubproblemContext, subproblem_hess
 from .exceptions import FactorizationError, InvalidRegimeError
 from .legendre import BregmanGeometry
 from .penalty import penalty_for
@@ -200,23 +200,26 @@ def _newton_direction(
     return d, scale * math.sqrt(max(float(-g @ d), 0.0))
 
 
-def _deferred_decrement(ctx: SubproblemContext, s: np.ndarray, scale: float):
-    """A function computing the decrement at s on demand.
+class _DeferredDecrement:
+    """The decrement at a solve's last iterate s, computed when called.  It
+    keeps the gradient g at s and arrays the outer record holds, not the
+    context and its anchor gradients; a call recomputes u, the solve's own sum,
+    and stands in for the context of one `_newton_direction`."""
 
-    It keeps only the arrays that define the context, which the outer record
-    shares, and rebuilds the rest when called; holding the context itself
-    would keep its anchor gradients alive for every record of a run.
-    """
-    problem, penalty, geometry = ctx.problem, ctx.penalty, ctx.geometry
-    x_anchor, y_anchor, sigma, rho = ctx.x_anchor, ctx.y_anchor, ctx.sigma, ctx.rho
-    system = ctx.system
+    def __init__(self, ctx: SubproblemContext, s: np.ndarray, g: np.ndarray, scale: float):
+        self.problem, self.penalty, self.geometry = ctx.problem, ctx.penalty, ctx.geometry
+        self.system, self.sigma, self.y_anchor = ctx.system, ctx.sigma, ctx.y_anchor
+        self.s, self.g, self.scale = s, g, scale
 
-    def decrement() -> float:
-        anchor = evaluate_anchor(problem, geometry, x_anchor, y_anchor)
-        rebuilt = make_context(problem, penalty, geometry, anchor, sigma, rho, system)
-        return _newton_direction(rebuilt, s, rebuilt.grad(s), scale)[1]
+    def dual_argument(self, s: np.ndarray) -> np.ndarray:
+        return self.geometry.dual.grad(self.y_anchor) + self.sigma * self.problem.map.residual(s)
 
-    return decrement
+    def hess(self, s: np.ndarray) -> np.ndarray:
+        u = self.dual_argument(s)
+        return subproblem_hess(self.problem, self.penalty, self.geometry, self.sigma, s, u)
+
+    def __call__(self) -> float:
+        return _newton_direction(self, self.s, self.g, self.scale)[1]
 
 
 def newton_step(ctx: SubproblemContext, s) -> np.ndarray:
@@ -262,7 +265,7 @@ def solve_subproblem(
         if accepted or t == cap:
             trace.steps.append(
                 NewtonStepRecord(
-                    grad_norm, _deferred_decrement(ctx, s, scale), step_norm, accepted
+                    grad_norm, _DeferredDecrement(ctx, s, g, scale), step_norm, accepted
                 )
             )
             return InnerSolve(s, trace, accepted, g, check.x_plus, check.b_value)

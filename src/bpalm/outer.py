@@ -157,7 +157,7 @@ class OuterRecord:
     newton: NewtonTrace
     predicted_newton: int | None
     residuals: KKTResiduals
-    dual_perturbation: np.ndarray  # v in the x-block of the KKT operator at (s, y_next)
+    grad: np.ndarray  # the subproblem gradient at s; grad_norm is its norm
     accepted: bool
 
     @property
@@ -250,7 +250,7 @@ def outer_iteration(
     ``system`` is the run's constraint-space Newton system, if it has one.
     The anchor, which is also the warm start, is evaluated once for the
     step-size test and the subproblem; the point evaluation at the solution
-    serves the multiplier update, v and the KKT residuals.
+    serves the multiplier update and the KKT residuals.
     """
     target = cfg.sigma0 if state.sigma_prev is None else state.sigma_prev * cfg.sigma_growth
     anchor = evaluate_anchor(problem, cfg.geometry, state.x, state.y)
@@ -277,7 +277,6 @@ def outer_iteration(
     except (ArithmeticError, ValueError):  # no bound computable in floats (B = inf)
         predicted = None
 
-    v_k = inner.grad - (at_s.grad_psi - ctx.grad_psi_x) / sigma
     residuals = kkt_residuals(problem, s, y_next, grad_f=at_s.grad_f, residual=at_s.residual)
 
     record = OuterRecord(
@@ -285,8 +284,8 @@ def outer_iteration(
         sigma=sigma,
         rho=rho,
         sigma_clipped=clipped,
-        # shared with the deferred decrement of the last Newton record, which
-        # rebuilds the context from them
+        # y_anchor, s and grad are shared with the deferred decrement of the
+        # last Newton record
         x_anchor=ctx.x_anchor,
         y_anchor=ctx.y_anchor,
         s=s,
@@ -297,7 +296,7 @@ def outer_iteration(
         newton=inner.trace,
         predicted_newton=predicted,
         residuals=residuals,
-        dual_perturbation=v_k,
+        grad=inner.grad,
         accepted=inner.accepted,
     )
     if not inner.accepted:

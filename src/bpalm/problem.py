@@ -177,9 +177,12 @@ class SmoothObjective:
         W = np.atleast_2d(np.asarray(W, dtype=float)).copy()
         if W.shape != (c.size, c.size):
             raise DimensionError(f"W shape {W.shape} does not match c length {c.size}")
+        if c.size == 0:
+            raise DimensionError("quadratic objective: dimension must be positive, got 0")
         if not (np.isfinite(W).all() and np.isfinite(c).all()):
             raise DomainError("quadratic objective: W and c must be finite")
-        if not np.allclose(W, W.T, atol=1e-12):
+        # np.allclose(W, W.T, atol=1e-12) without its infinity handling
+        if not (np.abs(W - W.T) <= 1e-5 * np.abs(W.T) + 1e-12).all():
             raise DomainError("quadratic objective requires symmetric W")
         W = 0.5 * W + 0.5 * W.T  # halving first cannot overflow
         n = c.size

@@ -129,6 +129,19 @@ class TestSpenceAccuracy:
             got = lg.bregman_distance(fn, [a], [b])
             assert abs(got - expected) <= 1e-12 * expected, (a, b, got, float(expected))
 
+    def test_li2_in_series_variable_against_50_digits(self):
+        # Li2(1 - exp(-t)) with t as its own series variable up to ln 2 and
+        # the reflected form above; ln 2's neighbours take either side
+        ln2 = math.log(2.0)
+        t = np.array([1e-300, 1e-148, 1e-30, 1e-8, 1e-3, 0.5, np.nextafter(ln2, 0.0), ln2,
+                      np.nextafter(ln2, 1.0), 1.0, 5.0, 30.0, 100.0, 700.0])
+        q, li = lg._spence_q(t)
+        np.testing.assert_array_equal(q, -np.expm1(-t))
+        with mpmath.workdps(50):
+            for ti, got in zip(t, li):
+                expected = mpmath.polylog(2, -mpmath.expm1(-mpmath.mpf(ti)))
+                assert abs(got - expected) <= 1e-15 * expected, (ti, got, float(expected))
+
     def test_vector_distance_sums_coordinates(self):
         # near and far coordinates in one call
         fn = lg.spence(3)

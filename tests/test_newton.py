@@ -2,11 +2,13 @@
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+import bpalm.cli
 import bpalm.newton
 from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import FactorizationError, InvalidRegimeError
@@ -363,6 +365,96 @@ def dispatch_case(case):
     else:
         ps = ProblemSpec(quad, orthant, AffineMap.from_dense(A, b))
     return ps, geo, "qsc"
+
+
+def revisiting_sigma_run():
+    """A spectral-path inequality QP (n = 20, m = 10) whose sigma sequence
+    returns to earlier values: 108 outer iterations over 12 distinct sigmas."""
+    rng = np.random.default_rng(0)
+    n, m = 20, 10
+    root = rng.normal(size=(n, n))
+    W = root.T @ root / n + np.eye(n) * (0.5 + rng.uniform(0.0, 0.5))
+    c = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    b = A @ np.linalg.solve(W, -c) - rng.uniform(-0.4, 0.6, size=m)
+    ps = ProblemSpec(
+        f=SmoothObjective.quadratic(W, c),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense(A, b),
+    )
+    cfg = SolverConfig(geometry=BregmanGeometry(energy(n), spence(m)), regime="qsc")
+    return cfg, ps
+
+
+class TestDecrementReads:
+    """The trace pass reads each deferred decrement with one factorization:
+    no anchor, context or gradient is evaluated again, and the sigma-ordered
+    pass builds each spectral G at most once."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["spectral", "box_barrier", "logsumexp_plus_one", "m_not_below_n", "named_objective"],
+    )
+    def test_trace_pass_only_factors(self, case, monkeypatch, tmp_path):
+        built = []
+        for_run = SpectralSystem.for_run
+
+        def capture(problem, geometry):
+            built.append(for_run(problem, geometry))
+            return built[-1]
+
+        monkeypatch.setattr(SpectralSystem, "for_run", capture)
+        if case == "spectral":
+            cfg, ps = revisiting_sigma_run()
+        else:
+            ps, geo, regime = dispatch_case(case)
+            cfg = SolverConfig(geometry=geo, regime=regime, max_outer=20)
+        report = run(cfg, ps)
+        [system] = built
+        assert (system is not None) == (case == "spectral")
+        records = report.trace.records
+        sigmas = [rec.sigma for rec in records]
+        if case == "spectral":  # k order would rebuild G at every change of sigma
+            assert sum(a != b for a, b in zip(sigmas, sigmas[1:])) + 1 > len(set(sigmas))
+
+        calls = Counter()
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        gram = SpectralSystem._gram
+
+        def counting_gram(self, sigma):
+            calls["G"] += sigma != self._sigma
+            return gram(self, sigma)
+
+        for module in (bpalm.auglag, bpalm.newton, bpalm.outer, bpalm.cli):
+            for name in ("evaluate_anchor", "make_context"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+        monkeypatch.setattr(SubproblemContext, "grad", counted(SubproblemContext.grad, "grad"))
+        monkeypatch.setattr(bpalm.newton, "cho_factor", counted(bpalm.newton.cho_factor, "factor"))
+        monkeypatch.setattr(SpectralSystem, "_gram", counting_gram)
+        path = tmp_path / "trace.csv"
+        bpalm.cli._write_trace(str(path), report, cfg.geometry, None, None)
+
+        assert calls["evaluate_anchor"] == calls["make_context"] == calls["grad"] == 0
+        assert calls["factor"] == len(records)
+        assert calls["G"] <= (0 if system is None else len(set(sigmas)))
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(rec.k) for rec in records]
+        # each read equals the direct decrement of a rebuilt context, bit for bit
+        penalty = penalty_for(ps.g, cfg.geometry.dual)
+        for rec, row in zip(records, rows):
+            anchor = evaluate_anchor(ps, cfg.geometry, rec.x_anchor, rec.y_anchor)
+            ctx = make_context(ps, penalty, cfg.geometry, anchor, rec.sigma, rec.rho, system)
+            modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
+            assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
+            assert row.split(",")[7] == format(rec.decrement, ".17g")
 
 
 class TestSpectralSystem:

@@ -226,6 +226,22 @@ class TestSmoothObjective:
         with pytest.raises(DomainError):
             SmoothObjective.quadratic([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0])
 
+    # the tolerance is np.allclose(W, W.T, atol=1e-12): |W - W'| <= 1e-12 +
+    # 1e-5 |W'|, which for W[1, 0] = 1 reads 1e-5 + 1e-12 at W[0, 1]
+    @pytest.mark.parametrize("excess, accepted", [(-2e-12, True), (2e-12, False)])
+    def test_symmetry_tolerance_edge(self, excess, accepted):
+        W = np.array([[2.0, 1.0 + 1e-5 + 1e-12 + excess], [1.0, 2.0]])
+        assert np.allclose(W, W.T, atol=1e-12) == accepted
+        if accepted:
+            SmoothObjective.quadratic(W, [0.0, 0.0])
+        else:
+            with pytest.raises(DomainError, match="symmetric"):
+                SmoothObjective.quadratic(W, [0.0, 0.0])
+
+    def test_empty_objective_rejected(self):
+        with pytest.raises(DimensionError, match="positive"):
+            SmoothObjective.quadratic(np.zeros((0, 0)), [])
+
     def test_box_domain(self):
         f = SmoothObjective.quadratic(np.eye(1), [0.0], box=([0.0], [1.0]))
         assert f.value(np.array([2.0])) == math.inf
