@@ -40,7 +40,6 @@ from .outer import (
     SolveStatus,
     SolveTrace,
     SolverConfig,
-    default_start,
     outer_iteration,
     run,
     select_sigma,

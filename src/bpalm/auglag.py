@@ -20,7 +20,7 @@ For the Euclidean primal geometry the left side reduces to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,23 +57,27 @@ class AcceptanceCheck:
 class Anchor:
     """The outer iterate (x, y) and what both the step-size test and the
     subproblem read there: r = Ax - b, grad f(x) and grad phi(y), each
-    evaluated once.  Every array is read-only."""
+    evaluated once.  x and y are read-only."""
 
     x: np.ndarray
     y: np.ndarray
     residual: np.ndarray
     grad_f: np.ndarray
     grad_phi_y: np.ndarray
-    # (penalty, sigma, u, P'(u)) of the step-size test's last, accepted trial
-    _trial: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def dual_update(self, penalty: DualPenalty, sigma: float, residual=None):
+        """The dual argument u = grad phi(y) + sigma r and the multiplier
+        candidate P'(u), for r the anchor's own residual unless given."""
+        u = self.grad_phi_y + sigma * (self.residual if residual is None else residual)
+        return u, penalty.grad(u)
 
 
 @dataclass(frozen=True)
 class PointEvaluation:
     """What the subproblem reads at one iterate s, each computed once:
     r = As - b, grad f(s), grad psi(s), the dual argument
-    u = grad phi(y) + sigma r and the multiplier candidate y_plus = P'(u).
-    Every array is read-only."""
+    u = grad phi(y) + sigma r and the multiplier candidate y_plus = P'(u), the
+    exact maximizer of the dual block."""
 
     s: np.ndarray
     residual: np.ndarray
@@ -87,11 +91,12 @@ class PointEvaluation:
 class SubproblemContext:
     """Frozen state defining one subproblem; all evaluations are pure.
 
-    ``system`` is the run's constraint-space Newton system, shared by every
-    context of the run, or None where Newton steps assemble ``hess``.  The
-    last evaluated point is kept while it cannot change (see `evaluate`), so
-    the gradient, the acceptance test and the Newton system at one iterate
-    share its evaluation.
+    ``start`` is the evaluation at the warm start, the anchor x.  ``system``
+    is the run's constraint-space Newton system, shared by every context of
+    the run, or None where Newton steps assemble ``hess``.  The methods that
+    take a point s accept an array or its `PointEvaluation`, so that one
+    iterate's evaluation serves the gradient, the acceptance test and the
+    Newton system.
     """
 
     problem: ProblemSpec
@@ -100,9 +105,8 @@ class SubproblemContext:
     anchor: Anchor
     sigma: float
     rho: float
-    grad_psi_x: np.ndarray
+    start: PointEvaluation
     system: SpectralSystem | None = None
-    _last: PointEvaluation | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def x_anchor(self) -> np.ndarray:
@@ -113,38 +117,16 @@ class SubproblemContext:
         return self.anchor.y
 
     def evaluate(self, s) -> PointEvaluation:
-        """The point quantities at s.  The last point is kept for the next
-        call only if s cannot change under it: a read-only array that owns
-        its data, as the anchor and the Newton iterates are.  At the anchor,
-        r, grad f and grad psi are its own, u and P'(u) its accepted trial's."""
-        last = self._last
-        if last is not None and s is last.s and not s.flags.writeable:
-            return last
+        """The point quantities at s, computed afresh."""
         s = np.asarray(s, dtype=float)
-        trial = None
-        if s is self.anchor.x:
-            r, grad_f, grad_psi = self.anchor.residual, self.anchor.grad_f, self.grad_psi_x
-            trial = self.anchor._trial
-        else:
-            r = _readonly(self.problem.map.residual(s))
-            grad_f = _readonly(self.problem.f.grad(s))
-            grad_psi = _readonly(self.geometry.primal.grad(s))
-        if trial is not None and trial[0] is self.penalty and trial[1] == self.sigma:
-            u, y_plus = _readonly(trial[2]), _readonly(trial[3])  # the same sum, bit for bit
-        else:
-            u = _readonly(self.anchor.grad_phi_y + self.sigma * r)
-            y_plus = _readonly(self.penalty.grad(u))
-        point = PointEvaluation(s, r, grad_f, grad_psi, u, y_plus)
-        if _immutable(s):
-            object.__setattr__(self, "_last", point)
-        return point
+        r = self.problem.map.residual(s)
+        u, y_plus = self.anchor.dual_update(self.penalty, self.sigma, r)
+        return PointEvaluation(
+            s, r, self.problem.f.grad(s), self.geometry.primal.grad(s), u, y_plus
+        )
 
-    def dual_argument(self, s: np.ndarray) -> np.ndarray:
-        return self.evaluate(s).u
-
-    def multiplier_candidate(self, s: np.ndarray) -> np.ndarray:
-        """y_plus(s), the exact maximizer of the dual block."""
-        return self.evaluate(s).y_plus
+    def _point(self, s) -> PointEvaluation:
+        return s if isinstance(s, PointEvaluation) else self.evaluate(s)
 
     def value(self, s) -> float:
         s = np.asarray(s, dtype=float)
@@ -157,42 +139,43 @@ class SubproblemContext:
         prox = bregman_distance(psi, s, self.x_anchor)
         if prox == math.inf:
             return math.inf
-        return fs + (self.penalty.value(self.dual_argument(s)) + prox) / self.sigma
+        return fs + (self.penalty.value(self.evaluate(s).u) + prox) / self.sigma
 
     def grad(self, s) -> np.ndarray:
-        point = self.evaluate(s)
+        point = self._point(s)
         pull = self.problem.map.A.T @ point.y_plus
-        prox = (point.grad_psi - self.grad_psi_x) / self.sigma
+        prox = (point.grad_psi - self.start.grad_psi) / self.sigma
         return point.grad_f + pull + prox
 
     def hess(self, s) -> np.ndarray:
-        p = self.evaluate(s)
+        p = self._point(s)
         return subproblem_hess(self.problem, self.penalty, self.geometry, self.sigma, p.s, p.u)
 
     def anchor_gap(self, s) -> float:
         """D_psi(s, x) + D_phi(y_plus(s), y): the progress proxy B."""
-        point = self.evaluate(s)
+        point = self._point(s)
         primal = bregman_distance(self.geometry.primal, point.s, self.x_anchor)
         dual = bregman_distance(self.geometry.dual, point.y_plus, self.y_anchor)
         return primal + dual
 
     def extragradient(self, s, grad: np.ndarray | None = None) -> np.ndarray:
         """x_plus(s) = grad_psi*(grad_psi(s) - sigma grad(s))."""
-        point = self.evaluate(s)
+        point = self._point(s)
         psi = self.geometry.primal
         if grad is None:
-            grad = self.grad(point.s)
+            grad = self.grad(point)
         target = point.grad_psi - self.sigma * grad
         if not psi.conj_in_interior(target):
             raise DomainError("corrected point leaves int dom of the conjugate")
         return psi.conj_grad(target)
 
     def acceptance_check(self, s, grad: np.ndarray | None = None) -> AcceptanceCheck:
-        s = np.asarray(s, dtype=float)
+        point = self._point(s)
+        s = point.s
         psi = self.geometry.primal
         if grad is None:
-            grad = self.grad(s)
-        b_value = self.anchor_gap(s)
+            grad = self.grad(point)
+        b_value = self.anchor_gap(point)
         rhs = self.rho * b_value
         if psi.kind == "energy":
             # exact reduction of D_psi(s, x_plus); avoids the cancellation in
@@ -201,29 +184,20 @@ class SubproblemContext:
             x_plus = s - self.sigma * grad
             return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
         try:
-            x_plus = self.extragradient(s, grad)
+            x_plus = self.extragradient(point, grad)
         except DomainError:
             return AcceptanceCheck(False, math.inf, rhs, b_value, None, domain_ok=False)
         lhs = bregman_distance(psi, s, x_plus)
         return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
 
 
-def _immutable(z: np.ndarray) -> bool:
-    """Whether z cannot change under a reader: read-only, owning its data."""
-    return not z.flags.writeable and z.flags.owndata
-
-
-def _readonly(z: np.ndarray) -> np.ndarray:
-    """A freshly computed array, made read-only in place."""
-    z.flags.writeable = False
-    return z
-
-
 def _frozen(z) -> np.ndarray:
-    """z as a read-only float array; an immutable array is shared, not copied."""
+    """z as a read-only float array; a read-only array that owns its data is
+    shared, not copied."""
     z = np.asarray(z, dtype=float)
-    if not _immutable(z):
-        z = _readonly(z.copy())
+    if z.flags.writeable or not z.flags.owndata:
+        z = z.copy()
+        z.flags.writeable = False
     return z
 
 
@@ -254,9 +228,9 @@ def evaluate_anchor(problem: ProblemSpec, geometry: BregmanGeometry, x, y) -> An
     return Anchor(
         x=x,
         y=y,
-        residual=_readonly(problem.map.residual(x)),
-        grad_f=_readonly(problem.f.grad(x)),
-        grad_phi_y=_readonly(geometry.dual.grad(y)),
+        residual=problem.map.residual(x),
+        grad_f=problem.f.grad(x),
+        grad_phi_y=geometry.dual.grad(y),
     )
 
 
@@ -268,11 +242,20 @@ def make_context(
     sigma: float,
     rho: float,
     system: SpectralSystem | None = None,
+    trial: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SubproblemContext:
+    """The subproblem at ``anchor``, its warm start evaluated from the
+    anchor's own r, grad f and grad psi.  ``trial`` is (u, P'(u)) at the
+    anchor for this sigma, as `select_sigma` returns it; it is computed here
+    when not given."""
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
+    u, y_plus = anchor.dual_update(penalty, sigma) if trial is None else trial
+    start = PointEvaluation(
+        anchor.x, anchor.residual, anchor.grad_f, geometry.primal.grad(anchor.x), u, y_plus
+    )
     return SubproblemContext(
         problem=problem,
         penalty=penalty,
@@ -280,6 +263,6 @@ def make_context(
         anchor=anchor,
         sigma=float(sigma),
         rho=float(rho),
-        grad_psi_x=_readonly(geometry.primal.grad(anchor.x)),
+        start=start,
         system=system,
     )

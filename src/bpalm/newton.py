@@ -12,14 +12,15 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
-from .auglag import SubproblemContext, subproblem_hess
+from .auglag import PointEvaluation, SubproblemContext, subproblem_hess
 from .exceptions import FactorizationError, InvalidRegimeError
 from .legendre import BregmanGeometry
-from .penalty import penalty_for
+from .penalty import DualPenalty, penalty_for
 from .problem import ProblemSpec
 
 __all__ = [
@@ -80,7 +81,10 @@ class NewtonTrace:
 
 @dataclass(frozen=True)
 class InnerSolve:
-    s: np.ndarray
+    """The solve's last iterate: its evaluation, gradient and acceptance
+    test."""
+
+    point: PointEvaluation
     trace: NewtonTrace
     accepted: bool
     grad: np.ndarray
@@ -184,97 +188,100 @@ class SpectralSystem:
 
 
 def _newton_direction(
-    ctx: SubproblemContext, s: np.ndarray, g: np.ndarray, scale: float
-) -> tuple[np.ndarray, float]:
-    """The Newton direction at s, with gradient g, and its scaled decrement.
+    system: SpectralSystem | None,
+    sigma: float,
+    penalty: DualPenalty,
+    u: np.ndarray,
+    g: np.ndarray,
+    hess: Callable[[], np.ndarray],
+) -> np.ndarray:
+    """-H^{-1} g at a point with dual argument u and gradient g.
 
     The run's spectral system, when it has one, solves in constraint space;
-    otherwise the n x n Hessian is assembled.
+    otherwise ``hess()`` assembles the n x n Hessian.
     """
-    system = ctx.system
     if system is None:
-        d = -_solve_spd(ctx.hess(s), g)
-    else:
-        diag = ctx.penalty.hess_diag_or_none(ctx.dual_argument(s))
-        d = -system.solve(ctx.sigma, diag, g)
-    return d, scale * math.sqrt(max(float(-g @ d), 0.0))
+        return -_solve_spd(hess(), g)
+    return -system.solve(sigma, penalty.hess_diag_or_none(u), g)
 
 
-class _DeferredDecrement:
-    """The decrement at a solve's last iterate s, computed when called.  It
-    keeps the gradient g at s and arrays the outer record holds, not the
-    context and its anchor gradients; a call recomputes u, the solve's own sum,
-    and stands in for the context of one `_newton_direction`."""
+def _step_at(ctx: SubproblemContext, point: PointEvaluation, g: np.ndarray) -> np.ndarray:
+    """The Newton direction at an evaluated iterate with gradient g."""
+    return _newton_direction(
+        ctx.system, ctx.sigma, ctx.penalty, point.u, g, partial(ctx.hess, point)
+    )
 
-    def __init__(self, ctx: SubproblemContext, s: np.ndarray, g: np.ndarray, scale: float):
-        self.problem, self.penalty, self.geometry = ctx.problem, ctx.penalty, ctx.geometry
-        self.system, self.sigma, self.y_anchor = ctx.system, ctx.sigma, ctx.y_anchor
-        self.s, self.g, self.scale = s, g, scale
 
-    def dual_argument(self, s: np.ndarray) -> np.ndarray:
-        return self.geometry.dual.grad(self.y_anchor) + self.sigma * self.problem.map.residual(s)
+def _decrement(g: np.ndarray, d: np.ndarray, scale: float) -> float:
+    return scale * math.sqrt(max(float(-g @ d), 0.0))
 
-    def hess(self, s: np.ndarray) -> np.ndarray:
-        u = self.dual_argument(s)
-        return subproblem_hess(self.problem, self.penalty, self.geometry, self.sigma, s, u)
 
-    def __call__(self) -> float:
-        return _newton_direction(self, self.s, self.g, self.scale)[1]
+def _deferred_decrement(
+    ctx: SubproblemContext, s: np.ndarray, g: np.ndarray, scale: float
+) -> Callable[[], float]:
+    """The decrement at a solve's last iterate s, as a function computing it.
+    It keeps the gradient g at s and arrays the outer record holds, not the
+    context, its anchor gradients or the point's evaluation; a call
+    recomputes u, the solve's own sum, bit for bit."""
+    problem, penalty, geometry, system = ctx.problem, ctx.penalty, ctx.geometry, ctx.system
+    sigma, y_anchor = ctx.sigma, ctx.y_anchor
+
+    def decrement() -> float:
+        u = geometry.dual.grad(y_anchor) + sigma * problem.map.residual(s)
+        hess = partial(subproblem_hess, problem, penalty, geometry, sigma, s, u)
+        return _decrement(g, _newton_direction(system, sigma, penalty, u, g, hess), scale)
+
+    return decrement
 
 
 def newton_step(ctx: SubproblemContext, s) -> np.ndarray:
     """One pure Newton step on the subproblem objective from s."""
-    s = np.asarray(s, dtype=float)
-    direction = _newton_direction(ctx, s, ctx.grad(s), 1.0)[0]
-    return _clamped_step(ctx, s, direction)
+    point = ctx.evaluate(s)
+    return _clamped_step(ctx, point.s, _step_at(ctx, point, ctx.grad(point)))
 
 
 def newton_decrement(ctx: SubproblemContext, s, modulus: float) -> float:
     """modulus * sqrt(<grad, hess^{-1} grad>) at s."""
     if modulus <= 0.0:
         raise InvalidRegimeError("decrement modulus must be positive")
-    s = np.asarray(s, dtype=float)
-    return _newton_direction(ctx, s, ctx.grad(s), modulus)[1]
+    point = ctx.evaluate(s)
+    g = ctx.grad(point)
+    return _decrement(g, _step_at(ctx, point, g), modulus)
 
 
-def solve_subproblem(
-    ctx: SubproblemContext,
-    start,
-    cap: int,
-    modulus: float | None = None,
-) -> InnerSolve:
-    """Iterate Newton steps until the relative acceptance test passes.
+def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = None) -> InnerSolve:
+    """Iterate Newton steps from the warm start ``ctx.start`` until the
+    relative acceptance test passes.
 
     The test also runs at the warm start, so a near-optimal anchor needs no
-    step at all.  Hitting the cap is reported, not raised.  Each iterate is
-    made read-only, so the context evaluates it once for the gradient, the
-    acceptance test and the Newton system.
+    step at all.  Hitting the cap is reported, not raised.  Each new iterate
+    is evaluated once, and its evaluation serves the gradient, the acceptance
+    test and the Newton system.
     """
     scale = modulus if modulus and modulus > 0.0 else 1.0
     cap = max(cap, 0)
-    s = np.asarray(start, dtype=float)
+    point = ctx.start
     trace = NewtonTrace()
     step_norm = 0.0
 
     for t in range(cap + 1):
-        g = ctx.grad(s)
+        g = ctx.grad(point)
         grad_norm = float(np.linalg.norm(g))
-        check = ctx.acceptance_check(s, g)
+        check = ctx.acceptance_check(point, g)
         accepted = check.accepted or grad_norm <= GRAD_FLOOR
         trace.iterations_used = t
         if accepted or t == cap:
             trace.steps.append(
                 NewtonStepRecord(
-                    grad_norm, _DeferredDecrement(ctx, s, g, scale), step_norm, accepted
+                    grad_norm, _deferred_decrement(ctx, point.s, g, scale), step_norm, accepted
                 )
             )
-            return InnerSolve(s, trace, accepted, g, check.x_plus, check.b_value)
-        d, lam = _newton_direction(ctx, s, g, scale)
-        trace.steps.append(NewtonStepRecord(grad_norm, lam, step_norm, False))
-        s_next = _clamped_step(ctx, s, d)
-        s_next.flags.writeable = False
-        step_norm = float(np.linalg.norm(s_next - s))
-        s = s_next
+            return InnerSolve(point, trace, accepted, g, check.x_plus, check.b_value)
+        d = _step_at(ctx, point, g)
+        trace.steps.append(NewtonStepRecord(grad_norm, _decrement(g, d, scale), step_norm, False))
+        s_next = _clamped_step(ctx, point.s, d)
+        step_norm = float(np.linalg.norm(s_next - point.s))
+        point = ctx.evaluate(s_next)
 
 
 def _ceil_log2(x: float) -> int:
@@ -327,28 +334,30 @@ def _qsc_modulus(ctx: SubproblemContext) -> float | None:
     return m if m > 0.0 else None
 
 
+def _sc_bound(m_f: float, m_psi: float, sigma: float) -> float:
+    """The subproblem's self-concordance modulus max(m_f, sqrt(sigma) m_psi)."""
+    return max(m_f, math.sqrt(sigma) * m_psi)
+
+
 def _sc_modulus(ctx: SubproblemContext) -> float | None:
     m_psi = ctx.geometry.primal.sc_modulus
     m_f = ctx.problem.f.sc_modulus
     if m_psi is None or m_f is None:
         return None
-    m = max(m_f, math.sqrt(ctx.sigma) * m_psi)
+    m = _sc_bound(m_f, m_psi, ctx.sigma)
     return m if m > 0.0 else None
 
 
-def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], bool]:
-    """The per-anchor step-size test: it reads the anchor's evaluation, and
-    leaves each trial's u and P'(u) on it for the accepted sigma's context."""
+def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float, np.ndarray], bool]:
+    """The per-anchor step-size test of a trial sigma, given the trial's
+    multiplier candidate P'(u) at the anchor."""
     A = problem.map.A
-    residual, grad_f, grad_phi_y = anchor.residual, anchor.grad_f, anchor.grad_phi_y
+    grad_f = anchor.grad_f
     m_f = problem.f.qsc_modulus
     alpha = penalty.qsc_modulus
     norm_a = problem.map.op_norm_bound
 
-    def admissible(sigma: float) -> bool:
-        u = grad_phi_y + sigma * residual
-        y_plus = penalty.grad(u)
-        object.__setattr__(anchor, "_trial", (penalty, sigma, u, y_plus))
+    def admissible(sigma: float, y_plus: np.ndarray) -> bool:
         g_k = float(np.linalg.norm(grad_f + A.T @ y_plus))
         bound = math.inf
         if g_k * m_f > 0.0:
@@ -361,7 +370,7 @@ def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], 
     return admissible
 
 
-def _sc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], bool]:
+def _sc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float, np.ndarray], bool]:
     """Keep the warm start inside the quadratic convergence region of the
     local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1."""
     A = problem.map.A
@@ -371,8 +380,8 @@ def _sc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float], b
     base = anchor.grad_f + A.T @ anchor.y
     pull = A.T @ anchor.residual
 
-    def admissible(sigma: float) -> bool:
-        m_k = max(m_f_sc, math.sqrt(sigma) * m_psi)
+    def admissible(sigma: float, y_plus: np.ndarray) -> bool:
+        m_k = _sc_bound(m_f_sc, m_psi, sigma)
         g_j = base + sigma * pull
         quad = float(g_j @ (inv_hess * g_j))
         return 16.0 * m_k * m_k * quad * sigma < 1.0
@@ -423,11 +432,12 @@ class Regime:
     """One complexity regime: ``modulus`` is the subproblem's generalized
     self-concordance modulus (None when zero or unknown), ``admissibility``
     builds from an `Anchor` the step-size test that puts the warm start inside
-    Newton's quadratic region, ``predicted`` is the sufficient Newton count,
+    Newton's quadratic region (called with a trial sigma and the trial's
+    P'(u) at the anchor), ``predicted`` is the sufficient Newton count,
     and ``validate`` rejects the problems the regime does not cover."""
 
     modulus: Callable[[SubproblemContext], float | None]
-    admissibility: Callable[..., Callable[[float], bool]]
+    admissibility: Callable[..., Callable[[float, np.ndarray], bool]]
     _count: Callable[[SubproblemContext, float], int | None]
     validate: Callable[[ProblemSpec, BregmanGeometry], None] = lambda problem, geometry: None
 

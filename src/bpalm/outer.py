@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .auglag import Anchor, evaluate_anchor, make_context
+from .auglag import Anchor, _frozen, evaluate_anchor, make_context
 from .exceptions import (
     BisectionFailedError,
     DimensionError,
@@ -40,7 +40,6 @@ __all__ = [
     "select_sigma",
     "outer_iteration",
     "run",
-    "default_start",
 ]
 
 # sigma backtracking; perfbench/workloads.py counts backtracks assuming 0.5
@@ -130,14 +129,6 @@ class IterateState:
     k: int
     sigma_prev: float | None = None
 
-    @classmethod
-    def initial(cls, x0: np.ndarray, y0: np.ndarray) -> "IterateState":
-        return cls(
-            x=np.asarray(x0, dtype=float).copy(),
-            y=np.asarray(y0, dtype=float).copy(),
-            k=0,
-        )
-
 
 @dataclass(frozen=True)
 class OuterRecord:
@@ -186,11 +177,6 @@ class SolveReport:
     trace: SolveTrace
 
 
-def default_start(geometry: BregmanGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Each geometry's interior default start (`LegendreFunction.start`)."""
-    return geometry.primal.start(), geometry.dual.start()
-
-
 def _validate(cfg: SolverConfig, problem: ProblemSpec) -> None:
     psi, phi = cfg.geometry.primal, cfg.geometry.dual
     if psi.dim != problem.n:
@@ -220,19 +206,22 @@ def select_sigma(
     penalty: DualPenalty,
     anchor: Anchor,
     target: float,
-) -> tuple[float, bool]:
+) -> tuple[float, bool, tuple[np.ndarray, np.ndarray]]:
     """Largest step size in {target * shrink^j} passing the regime bound at
     the anchor.
 
-    Returns the step size and whether backtracking had to shrink the target.
+    Returns the step size, whether backtracking had to shrink the target,
+    and the accepted trial's dual argument u and multiplier candidate P'(u)
+    at the anchor, which `make_context` takes for the warm start.
     """
     admissible = REGIMES[cfg.regime].admissibility(problem, penalty, cfg.geometry, anchor)
     for j in range(_MAX_BACKTRACKS):
         sigma = target * _SHRINK**j
         if sigma < _SIGMA_MIN:
             break
-        if admissible(sigma):
-            return sigma, j > 0
+        trial = anchor.dual_update(penalty, sigma)
+        if admissible(sigma, trial[1]):
+            return sigma, j > 0, trial
     raise BisectionFailedError(
         f"no admissible sigma >= {_SIGMA_MIN} below target {target}"
     )
@@ -249,19 +238,19 @@ def outer_iteration(
 
     ``system`` is the run's constraint-space Newton system, if it has one.
     The anchor, which is also the warm start, is evaluated once for the
-    step-size test and the subproblem; the point evaluation at the solution
-    serves the multiplier update and the KKT residuals.
+    step-size test and the subproblem; the inner solve's last point serves
+    the multiplier update and the KKT residuals.
     """
     target = cfg.sigma0 if state.sigma_prev is None else state.sigma_prev * cfg.sigma_growth
     anchor = evaluate_anchor(problem, cfg.geometry, state.x, state.y)
-    sigma, clipped = select_sigma(cfg, problem, penalty, anchor, target)
+    sigma, clipped, trial = select_sigma(cfg, problem, penalty, anchor, target)
     rho = cfg.rho_schedule.value(state.k)
-    ctx = make_context(problem, penalty, cfg.geometry, anchor, sigma, rho, system)
+    ctx = make_context(problem, penalty, cfg.geometry, anchor, sigma, rho, system, trial)
     regime = REGIMES[cfg.regime]
 
-    inner = solve_subproblem(ctx, start=anchor.x, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
-    s = inner.s
-    at_s = ctx.evaluate(s)
+    inner = solve_subproblem(ctx, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
+    at_s = inner.point
+    s = at_s.s
 
     y_next = at_s.y_plus
     if cfg.geometry.dual.nonnegative:
@@ -292,7 +281,7 @@ def outer_iteration(
         x_next=x_next,
         y_next=y_next,
         b_value=inner.b_value,
-        grad_norm=float(np.linalg.norm(inner.grad)),
+        grad_norm=inner.trace.steps[-1].grad_norm,
         newton=inner.trace,
         predicted_newton=predicted,
         residuals=residuals,
@@ -316,20 +305,17 @@ def run(
     both fall below their tolerances."""
     penalty = penalty_for(problem.g, cfg.geometry.dual)
     _validate(cfg, problem)
-    if x0 is None or y0 is None:
-        dx, dy = default_start(cfg.geometry)
-        x0 = dx if x0 is None else np.asarray(x0, dtype=float)
-        y0 = dy if y0 is None else np.asarray(y0, dtype=float)
-    x0 = np.asarray(x0, dtype=float).copy()
-    y0 = np.asarray(y0, dtype=float).copy()
+    # one read-only copy each, shared by the trace and the first anchor
+    x0 = _frozen(cfg.geometry.primal.start() if x0 is None else x0)
+    y0 = _frozen(cfg.geometry.dual.start() if y0 is None else y0)
     if not cfg.geometry.primal.in_interior(x0):
         raise DomainError("x0 must be interior to the primal geometry")
     if not cfg.geometry.dual.in_interior(y0):
         raise DomainError("y0 must be interior to the dual geometry")
 
     started = time.perf_counter()
-    trace = SolveTrace(x0=x0.copy(), y0=y0.copy())
-    state = IterateState.initial(x0, y0)
+    trace = SolveTrace(x0=x0, y0=y0)
+    state = IterateState(x=x0, y=y0, k=0)
     status = SolveStatus.MAX_ITER
     best_primal = math.inf
     stall = 0

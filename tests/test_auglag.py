@@ -61,12 +61,12 @@ class TestWorkedEqualityQP:
     def test_anchor_gap(self):
         ctx = eq_qp_context()
         assert ctx.anchor_gap([1 / 3]) == pytest.approx(5 / 18)
-        assert ctx.multiplier_candidate([1 / 3]) == pytest.approx([-2 / 3])
+        assert ctx.evaluate([1 / 3]).y_plus == pytest.approx([-2 / 3])
 
     def test_value_at_anchor_without_prox(self):
         ctx = eq_qp_context()
         expected = ctx.problem.f.value(np.zeros(1)) + ctx.penalty.value(
-            ctx.dual_argument(np.zeros(1))
+            ctx.evaluate(np.zeros(1)).u
         )
         assert ctx.value([0.0]) == pytest.approx(expected)
 
@@ -119,7 +119,7 @@ class TestDerivativeConsistency:
             ctx = make_context(ps, pen, geo, anchor, sigma, 0.5)
             for _ in range(3):
                 s = rng.uniform(-0.9, 0.9, n)
-                u = ctx.dual_argument(s)
+                u = ctx.evaluate(s).u
                 expected = (
                     ps.f.hess(s)
                     + sigma * (A.T @ pen.hess(u) @ A)
@@ -170,7 +170,7 @@ class TestDerivativeConsistency:
         # sigma * sigmoid(0) * A'A = sigma/2 * A'A
         ctx = ineq_context("spence", sigma=2.0, x=(0.3,), y=(math.log(2.0),))
         s = np.array([1.0])
-        np.testing.assert_allclose(ctx.dual_argument(s), [0.0], atol=1e-15)
+        np.testing.assert_allclose(ctx.evaluate(s).u, [0.0], atol=1e-15)
         expected = 1.0 + ctx.sigma * 0.5 * 1.0 + 1.0 / ctx.sigma
         np.testing.assert_allclose(ctx.hess(s), [[expected]])
 
@@ -268,8 +268,8 @@ class TestMarginalization:
         rng = np.random.default_rng(8)
         for _ in range(10):
             s = rng.normal(size=1)
-            y_plus = ctx.multiplier_candidate(s)
-            resid = ctx.geometry.dual.grad(y_plus) - ctx.dual_argument(s)
+            point = ctx.evaluate(s)
+            resid = ctx.geometry.dual.grad(point.y_plus) - point.u
             assert np.linalg.norm(resid) <= 1e-10
 
     def test_strong_convexity_floor(self):
@@ -283,8 +283,9 @@ class TestMarginalization:
 
 
 class TestPointEvaluation:
-    """The context reuses a point's evaluation only for an array that
-    cannot change under it."""
+    """Evaluation is pure: a point's `PointEvaluation` serves every method
+    that takes the point, and the warm start is evaluated from the anchor's
+    own values."""
 
     @staticmethod
     def context():
@@ -295,8 +296,9 @@ class TestPointEvaluation:
         check = ctx.acceptance_check(s)
         return ctx.grad(s), check.lhs, check.rhs, check.x_plus, ctx.hess(s)
 
-    def assert_fresh(self, ctx, s):
-        for got, want in zip(self.results(ctx, s), self.results(self.context(), s.copy())):
+    def assert_fresh(self, ctx, s, array=None):
+        array = s.copy() if array is None else array
+        for got, want in zip(self.results(ctx, s), self.results(self.context(), array)):
             np.testing.assert_array_equal(got, want)
 
     def test_writable_point_mutated_in_place(self):
@@ -317,23 +319,20 @@ class TestPointEvaluation:
         self.assert_fresh(ctx, s)
         assert ctx.grad(s)[0] != before[0][0]
 
-    def test_read_only_point_is_shared(self):
+    def test_evaluation_serves_every_method(self):
         ctx = self.context()
         s = np.array([0.3])
-        s.flags.writeable = False
         point = ctx.evaluate(s)
-        assert ctx.evaluate(s) is point
-        assert ctx.multiplier_candidate(s) is point.y_plus
-        assert not point.y_plus.flags.writeable and not point.residual.flags.writeable
-        self.assert_fresh(ctx, s)
+        assert point.s is s
+        self.assert_fresh(ctx, point, s.copy())
 
     def test_anchor_point_reads_the_anchor(self):
         ctx = self.context()
-        point = ctx.evaluate(ctx.x_anchor)
+        point = ctx.start
+        assert point.s is ctx.x_anchor
         assert point.residual is ctx.anchor.residual
         assert point.grad_f is ctx.anchor.grad_f
-        assert point.grad_psi is ctx.grad_psi_x
-        self.assert_fresh(ctx, ctx.x_anchor)
+        self.assert_fresh(ctx, point, ctx.x_anchor.copy())
 
 
 class TestContextValidation:

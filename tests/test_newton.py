@@ -10,7 +10,7 @@ from scipy.linalg import LinAlgError
 
 import bpalm.cli
 import bpalm.newton
-from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
+from bpalm.auglag import PointEvaluation, SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import FactorizationError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
@@ -27,6 +27,7 @@ from bpalm.newton import (
 from bpalm.outer import SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_problem import _load_benchmark_instances
 
 
 def eq_qp_context(sigma=1.0, rho=0.0):
@@ -140,44 +141,44 @@ class TestDecrement:
 class TestSolveSubproblem:
     def test_quadratic_accepted_after_one_step(self):
         ctx = eq_qp_context(rho=0.5)
-        inner = solve_subproblem(ctx, [0.0], cap=50)
+        inner = solve_subproblem(ctx, cap=50)
         assert inner.accepted
         assert inner.trace.iterations_used == 1
-        assert inner.s == pytest.approx([1 / 3])
+        assert inner.point.s == pytest.approx([1 / 3])
 
     def test_rho_zero_reaches_gradient_floor(self):
         # non-quadratic subproblem: exponential penalty
         ctx = ineq_vn_context(rho=0.0)
-        inner = solve_subproblem(ctx, [0.0], cap=50)
+        inner = solve_subproblem(ctx, cap=50)
         assert inner.accepted
         assert np.linalg.norm(inner.grad) <= 1e-12
 
     def test_cap_zero_returns_start(self):
         ctx = ineq_vn_context(rho=0.5)
-        inner = solve_subproblem(ctx, [0.0], cap=0)
-        np.testing.assert_allclose(inner.s, [0.0])
+        inner = solve_subproblem(ctx, cap=0)
+        np.testing.assert_allclose(inner.point.s, [0.0])
         assert not inner.accepted
         # a start that already passes is accepted with zero iterations
         ps = ctx.problem
         geo = ctx.geometry
         anchor = evaluate_anchor(ps, geo, [1.0], [1.0])
         saddle = make_context(ps, ctx.penalty, geo, anchor, 1.0, 0.5)
-        inner2 = solve_subproblem(saddle, [1.0], cap=0)
+        inner2 = solve_subproblem(saddle, cap=0)
         assert inner2.accepted
         assert inner2.trace.iterations_used == 0
 
     def test_cap_reported_not_raised(self):
         ctx = ineq_vn_context(rho=0.0)
-        inner = solve_subproblem(ctx, [0.0], cap=1)
+        inner = solve_subproblem(ctx, cap=1)
         assert not inner.accepted
         assert inner.trace.iterations_used == 1
 
     def test_acceptance_reproducible(self):
         # the reported iterate re-passes an independent stopping evaluation
         ctx = ineq_vn_context(rho=0.3)
-        inner = solve_subproblem(ctx, [0.0], cap=50)
-        check = ctx.acceptance_check(inner.s)
-        assert check.accepted or np.linalg.norm(ctx.grad(inner.s)) <= 1e-12
+        inner = solve_subproblem(ctx, cap=50)
+        check = ctx.acceptance_check(inner.point.s)
+        assert check.accepted or np.linalg.norm(ctx.grad(inner.point.s)) <= 1e-12
 
     def test_descent_on_quadratic(self):
         ctx = eq_qp_context(rho=0.0)
@@ -190,18 +191,26 @@ class TestSolveSubproblem:
 
     def test_trace_records_every_visited_point(self):
         ctx = ineq_vn_context(rho=0.4)
-        inner = solve_subproblem(ctx, [0.0], cap=50)
+        inner = solve_subproblem(ctx, cap=50)
         assert len(inner.trace.steps) == inner.trace.iterations_used + 1
         assert inner.trace.steps[0].step_norm == 0.0
         assert inner.trace.steps[-1].accepted
 
 
+class FakeContext:
+    """What a Newton step reads of a context; subclasses fix the gradient
+    and the Hessian."""
+
+    geometry = eq_qp_context().geometry
+    system = sigma = penalty = None
+
+    def evaluate(self, s):
+        return PointEvaluation(s, None, None, None, None, None)
+
+
 class TestFactorization:
     def test_singular_hessian_raises(self, caplog):
-        class BadContext:
-            geometry = eq_qp_context().geometry
-            system = None
-
+        class BadContext(FakeContext):
             def grad(self, s):
                 return np.array([1.0, 1.0])
 
@@ -217,10 +226,7 @@ class TestFactorization:
         assert caplog.records or True
 
     def test_indefinite_hessian_fails(self):
-        class IndefContext:
-            geometry = eq_qp_context().geometry
-            system = None
-
+        class IndefContext(FakeContext):
             def grad(self, s):
                 return np.array([1.0])
 
@@ -233,10 +239,7 @@ class TestFactorization:
     # the last case fails the first factorization and meets NaN after the lift
     @pytest.mark.parametrize("hess, grad", [(math.inf, 1.0), (1.0, math.nan), (-1e-13, math.nan)])
     def test_non_finite_system_fails(self, hess, grad):
-        class OverflowContext:
-            geometry = eq_qp_context().geometry
-            system = None
-
+        class OverflowContext(FakeContext):
             def grad(self, s):
                 return np.array([grad])
 
@@ -319,11 +322,11 @@ class TestDeferredDecrement:
 
     def test_cap_reached_without_acceptance(self, factor_calls):
         ctx = ineq_vn_context(rho=0.0)
-        inner = solve_subproblem(ctx, [0.0], cap=2)
+        inner = solve_subproblem(ctx, cap=2)
         assert not inner.accepted
         assert inner.trace.iterations_used == 2 and len(inner.trace.steps) == 3
         assert factor_calls["ok"] == 2
-        assert inner.trace.steps[-1].decrement == newton_decrement(ctx, inner.s, 1.0)
+        assert inner.trace.steps[-1].decrement == newton_decrement(ctx, inner.point.s, 1.0)
 
 
 def spectral_pieces(seed, n=12, m=5, shift=0.5):
@@ -600,6 +603,28 @@ class TestPredictedCounts:
         ) / math.log(2.0)
         assert t == max(0, math.ceil(math.log2(inner)))
 
+    # Off the golden suite, criterion 4 fails once in each of these seeded
+    # sweep runs (n, m = n/2, tol 1e-8): one Newton step where 0 are
+    # predicted, early in the run (von_neumann at k = 9, spence at k = 13)
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize(
+        "dual, n, seed",
+        [(von_neumann, 20, 13), (spence, 50, 11)],
+        ids=["von_neumann-20-13", "spence-50-11"],
+    )
+    def test_observed_within_predicted_off_the_golden_suite(self, dual, n, seed):
+        inst = _load_benchmark_instances().inequality_instance(seed, n, n // 2)
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(inst.W, inst.c),
+            g=NonsmoothTerm.nonneg_orthant_indicator(),
+            map=AffineMap.from_dense(inst.A, inst.b),
+        )
+        geometry = BregmanGeometry(energy(n), dual(n // 2))
+        report = run(SolverConfig(geometry=geometry, tol_b=1e-8, tol_kkt=1e-8), ps)
+        assert report.status.value == "optimal"
+        for rec in report.trace.records:
+            assert rec.predicted_newton is not None
+            assert rec.newton.iterations_used <= rec.predicted_newton, rec.k
 
 
 class TestRegimeModulus:

@@ -13,7 +13,6 @@ from bpalm.outer import (
     RhoSchedule,
     SolveStatus,
     SolverConfig,
-    default_start,
     outer_iteration,
     run,
     select_sigma,
@@ -85,7 +84,7 @@ class TestSelectSigma:
         cfg = vn_cfg(ps)
         pen = penalty_for(ps.g, cfg.geometry.dual)
         anchor = evaluate_anchor(ps, cfg.geometry, [0.0], [1.0])
-        sigma, clipped = select_sigma(cfg, ps, pen, anchor, 1.0)
+        sigma, clipped, _ = select_sigma(cfg, ps, pen, anchor, 1.0)
         assert sigma == pytest.approx(0.5)
         assert clipped
 
@@ -96,7 +95,7 @@ class TestSelectSigma:
         cfg = eq_cfg()
         pen = penalty_for(ps.g, cfg.geometry.dual)
         anchor = evaluate_anchor(ps, cfg.geometry, [0.0], [0.0])
-        sigma, clipped = select_sigma(cfg, ps, pen, anchor, 64.0)
+        sigma, clipped, _ = select_sigma(cfg, ps, pen, anchor, 64.0)
         assert sigma == 64.0
         assert not clipped
 
@@ -111,7 +110,7 @@ class TestSelectSigma:
         pen = penalty_for(ps.g, cfg.geometry.dual)
         # x = 0.5 is the saddle with y = 0: grad J vanishes, any sigma passes
         anchor = evaluate_anchor(ps, cfg.geometry, [0.5], [0.0])
-        sigma, clipped = select_sigma(cfg, ps, pen, anchor, 8.0)
+        sigma, clipped, _ = select_sigma(cfg, ps, pen, anchor, 8.0)
         assert sigma == 8.0
         assert not clipped
 
@@ -121,7 +120,7 @@ class TestOuterIteration:
         ps = eq_qp()
         cfg = eq_cfg(sigma0=1.0, rho_schedule=RhoSchedule.constant(0.0))
         pen = penalty_for(ps.g, cfg.geometry.dual)
-        state = IterateState.initial(np.array([0.0]), np.array([0.0]))
+        state = IterateState(x=np.array([0.0]), y=np.array([0.0]), k=0)
         new_state, rec = outer_iteration(cfg, ps, pen, state)
         assert rec.s == pytest.approx([1 / 3], abs=1e-12)
         assert new_state.x == pytest.approx([1 / 3], abs=1e-12)
@@ -132,7 +131,7 @@ class TestOuterIteration:
         ps = eq_qp()
         cfg = eq_cfg(rho_schedule=RhoSchedule.constant(0.5))
         pen = penalty_for(ps.g, cfg.geometry.dual)
-        state = IterateState.initial(np.array([1.0]), np.array([-1.0]))
+        state = IterateState(x=np.array([1.0]), y=np.array([-1.0]), k=0)
         new_state, rec = outer_iteration(cfg, ps, pen, state)
         assert new_state.x == pytest.approx([1.0], abs=1e-10)
         assert new_state.y == pytest.approx([-1.0], abs=1e-10)
@@ -144,7 +143,7 @@ class TestOuterIteration:
         ps = ineq_qp()
         cfg = vn_cfg(ps)
         pen = penalty_for(ps.g, cfg.geometry.dual)
-        state = IterateState.initial(np.array([0.0]), np.array([1.0]))
+        state = IterateState(x=np.array([0.0]), y=np.array([1.0]), k=0)
         _, rec = outer_iteration(cfg, ps, pen, state)
         np.testing.assert_allclose(rec.x_anchor, [0.0])
         assert rec.newton.steps[0].step_norm == 0.0
@@ -182,16 +181,14 @@ class TestRun:
         assert rep.residuals.primal_res == pytest.approx(1.0)
 
     def test_default_starts(self):
-        x0, y0 = default_start(BregmanGeometry(energy(2), von_neumann(3)))
-        np.testing.assert_allclose(x0, np.zeros(2))
-        np.testing.assert_allclose(y0, np.ones(3))
-        x0, y0 = default_start(BregmanGeometry(box_barrier([0.0], [2.0]), energy(1)))
-        np.testing.assert_allclose(x0, [1.0])
+        np.testing.assert_allclose(energy(2).start(), np.zeros(2))
+        np.testing.assert_allclose(von_neumann(3).start(), np.ones(3))
+        np.testing.assert_allclose(box_barrier([0.0], [2.0]).start(), [1.0])
 
     @pytest.mark.parametrize("factory", [energy, von_neumann, burg, spence], ids=lambda cls: cls.kind)
     def test_default_dual_start_follows_the_domain(self, factory):
         dual = factory(3)
-        _, y0 = default_start(BregmanGeometry(energy(2), dual))
+        y0 = dual.start()
         assert np.array_equal(y0, np.ones(3) if dual.nonnegative else np.zeros(3))
         assert dual.in_interior(y0)
 
