@@ -6,7 +6,6 @@ from .legendre import (
     bregman_distance,
     box_barrier,
     burg,
-    dilog,
     dual_bregman_distance,
     energy,
     product,

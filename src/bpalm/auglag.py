@@ -49,8 +49,7 @@ class AcceptanceCheck:
     lhs: float
     rhs: float
     b_value: float
-    x_plus: np.ndarray | None
-    domain_ok: bool = True
+    x_plus: np.ndarray | None  # None when the extragradient leaves the domain
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ class SubproblemContext:
         try:
             x_plus = self.extragradient(point, grad)
         except DomainError:
-            return AcceptanceCheck(False, math.inf, rhs, b_value, None, domain_ok=False)
+            return AcceptanceCheck(False, math.inf, rhs, b_value, None)
         lhs = bregman_distance(psi, s, x_plus)
         return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
 

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -73,10 +72,10 @@ _INFINITIES = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
 
 
 def _as_float(value, where: str, infinite: bool) -> float:
-    """A finite number, or with ``infinite`` also +-inf."""
+    """A finite number, never a boolean, or with ``infinite`` also +-inf."""
     if infinite and isinstance(value, str):
         value = _INFINITIES.get(value.strip().lower(), value)
-    if isinstance(value, (int, float)):
+    if type(value) in (int, float):
         try:
             x = float(value)
         except OverflowError:  # an integer beyond the double range
@@ -93,13 +92,11 @@ def _vector(values, where: str, infinite: bool = False) -> np.ndarray:
 
 
 def _dimension(value, where: str) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: bad dimension {value!r}") from None
-    if n < 1:
-        raise DimensionError(f"{where}: dimension must be positive, got {n}")
-    return n
+    if type(value) is not int:  # not a boolean, a string or a fraction
+        raise ParseError(f"{where}: bad dimension {value!r}")
+    if value < 1:
+        raise DimensionError(f"{where}: dimension must be positive, got {value}")
+    return value
 
 
 def _parse_objective(doc: dict) -> SmoothObjective:
@@ -258,13 +255,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="bpalm", description="Bregman proximal augmented Lagrangian solver")
     p.add_argument("--problem", required=True, help="path to a problem JSON document")
-    p.add_argument("--primal", choices=["energy", "box_barrier"], default=None)
     p.add_argument("--dual", choices=list(_DUAL_FACTORY), default=None)
     p.add_argument("--regime", choices=sorted(REGIMES), default="qsc")
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--sigma-growth", type=float, default=2.0)
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--rho-decay", type=float, default=None, help="geometric decay factor for rho")
+    p.add_argument("--rho-decay", type=float, default=1.0, help="geometric decay factor for rho")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-outer", type=int, default=200)
     p.add_argument("--newton-cap", type=int, default=50)
@@ -391,16 +387,8 @@ def main(argv=None) -> int:
         return 2
 
     dual_kind = args.dual or _DEFAULT_DUAL[problem.g.variant]
-    primal_kind = args.primal or ("box_barrier" if problem.f.box is not None else "energy")
-    if primal_kind == "box_barrier" and problem.f.box is None:
-        parser.error("--primal box_barrier requires bounds and --regime sc")
-    if primal_kind == "energy" and problem.f.box is not None:
-        parser.error("bounded problems under --regime sc need --primal box_barrier")
-
-    if primal_kind == "box_barrier":
-        primal = box_barrier(*problem.f.box)
-    else:
-        primal = energy(problem.n)
+    # the box, present only for bounds under --regime sc, fixes the primal geometry
+    primal = energy(problem.n) if problem.f.box is None else box_barrier(*problem.f.box)
     geometry = BregmanGeometry(primal, _DUAL_FACTORY[dual_kind](problem.m))
     try:
         penalty_for(problem.g, geometry.dual)
@@ -408,16 +396,12 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     try:
-        if args.rho_decay is not None:
-            schedule = RhoSchedule.geometric(args.rho, args.rho_decay)
-        else:
-            schedule = RhoSchedule.constant(args.rho)
         cfg = SolverConfig(
             geometry=geometry,
             regime=args.regime,
             sigma0=args.sigma0,
             sigma_growth=args.sigma_growth,
-            rho_schedule=schedule,
+            rho_schedule=RhoSchedule(args.rho, args.rho_decay),
             tol_b=args.tol,
             tol_kkt=args.tol,
             max_outer=args.max_outer,

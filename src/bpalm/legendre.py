@@ -28,7 +28,6 @@ __all__ = [
     "product",
     "bregman_distance",
     "dual_bregman_distance",
-    "dilog",
 ]
 
 PI2_6 = math.pi**2 / 6.0
@@ -73,33 +72,6 @@ def _li2_series(u: np.ndarray) -> np.ndarray:
     for c in _LI2_COEFFS[1:]:
         poly = poly * v + c
     return u - 0.25 * v + u * v * poly
-
-
-def dilog(x):
-    """Real dilogarithm Li2(x) = sum_k x**k / k**2 for x <= 1, elementwise.
-
-    The inversion identity maps x < -1 to 1/x and the reflection identity
-    maps x > 1/2 to 1 - x; the Bernoulli series then covers [-1, 1/2] for
-    all elements at once.  Scalars map to floats, arrays to arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr > 1.0):
-        raise DomainError(f"dilog defined for x <= 1, got max {np.max(arr)}")
-    inverted = arr < -1.0
-    reflected = arr > 0.5
-    arg = np.where(reflected, 1.0 - arr, arr)
-    arg = np.where(inverted, 1.0 / np.where(inverted, arr, -1.0), arg)
-    li = _li2_series(-np.log1p(-arg))
-    # ln(-x) on the inverted elements, ln x and ln(1 - x) on the reflected
-    # ones, zero elsewhere (including x = 1, where ln x ln(1 - x) -> 0)
-    log_x = np.log(np.where(inverted, -arr, np.where(reflected, arr, 1.0)))
-    log_rest = np.log(np.where(reflected & (arr < 1.0), arg, 1.0))
-    out = np.where(
-        inverted,
-        -PI2_6 - 0.5 * log_x * log_x - li,
-        np.where(reflected, PI2_6 - log_x * log_rest - li, li),
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 def _excess_log(t: np.ndarray) -> np.ndarray:
@@ -158,10 +130,10 @@ def softplus_antiderivative(t):
     """-Li2(-exp(t)), the integral of softplus over (-inf, t], elementwise.
 
     For positive t the inversion identity folds in, so the series argument
-    stays in [-1, 0).
+    x = -exp(-|t|) stays in [-1, 0), where u = -ln(1 - x) = -softplus(-|t|).
     """
     t = np.asarray(t, dtype=float)
-    li = dilog(-np.exp(-np.abs(t)))
+    li = _li2_series(-np.log1p(np.exp(-np.abs(t))))
     return np.where(t > 0.0, PI2_6 + 0.5 * t * t + li, -li)
 
 

@@ -76,7 +76,11 @@ class NewtonTrace:
     """Records for every visited iterate, the warm start included."""
 
     steps: list[NewtonStepRecord] = field(default_factory=list)
-    iterations_used: int = 0
+
+    @property
+    def iterations_used(self) -> int:
+        """Newton steps taken: every record but the warm start's."""
+        return len(self.steps) - 1
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,6 @@ def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = N
         grad_norm = float(np.linalg.norm(g))
         check = ctx.acceptance_check(point, g)
         accepted = check.accepted or grad_norm <= GRAD_FLOOR
-        trace.iterations_used = t
         if accepted or t == cap:
             trace.steps.append(
                 NewtonStepRecord(

@@ -62,36 +62,23 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class RhoSchedule:
-    """Relative-error tolerance per outer iteration, constant or geometric.
+    """Relative-error tolerance rho_k = rho0 * factor**k of outer iteration k.
 
-    A positive floor keeps a decaying schedule above what double precision can
-    certify: the inner test compares quantities of size sigma^2 ||grad||^2
-    against rho * B, and rho below ~1e-12 demands gradient norms the Newton
-    oracle cannot reach in floating point.
+    The Solodov-Svaiter test needs only rho_k in [0, 1); the default factor 1
+    keeps rho constant, and a factor below 1 makes it decay geometrically.
     """
 
     rho0: float
     factor: float = 1.0
-    floor: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.rho0 < 1.0:
             raise DomainError(f"rho must lie in [0, 1), got {self.rho0}")
         if not 0.0 < self.factor <= 1.0:
             raise DomainError(f"rho decay factor must lie in (0, 1], got {self.factor}")
-        if not 0.0 <= self.floor <= self.rho0:
-            raise DomainError(f"rho floor must lie in [0, rho0], got {self.floor}")
-
-    @classmethod
-    def constant(cls, rho: float) -> "RhoSchedule":
-        return cls(rho0=rho, factor=1.0)
-
-    @classmethod
-    def geometric(cls, rho0: float, factor: float, floor: float = 0.0) -> "RhoSchedule":
-        return cls(rho0=rho0, factor=factor, floor=floor)
 
     def value(self, k: int) -> float:
-        return max(self.rho0 * self.factor**k, self.floor)
+        return self.rho0 * self.factor**k
 
 
 @dataclass
@@ -100,7 +87,7 @@ class SolverConfig:
     regime: str = "qsc"
     sigma0: float = 1.0
     sigma_growth: float = 2.0
-    rho_schedule: RhoSchedule = field(default_factory=lambda: RhoSchedule.constant(0.5))
+    rho_schedule: RhoSchedule = RhoSchedule(0.5)
     tol_b: float = 1e-10
     tol_kkt: float = 1e-8
     max_outer: int = 200

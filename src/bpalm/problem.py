@@ -62,17 +62,19 @@ def spectral_norm_bound(M: np.ndarray) -> float:
 
 
 def canonicalize_triplets(triplets, rows: int, cols: int) -> np.ndarray:
-    """Dense matrix from (i, j, value) triplets; duplicates are summed."""
+    """Dense matrix from (i, j, value) triplets with int indices and int or
+    float values, never booleans; duplicates are summed."""
     M = np.zeros((rows, cols))
     try:
         for entry in triplets:
             i, j, v = entry
-            i, j, v = int(i), int(j), float(v)
+            if not (type(i) is int and type(j) is int and type(v) in (int, float)):
+                raise ParseError(f"bad triplet {entry!r}: int indices and a number required")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionError(
                     f"triplet index ({i}, {j}) out of range for {rows}x{cols}"
                 )
-            M[i, j] += v
+            M[i, j] += float(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"triplets must be [i, j, value] lists: {exc}") from exc
     return M
@@ -305,27 +307,17 @@ class NonsmoothTerm:
     def one_norm(cls) -> "NonsmoothTerm":
         return cls("one_norm")
 
-    def value(self, w: np.ndarray, tol: float = _DOMAIN_TOL) -> float:
-        w = np.asarray(w, dtype=float)
-        if self.variant == "zero":
-            return 0.0 if np.all(np.abs(w) <= tol) else math.inf
-        if self.variant == "orthant":
-            return 0.0 if np.all(w <= tol) else math.inf
-        if self.variant == "vecmax":
-            return float(np.max(w))
-        return float(np.sum(np.abs(w)))
-
-    def conj_value(self, y: np.ndarray, tol: float = _DOMAIN_TOL) -> float:
+    def conj_value(self, y: np.ndarray) -> float:
         """g*(y), an indicator: one value per row for y of shape (..., m)."""
         y = np.asarray(y, dtype=float)
         if self.variant == "zero":
             inside = np.ones(y.shape[:-1], dtype=bool)
         elif self.variant == "orthant":
-            inside = all_rows(y >= -tol)
+            inside = all_rows(y >= -_DOMAIN_TOL)
         elif self.variant == "vecmax":
-            inside = all_rows(y >= -tol) & (np.abs(y.sum(axis=-1) - 1.0) <= tol)
+            inside = all_rows(y >= -_DOMAIN_TOL) & (np.abs(y.sum(axis=-1) - 1.0) <= _DOMAIN_TOL)
         else:
-            inside = all_rows(np.abs(y) <= 1.0 + tol)
+            inside = all_rows(np.abs(y) <= 1.0 + _DOMAIN_TOL)
         out = np.where(inside, 0.0, math.inf)
         return float(out) if out.ndim == 0 else out
 

@@ -46,7 +46,7 @@ def family_config(gp):
             geometry=BregmanGeometry(box_barrier(*gp.problem.f.box), energy(m)),
             regime="sc",
             sigma_growth=1000.0,
-            rho_schedule=RhoSchedule.constant(1e-4),
+            rho_schedule=RhoSchedule(1e-4),
             tol_b=1e-5,
             tol_kkt=1e-6,
             max_outer=3000,
@@ -251,7 +251,7 @@ def test_criterion_07_superlinear_tail():
         geometry=BregmanGeometry(energy(2), energy(1)),
         regime="qsc",
         sigma_growth=2.0,
-        rho_schedule=RhoSchedule.geometric(0.5, 0.5),
+        rho_schedule=RhoSchedule(0.5, 0.5),
         tol_b=1e-300,
         tol_kkt=1e-300,
         max_outer=8,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -241,9 +242,22 @@ class TestMain:
         assert exc.value.code == 64
 
     def test_box_barrier_without_bounds_exit_64(self, eq_doc, capsys):
+        # the bounds and the regime fix the primal geometry; no flag names it
         with pytest.raises(SystemExit) as exc:
-            main(["--problem", eq_doc, "--primal", "box_barrier"])
+            main(["--problem", eq_doc, "--primal=box_barrier"])
         assert exc.value.code == 64
+        assert "unrecognized arguments: --primal" in capsys.readouterr().err
+
+    def test_readme_lists_every_flag(self):
+        # the README's "Flags:" paragraph, up to its blank line, names the
+        # parser's long options exactly: a removed flag cannot linger there
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = readme[readme.index("\nFlags: "):].split("\n\n")[0]
+        documented = set(re.findall(r"--[a-z][a-z0-9-]*", paragraph))
+        parsed = {
+            s for action in cli._build_parser()._actions for s in action.option_strings
+        } - {"-h", "--help"}
+        assert documented == parsed
 
     def test_report_schema(self, eq_doc, capsys):
         rc = main(["--problem", eq_doc, "--report", "json"])
@@ -533,8 +547,18 @@ class TestBadNumbers:
             {"n": "two"},
             {"A": [[0, 0, "x"]]},
             {"b": ["inf"]},
+            {"n": True},
+            {"m": 1.5},
+            {"b": [True]},
+            {"A": [[0.7, 0, 1.0]]},
+            {"A": [["0", "0", "1.5"]]},
+            {"A": [[0, 0, True]]},
         ],
-        ids=["nan_in_c", "infinity_in_A", "n_not_a_number", "string_triplet_value", "inf_in_b"],
+        ids=[
+            "nan_in_c", "infinity_in_A", "n_not_a_number", "string_triplet_value", "inf_in_b",
+            "n_true", "fractional_m", "b_true", "fractional_index",
+            "string_indices", "boolean_triplet_value",
+        ],
     )
     def test_exit_two(self, overrides, tmp_path, capsys):
         _assert_one_error_line(_ineq_document(**overrides), tmp_path, capsys)

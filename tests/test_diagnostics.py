@@ -78,7 +78,7 @@ class TestRateFit:
             tol=1e-300,
             max_outer=8,
             sigma_growth=2.0,
-            rho_schedule=RhoSchedule.geometric(0.5, 0.5),
+            rho_schedule=RhoSchedule(0.5, 0.5),
         )
         est = dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
         assert est.superlinear
@@ -91,7 +91,7 @@ class TestRateFit:
             tol=1e-300,
             max_outer=12,
             sigma_growth=1.0,
-            rho_schedule=RhoSchedule.constant(0.5),
+            rho_schedule=RhoSchedule(0.5),
         )
         est = dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
         assert not est.superlinear
@@ -103,7 +103,7 @@ class TestRateFit:
             tol=1e-300,
             max_outer=25,
             sigma_growth=2.0,
-            rho_schedule=RhoSchedule.geometric(0.5, 0.5),
+            rho_schedule=RhoSchedule(0.5, 0.5),
         )
         est = dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
         assert len(est.ratios) <= len(est.distances) - 1
@@ -298,7 +298,7 @@ class TestSummability:
         assert total <= budget + 1e-6
 
     def test_budget_uses_max_rho(self):
-        cfg, rep = solve_eq(rho_schedule=RhoSchedule.constant(0.25))
+        cfg, rep = solve_eq(rho_schedule=RhoSchedule(0.25))
         d0 = dg.summability_check(rep.trace, [1.0], [-1.0], cfg.geometry)[1]
         expected = (0.5 * 1.0**2 + 0.5 * (-1.0) ** 2) / (1 - 0.25)
         assert d0 == pytest.approx(expected)

@@ -1,6 +1,7 @@
 """Tests for the marginalized dual penalty catalog."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestValues:
     def test_sumexp_overflow_is_extended_real(self):
         p = penalty_for(NonsmoothTerm.nonneg_orthant_indicator(), von_neumann(1))
         assert p.value([1000.0]) == math.inf
+
+    def test_sumexp_finite_up_to_overflow(self):
+        # exp is finite up to ln(max float) ~ 709.78, and past it the value
+        # is +inf without a warning
+        p = penalty_for(NonsmoothTerm.nonneg_orthant_indicator(), von_neumann(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.value([705.0]) == pytest.approx(math.exp(705.0), rel=1e-15)
+            assert p.value([710.0]) == math.inf
 
     def test_logsumexp_shifted_no_overflow(self):
         p = penalty_for(NonsmoothTerm.vecmax(), von_neumann(2))

@@ -286,12 +286,6 @@ class TestNonsmoothTerm:
         assert one.conj_value(np.array([1.0, -1.0])) == 0.0
         assert one.conj_value(np.array([1.5])) == math.inf
 
-    def test_values(self):
-        assert NonsmoothTerm.vecmax().value(np.array([1.0, 3.0])) == 3.0
-        assert NonsmoothTerm.one_norm().value(np.array([1.0, -2.0])) == 3.0
-        assert NonsmoothTerm.zero_indicator().value(np.array([0.0])) == 0.0
-        assert NonsmoothTerm.zero_indicator().value(np.array([0.1])) == math.inf
-
     def test_unknown_variant(self):
         with pytest.raises(UnsupportedError):
             NonsmoothTerm("quadratic_cone")
