@@ -226,6 +226,8 @@ def write_problem_file(path: str, *, objective: dict, constraint: dict, bounds=N
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple, np.ndarray)):
             return [clean(v) for v in obj]
+        if isinstance(obj, (bool, np.bool_)):  # parse_problem rejects booleans
+            raise ParseError(f"cannot write the boolean {obj!r} as a number")
         if isinstance(obj, (int, np.integer)):
             return int(obj)
         if isinstance(obj, (float, np.floating)):
@@ -240,9 +242,9 @@ def write_problem_file(path: str, *, objective: dict, constraint: dict, bounds=N
         doc["bounds"] = clean(bounds)
     if solution is not None:
         doc["solution"] = clean(solution)
+    text = json.dumps(doc, indent=2) + "\n"  # complete before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 class _Parser(argparse.ArgumentParser):

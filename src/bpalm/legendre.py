@@ -88,22 +88,16 @@ def _excess_log(t: np.ndarray) -> np.ndarray:
 
 def _kl_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a ln(a/b) - a + b componentwise, stable for a close to b; a >= 0, b > 0."""
-    out = np.empty_like(b)
     zero = a <= 0.0
-    out[zero] = b[zero]
-    az, bz = a[~zero], b[~zero]
-    r = (az - bz) / bz
-    small = np.abs(r) < 1e-4
-    rs = r[small]
+    a = np.where(zero, b, a)  # a finite stand-in; the term at a = 0 is b
+    r = (a - b) / b
+    c = np.minimum(r, 1.0)  # r >= -1; the clip keeps the unselected series finite
     # b h(r) with h(r) = (1+r) log1p(r) - r = r^2/2 - r^3/6 + r^4/12 - ...
-    h = np.empty_like(r)
-    h[small] = rs * rs * (0.5 + rs * (-1.0 / 6.0 + rs / 12.0))
+    series = c * c * (0.5 + c * (-1.0 / 6.0 + c / 12.0))
     # far from the cancellation zone the raw form is exact; log differences
     # keep it finite for denormal ratios
-    ab, bb = az[~small], bz[~small]
-    h[~small] = (ab * (np.log(ab) - np.log(bb)) - ab + bb) / bb
-    out[~zero] = bz * h
-    return out
+    raw = (a * (np.log(a) - np.log(b)) - a + b) / b
+    return np.where(zero, b, b * np.where(np.abs(r) < 1e-4, series, raw))
 
 
 def softplus(t: np.ndarray) -> np.ndarray:
@@ -139,7 +133,9 @@ def softplus_antiderivative(t):
 
 def _as_vector(z, dim: int, stack: bool = False) -> np.ndarray:
     """z as a vector of length dim; with ``stack``, as points of shape (..., dim)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        z = z.reshape(1)
     if z.shape[-1] != dim or (z.ndim != 1 and not stack):
         raise DimensionError(f"expected vector of length {dim}, got shape {z.shape}")
     return z

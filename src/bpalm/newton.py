@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.linalg import LinAlgError, eigh, get_lapack_funcs
 
 from .auglag import PointEvaluation, SubproblemContext, subproblem_hess
 from .exceptions import FactorizationError, InvalidRegimeError
@@ -96,6 +96,28 @@ class InnerSolve:
     b_value: float
 
 
+# scipy's cho_factor and cho_solve without their per-call argument handling:
+# the same LAPACK calls on the same arrays, so the same bits
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factor of a, in a copy whose lower triangle is a's."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _potrf(a, lower=False, clean=False)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, for c = cho_factor(a)."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return _potrs(c, b, lower=False)[0]
+
+
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """H^{-1} g through a Cholesky factorization, with a one-shot diagonal
     lift on failure; the objective is strongly convex, so failures indicate
@@ -109,7 +131,7 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
             return cho_solve(cho_factor(H + lift * np.eye(H.shape[0])), g)
     except LinAlgError as exc:
         raise FactorizationError("subproblem Hessian is not numerically SPD") from exc
-    except ValueError as exc:  # scipy's finiteness check
+    except ValueError as exc:  # the finiteness checks
         raise FactorizationError("subproblem Hessian or gradient is not finite") from exc
 
 

@@ -146,6 +146,21 @@ class TestParseProblem:
         ps, _ = parse_problem(str(path))
         assert ps.m == 2  # only the finite upper bound becomes a row
 
+    # a boolean where a number belongs is refused, as parse_problem refuses
+    # it, and the file is left as it was: writing starts only once the whole
+    # document is built
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["python_bool", "numpy_bool"])
+    def test_write_refuses_booleans(self, flag, tmp_path):
+        path = tmp_path / "flag.json"
+        path.write_text("previous")
+        with pytest.raises(ParseError, match="True"):
+            write_problem_file(
+                str(path),
+                objective={"quadratic": {"n": flag, "W": [[0, 0, 1.0]], "c": [0.0]}},
+                constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
+            )
+        assert path.read_text() == "previous"
+
 
 class TestMain:
     def test_golden_eq_exit_zero(self, eq_doc, capsys):

@@ -1,6 +1,7 @@
 """Tests for the Legendre function catalog and Bregman calculus."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -283,6 +284,47 @@ class TestBregmanDistance:
             expected = 0.5 * float(d @ (fn.hess_diag(z2) * d))
             got = lg.bregman_distance(fn, z2 + d, z2)
             assert got == pytest.approx(expected, rel=1e-5)
+
+
+def masked_kl_terms(a, b):
+    """The KL terms computed on boolean gathers and scatters, the reference
+    for `legendre._kl_terms`."""
+    out = np.empty_like(b)
+    zero = a <= 0.0
+    out[zero] = b[zero]
+    az, bz = a[~zero], b[~zero]
+    r = (az - bz) / bz
+    small = np.abs(r) < 1e-4
+    rs = r[small]
+    h = np.empty_like(r)
+    h[small] = rs * rs * (0.5 + rs * (-1.0 / 6.0 + rs / 12.0))
+    ab, bb = az[~small], bz[~small]
+    h[~small] = (ab * (np.log(ab) - np.log(bb)) - ab + bb) / bb
+    out[~zero] = bz * h
+    return out
+
+
+class TestKLTerms:
+    def test_bit_identical_to_masked_form(self):
+        edge = 1e-4 * np.array([1 - 1e-12, 1 + 1e-12])
+        tiny = 5e-324
+        pairs = [
+            (0.0, 1.0), (0.0, 1e-149), (0.0, tiny),  # a = 0
+            (1.0, 1.0), (2.5, 2.5), (1e-149, 1e-149), (tiny, tiny),  # a = b
+            *[(1.0 + s * e, 1.0) for s in (1.0, -1.0) for e in edge],  # |r| about 1e-4
+            *[(3.0, 3.0 / (1.0 + s * e)) for s in (1.0, -1.0) for e in edge],
+            (3 * tiny, tiny), (1e-310, tiny), (1e-10, 1e-310),  # denormal b
+            (1e150, 1e-150), (1.0, 1e-300), (1e-300, 1.0),  # a/b near 1e300 and 1e-300
+        ]
+        rng = np.random.default_rng(40)
+        b = rng.uniform(0.1, 10.0, 399)
+        a = b * (1.0 + rng.choice([0.0, 1e-8, 1e-5, -1e-5, 1e-3, 0.5, -1.0], 399))
+        a = np.concatenate([a, [p[0] for p in pairs]])
+        b = np.concatenate([b, [p[1] for p in pairs]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, and no errstate needed
+            for x, y in ((a, b), (a.reshape(2, -1), b.reshape(2, -1))):
+                assert lg._kl_terms(x, y).tobytes() == masked_kl_terms(x, y).tobytes()
 
 
 def sample_points(fn, rng, k, spread=2.0):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import LinAlgError
 
 import bpalm.cli
@@ -209,7 +210,7 @@ class FakeContext:
 
 
 class TestFactorization:
-    def test_singular_hessian_raises(self, caplog):
+    def test_singular_hessian_is_lifted(self, caplog):
         class BadContext(FakeContext):
             def grad(self, s):
                 return np.array([1.0, 1.0])
@@ -218,12 +219,14 @@ class TestFactorization:
                 return np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD but singular
 
         with caplog.at_level(logging.WARNING):
-            try:
-                newton_step(BadContext(), np.zeros(2))
-            except FactorizationError:
-                pass
-        # the one-shot lift either fixed it (logged) or the error surfaced
-        assert caplog.records or True
+            s = newton_step(BadContext(), np.zeros(2))
+        # the second pivot is exactly 0; the lift 2e-12 I makes it positive
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "retrying with lift 2.000e-12" in record.getMessage()
+        assert np.all(np.isfinite(s))
+        # g lies on H's eigenvector of eigenvalue 2, so the step is about -g/2
+        assert s.sum() == pytest.approx(-1.0, rel=1e-9)
 
     def test_indefinite_hessian_fails(self):
         class IndefContext(FakeContext):
@@ -248,6 +251,38 @@ class TestFactorization:
 
         with pytest.raises(FactorizationError, match="not finite"):
             newton_step(OverflowContext(), np.zeros(1))
+
+
+class TestCholeskyWrappers:
+    """bpalm.newton's own cho_factor and cho_solve call LAPACK directly and
+    must give scipy's bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 100, 150])
+    def test_bit_identical_to_scipy(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            root = rng.normal(size=(m, m))
+            H = root @ root.T / m + rng.uniform(0.0, 1.0) * np.eye(m)
+            H[np.tril_indices(m, -1)] *= 1.0 + 1e-15  # not exactly symmetric, as K is
+            g = rng.normal(size=m)
+            c = bpalm.newton.cho_factor(H)
+            reference = scipy.linalg.cho_factor(H)
+            assert c.tobytes() == reference[0].tobytes()
+            x = bpalm.newton.cho_solve(c, g)
+            assert x.tobytes() == scipy.linalg.cho_solve(reference, g).tobytes()
+
+    def test_failed_pivot_raises_linalg_error(self):
+        with pytest.raises(LinAlgError, match="2-th leading minor"):
+            bpalm.newton.cho_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        H = np.eye(2)
+        H[1, 0] = bad  # in the triangle LAPACK does not read
+        with pytest.raises(ValueError):
+            bpalm.newton.cho_factor(H)
+        with pytest.raises(ValueError):
+            bpalm.newton.cho_solve(bpalm.newton.cho_factor(np.eye(2)), np.array([1.0, bad]))
 
 
 def small_ineq_run():
@@ -284,8 +319,11 @@ class TestDeferredDecrement:
         monkeypatch.setattr(bpalm.newton, "cho_factor", counting)
         return calls
 
+    # perfbench counts factorizations and SPD lifts by wrapping this same
+    # module global, so every factorization must go through it
     def test_one_factorization_per_step(self, factor_calls):
         cfg, ps = small_ineq_run()
+        assert SpectralSystem.for_run(ps, cfg.geometry) is not None  # m x m systems
         report = run(cfg, ps)
         assert report.total_newton_steps > 0
         assert factor_calls == {"ok": report.total_newton_steps, "raised": 0}
