@@ -6,7 +6,6 @@ from .legendre import (
     bregman_distance,
     box_barrier,
     burg,
-    dual_bregman_distance,
     energy,
     product,
     spence,
@@ -18,7 +17,6 @@ from .problem import (
     NonsmoothTerm,
     ProblemSpec,
     SmoothObjective,
-    dual_perturbation_value,
     kkt_residuals,
     lagrangian,
 )
@@ -27,8 +25,6 @@ from .auglag import AcceptanceCheck, Anchor, SubproblemContext, evaluate_anchor,
 from .newton import (
     InnerSolve,
     NewtonTrace,
-    newton_decrement,
-    newton_step,
     solve_subproblem,
 )
 from .outer import (

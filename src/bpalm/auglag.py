@@ -93,9 +93,8 @@ class SubproblemContext:
     ``start`` is the evaluation at the warm start, the anchor x.  ``system``
     is the run's constraint-space Newton system, shared by every context of
     the run, or None where Newton steps assemble ``hess``.  The methods that
-    take a point s accept an array or its `PointEvaluation`, so that one
-    iterate's evaluation serves the gradient, the acceptance test and the
-    Newton system.
+    read a point take its `PointEvaluation`, so that one iterate's evaluation
+    serves the gradient, the acceptance test and the Newton system.
     """
 
     problem: ProblemSpec
@@ -124,56 +123,33 @@ class SubproblemContext:
             s, r, self.problem.f.grad(s), self.geometry.primal.grad(s), u, y_plus
         )
 
-    def _point(self, s) -> PointEvaluation:
-        return s if isinstance(s, PointEvaluation) else self.evaluate(s)
-
-    def value(self, s) -> float:
-        s = np.asarray(s, dtype=float)
-        psi = self.geometry.primal
-        if not psi.in_domain(s):
-            return math.inf
-        fs = self.problem.f.value(s)
-        if fs == math.inf:
-            return math.inf
-        prox = bregman_distance(psi, s, self.x_anchor)
-        if prox == math.inf:
-            return math.inf
-        return fs + (self.penalty.value(self.evaluate(s).u) + prox) / self.sigma
-
-    def grad(self, s) -> np.ndarray:
-        point = self._point(s)
+    def grad(self, point: PointEvaluation) -> np.ndarray:
         pull = self.problem.map.A.T @ point.y_plus
         prox = (point.grad_psi - self.start.grad_psi) / self.sigma
         return point.grad_f + pull + prox
 
-    def hess(self, s) -> np.ndarray:
-        p = self._point(s)
-        return subproblem_hess(self.problem, self.penalty, self.geometry, self.sigma, p.s, p.u)
+    def hess(self, point: PointEvaluation) -> np.ndarray:
+        return subproblem_hess(
+            self.problem, self.penalty, self.geometry, self.sigma, point.s, point.u
+        )
 
-    def anchor_gap(self, s) -> float:
+    def anchor_gap(self, point: PointEvaluation) -> float:
         """D_psi(s, x) + D_phi(y_plus(s), y): the progress proxy B."""
-        point = self._point(s)
         primal = bregman_distance(self.geometry.primal, point.s, self.x_anchor)
         dual = bregman_distance(self.geometry.dual, point.y_plus, self.y_anchor)
         return primal + dual
 
-    def extragradient(self, s, grad: np.ndarray | None = None) -> np.ndarray:
+    def extragradient(self, point: PointEvaluation, grad: np.ndarray) -> np.ndarray:
         """x_plus(s) = grad_psi*(grad_psi(s) - sigma grad(s))."""
-        point = self._point(s)
         psi = self.geometry.primal
-        if grad is None:
-            grad = self.grad(point)
         target = point.grad_psi - self.sigma * grad
         if not psi.conj_in_interior(target):
             raise DomainError("corrected point leaves int dom of the conjugate")
         return psi.conj_grad(target)
 
-    def acceptance_check(self, s, grad: np.ndarray | None = None) -> AcceptanceCheck:
-        point = self._point(s)
+    def acceptance_check(self, point: PointEvaluation, grad: np.ndarray) -> AcceptanceCheck:
         s = point.s
         psi = self.geometry.primal
-        if grad is None:
-            grad = self.grad(point)
         b_value = self.anchor_gap(point)
         rhs = self.rho * b_value
         if psi.kind == "energy":

@@ -218,28 +218,33 @@ def _fmt(x: float) -> float:
     return float(format(float(x), ".17g"))
 
 
+def _sentinel(v: float) -> str:
+    """The sentinel string that documents and reports write for a non-finite v."""
+    return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+
+
 def write_problem_file(path: str, *, objective: dict, constraint: dict, bounds=None, solution=None) -> None:
     """Serialize a problem document with round-trip-exact numbers."""
 
-    def clean(obj):
+    def clean(obj, infinite=False):  # parse_problem accepts +-inf in bounds only
         if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
+            return {k: clean(v, infinite) for k, v in obj.items()}
         if isinstance(obj, (list, tuple, np.ndarray)):
-            return [clean(v) for v in obj]
+            return [clean(v, infinite) for v in obj]
         if isinstance(obj, (bool, np.bool_)):  # parse_problem rejects booleans
             raise ParseError(f"cannot write the boolean {obj!r} as a number")
         if isinstance(obj, (int, np.integer)):
             return int(obj)
         if isinstance(obj, (float, np.floating)):
             v = float(obj)
-            if math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return _fmt(v)
+            if math.isnan(v) or (math.isinf(v) and not infinite):
+                raise ParseError(f"cannot write the number {v!r}: it must be finite, or +-inf in bounds")
+            return _fmt(v) if math.isfinite(v) else _sentinel(v)
         return obj
 
     doc = {"objective": clean(objective), "constraint": clean(constraint)}
     if bounds is not None:
-        doc["bounds"] = clean(bounds)
+        doc["bounds"] = clean(bounds, infinite=True)
     if solution is not None:
         doc["solution"] = clean(solution)
     text = json.dumps(doc, indent=2) + "\n"  # complete before the file is opened
@@ -325,6 +330,8 @@ def _diagnostics_payload(report, problem, geometry, golden) -> tuple[dict, list[
     fejer = diagnostics.fejer_check(report.trace, gx, gy, geometry)
     payload["fejer_monotone"] = fejer.monotone
     payload["fejer_violations"] = fejer.violations
+    total, budget = diagnostics.summability_check(report.trace, gx, gy, geometry)
+    payload["summability_sum"], payload["summability_budget"] = total, budget
     try:
         rate = diagnostics.rate_fit(
             report.trace, gx, gy, geometry, distances=fejer.distances
@@ -364,9 +371,19 @@ def _report_payload(report: SolveReport, diag: dict | None) -> dict:
     return payload
 
 
+def _strict(obj):
+    """The payload with each non-finite float as its sentinel string, so that
+    the JSON report parses under strict parsers."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(v) for v in obj]
+    return _sentinel(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _print_report(payload: dict, mode: str) -> None:
     if mode == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_strict(payload), indent=2, allow_nan=False))
         return
     for key in ("status", "iterations", "newton_steps_total", "dual_res",
                 "primal_res", "compl_res", "sigma_final", "wall_time_ms"):

@@ -262,5 +262,5 @@ def summability_check(
     d0 = bregman_distance(geometry.primal, np.asarray(x_star, float), trace.x0)
     d0 += bregman_distance(geometry.dual, np.asarray(y_star, float), trace.y0)
     rho_max = max((r.rho for r in trace.records), default=0.0)
-    total = sum(r.b_value for r in trace.records)
+    total = sum((r.b_value for r in trace.records), 0.0)
     return total, d0 / (1.0 - rho_max)

@@ -27,7 +27,6 @@ __all__ = [
     "box_barrier",
     "product",
     "bregman_distance",
-    "dual_bregman_distance",
 ]
 
 PI2_6 = math.pi**2 / 6.0
@@ -667,18 +666,6 @@ def bregman_distance(fn: LegendreFunction, z1, z2):
         block = rows[lo : lo + step]
         out.flat[block] = np.maximum(fn.distance(z1[block], z2[block]), 0.0)
     return out
-
-
-def dual_bregman_distance(fn: LegendreFunction, t1, t2) -> float:
-    """Bregman distance generated by the conjugate of ``fn``."""
-    t1 = _as_vector(t1, fn.dim)
-    t2 = _as_vector(t2, fn.dim)
-    if not fn.conj_in_interior(t1) or not fn.conj_in_interior(t2):
-        return math.inf
-    if np.array_equal(t1, t2):
-        return 0.0
-    d = fn.conj_value(t1) - fn.conj_value(t2) - float(fn.conj_grad(t2) @ (t1 - t2))
-    return max(d, 0.0)
 
 
 @dataclass(frozen=True)

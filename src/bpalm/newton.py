@@ -28,8 +28,6 @@ __all__ = [
     "NewtonTrace",
     "InnerSolve",
     "SpectralSystem",
-    "newton_step",
-    "newton_decrement",
     "solve_subproblem",
     "qsc_steps",
     "lipschitz_steps",
@@ -231,13 +229,6 @@ def _newton_direction(
     return -system.solve(sigma, penalty.hess_diag_or_none(u), g)
 
 
-def _step_at(ctx: SubproblemContext, point: PointEvaluation, g: np.ndarray) -> np.ndarray:
-    """The Newton direction at an evaluated iterate with gradient g."""
-    return _newton_direction(
-        ctx.system, ctx.sigma, ctx.penalty, point.u, g, partial(ctx.hess, point)
-    )
-
-
 def _decrement(g: np.ndarray, d: np.ndarray, scale: float) -> float:
     return scale * math.sqrt(max(float(-g @ d), 0.0))
 
@@ -258,21 +249,6 @@ def _deferred_decrement(
         return _decrement(g, _newton_direction(system, sigma, penalty, u, g, hess), scale)
 
     return decrement
-
-
-def newton_step(ctx: SubproblemContext, s) -> np.ndarray:
-    """One pure Newton step on the subproblem objective from s."""
-    point = ctx.evaluate(s)
-    return _clamped_step(ctx, point.s, _step_at(ctx, point, ctx.grad(point)))
-
-
-def newton_decrement(ctx: SubproblemContext, s, modulus: float) -> float:
-    """modulus * sqrt(<grad, hess^{-1} grad>) at s."""
-    if modulus <= 0.0:
-        raise InvalidRegimeError("decrement modulus must be positive")
-    point = ctx.evaluate(s)
-    g = ctx.grad(point)
-    return _decrement(g, _step_at(ctx, point, g), modulus)
 
 
 def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = None) -> InnerSolve:
@@ -302,7 +278,8 @@ def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = N
                 )
             )
             return InnerSolve(point, trace, accepted, g, check.x_plus, check.b_value)
-        d = _step_at(ctx, point, g)
+        hess = partial(ctx.hess, point)
+        d = _newton_direction(ctx.system, ctx.sigma, ctx.penalty, point.u, g, hess)
         trace.steps.append(NewtonStepRecord(grad_norm, _decrement(g, d, scale), step_norm, False))
         s_next = _clamped_step(ctx, point.s, d)
         step_norm = float(np.linalg.norm(s_next - point.s))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 # scipy's LAPACK, which the Newton solves use too; numpy bundles a second copy
-from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError, svdvals
+from scipy.linalg import eigvalsh, svdvals
 
 from .exceptions import DimensionError, DomainError, ParseError, UnsupportedError
 from .legendre import all_rows, sigmoid, softmax, softmax_jacobian, softplus
@@ -26,7 +26,6 @@ __all__ = [
     "KKTResiduals",
     "lagrangian",
     "kkt_residuals",
-    "dual_perturbation_value",
     "project_simplex",
 ]
 
@@ -405,25 +404,3 @@ def kkt_residuals(ps: ProblemSpec, x, y, *, grad_f=None, residual=None) -> KKTRe
         primal = float(np.linalg.norm(y - np.clip(y + r, -1.0, 1.0)))
         compl = 0.0
     return KKTResiduals(dual_res=dual, primal_res=primal, compl_res=compl)
-
-
-def dual_perturbation_value(ps: ProblemSpec, v, y) -> float:
-    """Value of the dual perturbation function f*(v - A'y) + <b, y> + g*(y).
-
-    Only available when f* has a closed form, i.e. for an unconstrained
-    quadratic objective with positive-definite curvature.
-    """
-    if ps.f.variant != "quadratic" or ps.f.box is not None:
-        raise UnsupportedError("conjugate objective available only for plain quadratics")
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gstar = ps.g.conj_value(y)
-    if gstar == math.inf:
-        return math.inf
-    z = v - ps.map.A.T @ y - ps.f.c
-    try:
-        factor = cho_factor(ps.f.W)
-    except LinAlgError as exc:
-        raise UnsupportedError("conjugate objective requires positive-definite W") from exc
-    fstar = 0.5 * float(z @ cho_solve(factor, z))
-    return fstar + float(ps.map.b @ y) + gstar

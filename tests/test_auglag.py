@@ -7,7 +7,14 @@ import pytest
 
 from bpalm.auglag import evaluate_anchor, make_context
 from bpalm.exceptions import DomainError
-from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
+from bpalm.legendre import (
+    BregmanGeometry,
+    box_barrier,
+    bregman_distance,
+    energy,
+    spence,
+    von_neumann,
+)
 from bpalm.penalty import penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
@@ -37,30 +44,55 @@ def ineq_context(dual_kind="von_neumann", sigma=1.0, rho=0.5, x=(0.0,), y=(1.0,)
     return make_context(ps, pen, geo, evaluate_anchor(ps, geo, list(x), list(y)), sigma, rho)
 
 
+def marginal_value(ctx, s):
+    """The subproblem objective f(s) + (P(u) + D_psi(s, x)) / sigma, u the dual
+    argument at s; +inf off the primal domain."""
+    s = np.asarray(s, dtype=float)
+    psi = ctx.geometry.primal
+    if not psi.in_domain(s):
+        return math.inf
+    u, _ = ctx.anchor.dual_update(ctx.penalty, ctx.sigma, ctx.problem.map.residual(s))
+    prox = bregman_distance(psi, s, ctx.x_anchor)
+    return ctx.problem.f.value(s) + (ctx.penalty.value(u) + prox) / ctx.sigma
+
+
+def grad_at(ctx, s):
+    return ctx.grad(ctx.evaluate(s))
+
+
+def hess_at(ctx, s):
+    return ctx.hess(ctx.evaluate(s))
+
+
+def check_at(ctx, s):
+    point = ctx.evaluate(s)
+    return ctx.acceptance_check(point, ctx.grad(point))
+
+
 class TestWorkedEqualityQP:
     def test_value_at_zero(self):
         ctx = eq_qp_context()
-        assert ctx.value([0.0]) == pytest.approx(0.5)
+        assert marginal_value(ctx, [0.0]) == pytest.approx(0.5)
 
     def test_minimizer_is_one_third(self):
         ctx = eq_qp_context()
         s = np.linspace(-1, 1, 2001)
-        vals = [ctx.value([v]) for v in s]
+        vals = [marginal_value(ctx, [v]) for v in s]
         assert s[int(np.argmin(vals))] == pytest.approx(1 / 3, abs=1e-3)
-        assert ctx.grad([1 / 3]) == pytest.approx([0.0], abs=1e-12)
+        assert grad_at(ctx, [1 / 3]) == pytest.approx([0.0], abs=1e-12)
 
     def test_grad_at_anchor(self):
         ctx = eq_qp_context()
-        assert ctx.grad([0.0]) == pytest.approx([-1.0])
+        assert grad_at(ctx, [0.0]) == pytest.approx([-1.0])
 
     def test_constant_hessian(self):
         ctx = eq_qp_context()
-        np.testing.assert_allclose(ctx.hess([0.2]), [[3.0]])
-        np.testing.assert_allclose(ctx.hess([-0.7]), [[3.0]])
+        np.testing.assert_allclose(hess_at(ctx, [0.2]), [[3.0]])
+        np.testing.assert_allclose(hess_at(ctx, [-0.7]), [[3.0]])
 
     def test_anchor_gap(self):
         ctx = eq_qp_context()
-        assert ctx.anchor_gap([1 / 3]) == pytest.approx(5 / 18)
+        assert ctx.anchor_gap(ctx.evaluate([1 / 3])) == pytest.approx(5 / 18)
         assert ctx.evaluate([1 / 3]).y_plus == pytest.approx([-2 / 3])
 
     def test_value_at_anchor_without_prox(self):
@@ -68,7 +100,7 @@ class TestWorkedEqualityQP:
         expected = ctx.problem.f.value(np.zeros(1)) + ctx.penalty.value(
             ctx.evaluate(np.zeros(1)).u
         )
-        assert ctx.value([0.0]) == pytest.approx(expected)
+        assert marginal_value(ctx, [0.0]) == pytest.approx(expected)
 
 
 class TestDerivativeConsistency:
@@ -79,11 +111,11 @@ class TestDerivativeConsistency:
         h = 1e-6
         for _ in range(10):
             s = rng.normal(size=1)
-            g = ctx.grad(s)
-            fd = (ctx.value(s + h) - ctx.value(s - h)) / (2 * h)
+            g = grad_at(ctx, s)
+            fd = (marginal_value(ctx, s + h) - marginal_value(ctx, s - h)) / (2 * h)
             assert g[0] == pytest.approx(fd, rel=1e-5, abs=1e-6)
-            Hfd = (ctx.grad(s + h)[0] - ctx.grad(s - h)[0]) / (2 * h)
-            assert ctx.hess(s)[0, 0] == pytest.approx(Hfd, rel=1e-4, abs=1e-5)
+            Hfd = (grad_at(ctx, s + h)[0] - grad_at(ctx, s - h)[0]) / (2 * h)
+            assert hess_at(ctx, s)[0, 0] == pytest.approx(Hfd, rel=1e-4, abs=1e-5)
 
     @pytest.mark.parametrize(
         "variant, dual_kind",
@@ -126,9 +158,9 @@ class TestDerivativeConsistency:
                     + np.diag(primal.hess_diag(s) / sigma)
                 )
                 if math.log2(sigma).is_integer():
-                    np.testing.assert_array_equal(ctx.hess(s), expected)
+                    np.testing.assert_array_equal(hess_at(ctx, s), expected)
                 else:
-                    np.testing.assert_allclose(ctx.hess(s), expected, rtol=1e-13, atol=1e-12)
+                    np.testing.assert_allclose(hess_at(ctx, s), expected, rtol=1e-13, atol=1e-12)
 
     def test_barrier_primal_derivatives(self):
         lo, hi = np.zeros(2), np.ones(2)
@@ -144,11 +176,11 @@ class TestDerivativeConsistency:
         h = 1e-7
         for _ in range(10):
             s = rng.uniform(0.1, 0.9, 2)
-            g = ctx.grad(s)
+            g = grad_at(ctx, s)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (ctx.value(s + e) - ctx.value(s - e)) / (2 * h)
+                fd = (marginal_value(ctx, s + e) - marginal_value(ctx, s - e)) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
     def test_value_infinite_outside_box(self):
@@ -161,8 +193,8 @@ class TestDerivativeConsistency:
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
         anchor = evaluate_anchor(ps, geo, [0.5], [0.0])
         ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 1.0, 0.0)
-        assert ctx.value([1.5]) == math.inf
-        assert ctx.value([1.0]) == math.inf  # barrier domain is the open box
+        assert marginal_value(ctx, [1.5]) == math.inf
+        assert marginal_value(ctx, [1.0]) == math.inf  # barrier domain is the open box
 
     def test_softplus_penalty_hessian_contribution(self):
         # y = ln 2 zeroes the dual gradient and s = 1 zeroes the residual, so
@@ -172,7 +204,7 @@ class TestDerivativeConsistency:
         s = np.array([1.0])
         np.testing.assert_allclose(ctx.evaluate(s).u, [0.0], atol=1e-15)
         expected = 1.0 + ctx.sigma * 0.5 * 1.0 + 1.0 / ctx.sigma
-        np.testing.assert_allclose(ctx.hess(s), [[expected]])
+        np.testing.assert_allclose(hess_at(ctx, s), [[expected]])
 
 
 class TestStoppingRule:
@@ -180,12 +212,12 @@ class TestStoppingRule:
         # anchors at the saddle point make s = x an exact stationary point,
         # so lhs = 0 and the test passes even with rho = 0
         ctx = eq_qp_context(rho=0.0, x=(1.0,), y=(-1.0,))
-        check = ctx.acceptance_check([1.0])
+        check = check_at(ctx, [1.0])
         assert check.lhs == 0.0
         assert check.accepted
         # the float minimizer of the shifted subproblem is accepted once rho > 0
         ctx2 = eq_qp_context(rho=0.5)
-        check2 = ctx2.acceptance_check([1 / 3])
+        check2 = check_at(ctx2, [1 / 3])
         assert check2.lhs <= 1e-24
         assert check2.accepted
 
@@ -194,8 +226,9 @@ class TestStoppingRule:
         rng = np.random.default_rng(6)
         for _ in range(10):
             s = rng.normal(size=1)
-            g = ctx.grad(s)
-            check = ctx.acceptance_check(s, g)
+            point = ctx.evaluate(s)
+            g = ctx.grad(point)
+            check = ctx.acceptance_check(point, g)
             assert check.lhs == pytest.approx(
                 0.5 * ctx.sigma**2 * float(g @ g), abs=1e-12
             )
@@ -209,15 +242,16 @@ class TestStoppingRule:
 
     def test_rho_zero_rejects_nonstationary(self):
         ctx = eq_qp_context(rho=0.0)
-        check = ctx.acceptance_check([0.5])
+        check = check_at(ctx, [0.5])
         assert not check.accepted
         assert check.lhs > 0.0
 
     def test_x_plus_matches_extragradient(self):
         ctx = eq_qp_context(rho=0.5)
-        s = np.array([0.4])
-        check = ctx.acceptance_check(s)
-        np.testing.assert_allclose(check.x_plus, ctx.extragradient(s), atol=1e-14)
+        point = ctx.evaluate(np.array([0.4]))
+        g = ctx.grad(point)
+        check = ctx.acceptance_check(point, g)
+        np.testing.assert_allclose(check.x_plus, ctx.extragradient(point, g), atol=1e-14)
 
     def test_barrier_x_plus_stays_interior(self):
         lo, hi = np.zeros(1), np.ones(1)
@@ -229,7 +263,7 @@ class TestStoppingRule:
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
         anchor = evaluate_anchor(ps, geo, [0.5], [0.0])
         ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 5.0, 0.5)
-        check = ctx.acceptance_check(np.array([0.9]))
+        check = check_at(ctx, np.array([0.9]))
         assert check.x_plus is not None
         assert 0.0 < check.x_plus[0] < 1.0
 
@@ -258,7 +292,7 @@ class TestMarginalization:
             obj = ctx.problem.f.value(s) + r * fine - dvals / ctx.sigma
             sup = float(np.max(obj))
             offset = phi.conj_value(phi.grad(ctx.y_anchor)) / ctx.sigma
-            j_no_prox = ctx.value(s) - 0.5 * (s_val - ctx.x_anchor[0]) ** 2 / ctx.sigma
+            j_no_prox = marginal_value(ctx, s) - 0.5 * (s_val - ctx.x_anchor[0]) ** 2 / ctx.sigma
             assert j_no_prox == pytest.approx(sup + offset, abs=1e-4)
 
     @pytest.mark.parametrize("dual_kind", ["von_neumann", "spence"])
@@ -277,7 +311,7 @@ class TestMarginalization:
         rng = np.random.default_rng(9)
         for _ in range(10):
             s = rng.normal(size=1)
-            H = ctx.hess(s)
+            H = hess_at(ctx, s)
             psi_floor = np.min(ctx.geometry.primal.hess_diag(s)) / ctx.sigma
             assert np.min(np.linalg.eigvalsh(H)) >= psi_floor - 1e-10
 
@@ -292,32 +326,33 @@ class TestPointEvaluation:
         return ineq_context("spence", sigma=0.5)
 
     @staticmethod
-    def results(ctx, s):
-        check = ctx.acceptance_check(s)
-        return ctx.grad(s), check.lhs, check.rhs, check.x_plus, ctx.hess(s)
+    def results(ctx, point):
+        g = ctx.grad(point)
+        check = ctx.acceptance_check(point, g)
+        return g, check.lhs, check.rhs, check.x_plus, ctx.hess(point)
 
-    def assert_fresh(self, ctx, s, array=None):
-        array = s.copy() if array is None else array
-        for got, want in zip(self.results(ctx, s), self.results(self.context(), array)):
+    def assert_fresh(self, ctx, point, array):
+        fresh = self.context()
+        for got, want in zip(self.results(ctx, point), self.results(fresh, fresh.evaluate(array))):
             np.testing.assert_array_equal(got, want)
 
     def test_writable_point_mutated_in_place(self):
         ctx = self.context()
         s = np.array([0.3])
-        before = self.results(ctx, s)
+        before = self.results(ctx, ctx.evaluate(s))
         s[0] = -0.2
-        self.assert_fresh(ctx, s)
-        assert ctx.grad(s)[0] != before[0][0]
+        self.assert_fresh(ctx, ctx.evaluate(s), s.copy())
+        assert grad_at(ctx, s)[0] != before[0][0]
 
     def test_read_only_view_of_a_writable_array(self):
         ctx = self.context()
         base = np.array([0.3])
         s = base[:]
         s.flags.writeable = False
-        before = self.results(ctx, s)
+        before = self.results(ctx, ctx.evaluate(s))
         base[0] = -0.2
-        self.assert_fresh(ctx, s)
-        assert ctx.grad(s)[0] != before[0][0]
+        self.assert_fresh(ctx, ctx.evaluate(s), s.copy())
+        assert grad_at(ctx, s)[0] != before[0][0]
 
     def test_evaluation_serves_every_method(self):
         ctx = self.context()

@@ -161,6 +161,32 @@ class TestParseProblem:
             )
         assert path.read_text() == "previous"
 
+    # parse_problem refuses NaN anywhere and +-inf outside bounds, so neither
+    # is written; the file is left as it was
+    @pytest.mark.parametrize(
+        "objective, shown",
+        [
+            ({"n": 1, "W": [[0, 0, 1.0]], "c": [math.nan]}, "nan"),
+            ({"n": 1, "W": [[0, 0, math.inf]], "c": [0.0]}, "inf"),
+        ],
+        ids=["nan_in_c", "inf_outside_bounds"],
+    )
+    def test_write_refuses_what_the_parser_rejects(self, objective, shown, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("previous")
+        with pytest.raises(ParseError, match=f"number {shown}"):
+            write_problem_file(
+                str(path),
+                objective={"quadratic": objective},
+                constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
+                bounds={"l": [-math.inf], "u": [math.inf]},
+            )
+        assert path.read_text() == "previous"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
 
 class TestMain:
     def test_golden_eq_exit_zero(self, eq_doc, capsys):
@@ -421,6 +447,20 @@ class TestMain:
         main(argv)
         assert capsys.readouterr().out == shared
         assert len(series) == 3
+
+    def test_diagnose_reports_summability(self, ineq_doc, capsys):
+        rc = main(["--problem", ineq_doc, "--report", "json", "--diagnose"])
+        assert rc == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert 0.0 < diag["summability_sum"] <= diag["summability_budget"]
+
+    def test_json_report_is_strict_json(self, ineq_doc, capsys):
+        # no iteration leaves the ergodic and conic maxima over an empty set
+        rc = main(["--problem", ineq_doc, "--max-outer", "0", "--report", "json", "--diagnose"])
+        assert rc == 1
+        out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert out["diagnostics"]["ergodic_max_violation"] == "-inf"
+        assert out["diagnostics"]["conic_max_excess"] == "-inf"
 
     def test_diagnose_conic_on_inequality(self, ineq_doc, capsys):
         rc = main(["--problem", ineq_doc, "--report", "json", "--diagnose"])

@@ -259,11 +259,16 @@ def dual_perturbation(cfg, rec):
     return rec.grad - (psi.grad(rec.s) - psi.grad(rec.x_anchor)) / rec.sigma
 
 
+def dual_perturbation_value(ps, v, y):
+    """f*(v - A'y) + <b, y> + g*(y) for a quadratic f with invertible W, whose
+    conjugate is f*(z) = (z - c)' W^{-1} (z - c) / 2."""
+    z = np.asarray(v, dtype=float) - ps.map.A.T @ np.asarray(y, dtype=float) - ps.f.c
+    return 0.5 * float(z @ np.linalg.solve(ps.f.W, z)) + float(ps.map.b @ y) + ps.g.conj_value(y)
+
+
 class TestDualAsymptotics:
     def test_dual_values_approach_optimum(self):
         # F*(v_k, y_{k+1}) -> F*(0, y*) along a run with the Euclidean primal
-        from bpalm.problem import dual_perturbation_value
-
         cfg, rep = solve_eq()
         ps = eq_qp()
         target = dual_perturbation_value(ps, [0.0], [-1.0])

@@ -3,6 +3,7 @@
 import logging
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,16 +12,17 @@ from scipy.linalg import LinAlgError
 
 import bpalm.cli
 import bpalm.newton
-from bpalm.auglag import PointEvaluation, SubproblemContext, evaluate_anchor, make_context
-from bpalm.exceptions import FactorizationError, InvalidRegimeError
+from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
+from bpalm.exceptions import FactorizationError
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
     REGIMES,
     SpectralSystem,
     _clamped_step,
+    _decrement,
+    _newton_direction,
+    _solve_spd,
     lipschitz_steps,
-    newton_decrement,
-    newton_step,
     qsc_steps,
     sc_steps,
     solve_subproblem,
@@ -28,6 +30,7 @@ from bpalm.newton import (
 from bpalm.outer import SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_auglag import marginal_value
 from test_problem import _load_benchmark_instances
 
 
@@ -51,6 +54,25 @@ def ineq_vn_context(sigma=0.5, rho=0.5):
     geo = BregmanGeometry(energy(1), von_neumann(1))
     anchor = evaluate_anchor(ps, geo, [0.0], [1.0])
     return make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, sigma, rho)
+
+
+def newton_direction(ctx, point, g):
+    """-H^{-1} g at an evaluated point, as `solve_subproblem` takes it."""
+    hess = partial(ctx.hess, point)
+    return _newton_direction(ctx.system, ctx.sigma, ctx.penalty, point.u, g, hess)
+
+
+def newton_step(ctx, s):
+    """One pure, clamped Newton step on the subproblem objective from s."""
+    point = ctx.evaluate(s)
+    return _clamped_step(ctx, point.s, newton_direction(ctx, point, ctx.grad(point)))
+
+
+def newton_decrement(ctx, s, modulus):
+    """modulus * sqrt(<grad, hess^{-1} grad>) at s."""
+    point = ctx.evaluate(s)
+    g = ctx.grad(point)
+    return _decrement(g, newton_direction(ctx, point, g), modulus)
 
 
 class TestNewtonStep:
@@ -134,10 +156,6 @@ class TestDecrement:
         ctx = eq_qp_context()
         assert newton_decrement(ctx, [1 / 3], 1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_requires_positive_modulus(self):
-        with pytest.raises(InvalidRegimeError):
-            newton_decrement(eq_qp_context(), [1.0], 0.0)
-
 
 class TestSolveSubproblem:
     def test_quadratic_accepted_after_one_step(self):
@@ -178,16 +196,17 @@ class TestSolveSubproblem:
         # the reported iterate re-passes an independent stopping evaluation
         ctx = ineq_vn_context(rho=0.3)
         inner = solve_subproblem(ctx, cap=50)
-        check = ctx.acceptance_check(inner.point.s)
-        assert check.accepted or np.linalg.norm(ctx.grad(inner.point.s)) <= 1e-12
+        point = ctx.evaluate(inner.point.s)
+        g = ctx.grad(point)
+        assert ctx.acceptance_check(point, g).accepted or np.linalg.norm(g) <= 1e-12
 
     def test_descent_on_quadratic(self):
         ctx = eq_qp_context(rho=0.0)
-        vals = [ctx.value([0.0])]
+        vals = [marginal_value(ctx, [0.0])]
         s = np.array([0.0])
         for _ in range(3):
             s = newton_step(ctx, s)
-            vals.append(ctx.value(s))
+            vals.append(marginal_value(ctx, s))
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_trace_records_every_visited_point(self):
@@ -198,59 +217,28 @@ class TestSolveSubproblem:
         assert inner.trace.steps[-1].accepted
 
 
-class FakeContext:
-    """What a Newton step reads of a context; subclasses fix the gradient
-    and the Hessian."""
-
-    geometry = eq_qp_context().geometry
-    system = sigma = penalty = None
-
-    def evaluate(self, s):
-        return PointEvaluation(s, None, None, None, None, None)
-
-
 class TestFactorization:
     def test_singular_hessian_is_lifted(self, caplog):
-        class BadContext(FakeContext):
-            def grad(self, s):
-                return np.array([1.0, 1.0])
-
-            def hess(self, s):
-                return np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD but singular
-
+        H = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD but singular
         with caplog.at_level(logging.WARNING):
-            s = newton_step(BadContext(), np.zeros(2))
+            step = -_solve_spd(H, np.array([1.0, 1.0]))
         # the second pivot is exactly 0; the lift 2e-12 I makes it positive
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert "retrying with lift 2.000e-12" in record.getMessage()
-        assert np.all(np.isfinite(s))
+        assert np.all(np.isfinite(step))
         # g lies on H's eigenvector of eigenvalue 2, so the step is about -g/2
-        assert s.sum() == pytest.approx(-1.0, rel=1e-9)
+        assert step.sum() == pytest.approx(-1.0, rel=1e-9)
 
     def test_indefinite_hessian_fails(self):
-        class IndefContext(FakeContext):
-            def grad(self, s):
-                return np.array([1.0])
-
-            def hess(self, s):
-                return np.array([[-1.0]])
-
         with pytest.raises(FactorizationError):
-            newton_step(IndefContext(), np.zeros(1))
+            _solve_spd(np.array([[-1.0]]), np.array([1.0]))
 
     # the last case fails the first factorization and meets NaN after the lift
     @pytest.mark.parametrize("hess, grad", [(math.inf, 1.0), (1.0, math.nan), (-1e-13, math.nan)])
     def test_non_finite_system_fails(self, hess, grad):
-        class OverflowContext(FakeContext):
-            def grad(self, s):
-                return np.array([grad])
-
-            def hess(self, s):
-                return np.array([[hess]])
-
         with pytest.raises(FactorizationError, match="not finite"):
-            newton_step(OverflowContext(), np.zeros(1))
+            _solve_spd(np.array([[hess]]), np.array([grad]))
 
 
 class TestCholeskyWrappers:

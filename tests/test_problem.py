@@ -18,7 +18,6 @@ from bpalm.problem import (
     ProblemSpec,
     SmoothObjective,
     canonicalize_triplets,
-    dual_perturbation_value,
     kkt_residuals,
     lagrangian,
     project_simplex,
@@ -383,40 +382,6 @@ class TestKKTResiduals:
     def test_wrong_multiplier_length(self):
         with pytest.raises(DimensionError):
             kkt_residuals(simple_eq_qp(), [1.0], [1.0, 2.0])
-
-
-class TestDualPerturbation:
-    def test_worked_example(self):
-        ps = simple_eq_qp()
-        for y in (-1.0, 0.0, 0.7):
-            assert dual_perturbation_value(ps, [0.0], [y]) == pytest.approx(
-                0.5 * y * y + y
-            )
-        assert dual_perturbation_value(ps, [0.0], [-1.0]) == pytest.approx(-0.5)
-        assert dual_perturbation_value(ps, [0.0], [0.0]) == 0.0
-
-    def test_minimum_at_dual_solution(self):
-        ps = simple_eq_qp()
-        ys = np.linspace(-2.0, 0.5, 100)
-        vals = [dual_perturbation_value(ps, [0.0], [y]) for y in ys]
-        assert ys[int(np.argmin(vals))] == pytest.approx(-1.0, abs=0.05)
-
-    def test_unsupported_for_callbacks(self):
-        ps = ProblemSpec(
-            f=SmoothObjective.named("logistic", 1),
-            g=NonsmoothTerm.zero_indicator(),
-            map=AffineMap.from_dense([[1.0]], [0.0]),
-        )
-        with pytest.raises(UnsupportedError):
-            dual_perturbation_value(ps, [0.0], [0.0])
-
-    def test_infinite_off_conjugate_domain(self):
-        ps = ProblemSpec(
-            f=SmoothObjective.quadratic(np.eye(1), [0.0]),
-            g=NonsmoothTerm.nonneg_orthant_indicator(),
-            map=AffineMap.from_dense([[1.0]], [0.0]),
-        )
-        assert dual_perturbation_value(ps, [0.0], [-1.0]) == math.inf
 
 
 def test_problem_dimension_check():
