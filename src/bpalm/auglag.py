@@ -55,14 +55,15 @@ class AcceptanceCheck:
 @dataclass(frozen=True)
 class Anchor:
     """The outer iterate (x, y) and what both the step-size test and the
-    subproblem read there: r = Ax - b, grad f(x) and grad phi(y), each
-    evaluated once.  x and y are read-only."""
+    subproblem read there: r = Ax - b, grad f(x), grad phi(y) and phi''(y),
+    each evaluated once.  x and y are read-only."""
 
     x: np.ndarray
     y: np.ndarray
     residual: np.ndarray
     grad_f: np.ndarray
     grad_phi_y: np.ndarray
+    hess_phi_y: np.ndarray
 
     def dual_update(self, penalty: DualPenalty, sigma: float, residual=None):
         """The dual argument u = grad phi(y) + sigma r and the multiplier
@@ -133,12 +134,6 @@ class SubproblemContext:
             self.problem, self.penalty, self.geometry, self.sigma, point.s, point.u
         )
 
-    def anchor_gap(self, point: PointEvaluation) -> float:
-        """D_psi(s, x) + D_phi(y_plus(s), y): the progress proxy B."""
-        primal = bregman_distance(self.geometry.primal, point.s, self.x_anchor)
-        dual = bregman_distance(self.geometry.dual, point.y_plus, self.y_anchor)
-        return primal + dual
-
     def extragradient(self, point: PointEvaluation, grad: np.ndarray) -> np.ndarray:
         """x_plus(s) = grad_psi*(grad_psi(s) - sigma grad(s))."""
         psi = self.geometry.primal
@@ -147,23 +142,61 @@ class SubproblemContext:
             raise DomainError("corrected point leaves int dom of the conjugate")
         return psi.conj_grad(target)
 
-    def acceptance_check(self, point: PointEvaluation, grad: np.ndarray) -> AcceptanceCheck:
+    def acceptance_check(
+        self, point: PointEvaluation, grad: np.ndarray, exact: bool = True
+    ) -> AcceptanceCheck:
+        """The relative test at s, with B = D_psi(s, x) + D_phi(y_plus, y).
+
+        Unless ``exact``, it rejects without D_phi (rhs and b_value are then
+        NaN) where lhs > rho (D_psi + U)(1 + delta), as the exact test would:
+        D_phi <= U = sum d^2 max(phi''(y_plus), phi''(y)) / 2 with d = y_plus - y
+        by Taylor's theorem, as every catalog phi'' peaks at an end of the
+        segment.  delta = 2^-31 + (2m + 16) 2^-53 for m dual coordinates covers
+        the rounding of U (m + 8 units of 2^-53; its terms, formed as (d phi'') d,
+        do not underflow), of the computed D_phi (m - 1 units plus 2^-33 per
+        term, above the KL raw form's worst cancellation), of B and of rho B.
+        A y_plus on the boundary, where phi'' is unbounded, takes the exact path.
+        """
         s = point.s
         psi = self.geometry.primal
-        b_value = self.anchor_gap(point)
-        rhs = self.rho * b_value
         if psi.kind == "energy":
             # exact reduction of D_psi(s, x_plus); avoids the cancellation in
             # forming s - (s - sigma g)
             lhs = 0.5 * self.sigma**2 * float(grad @ grad)
             x_plus = s - self.sigma * grad
-            return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
+        else:
+            try:
+                x_plus = self.extragradient(point, grad)
+                lhs = bregman_distance(psi, s, x_plus)
+            except DomainError:
+                x_plus, lhs = None, math.inf
+        primal = _distance(psi, s, self.x_anchor)
+        if not exact and self._bound_rejects(lhs, primal, point.y_plus):
+            return AcceptanceCheck(False, lhs, math.nan, math.nan, x_plus)
+        b_value = primal + _distance(self.geometry.dual, point.y_plus, self.y_anchor)
+        rhs = self.rho * b_value
+        return AcceptanceCheck(x_plus is not None and lhs <= rhs, lhs, rhs, b_value, x_plus)
+
+    def _bound_rejects(self, lhs: float, primal: float, y_plus: np.ndarray) -> bool:
+        d = y_plus - self.y_anchor
+        slack = self.rho * (1.0 + 2.0**-31 + (2 * d.size + 16) * 2.0**-53)
+        at_anchor = self.anchor.hess_phi_y
+        # phi''(y) alone bounds U from below: where that cannot reject, U cannot
+        if not lhs > (primal + 0.5 * float((d * at_anchor) @ d)) * slack:
+            return False
         try:
-            x_plus = self.extragradient(point, grad)
-        except DomainError:
-            return AcceptanceCheck(False, math.inf, rhs, b_value, None)
-        lhs = bregman_distance(psi, s, x_plus)
-        return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
+            curvature = np.maximum(self.geometry.dual.hess_diag(y_plus), at_anchor)
+        except DomainError:  # y_plus on the boundary, where phi'' is unbounded
+            return False
+        return lhs > (primal + 0.5 * float((d * curvature) @ d)) * slack
+
+
+def _distance(fn, z1: np.ndarray, z2: np.ndarray) -> float:
+    """bregman_distance(fn, z1, z2) for one z1 in the domain, if finite, and
+    z2 proven interior, proving neither again; a non-finite result takes the
+    validated path, which gives +inf off the domain."""
+    d = max(float(fn.distance(z1, z2)), 0.0)
+    return d if math.isfinite(d) else bregman_distance(fn, z1, z2)
 
 
 def _frozen(z) -> np.ndarray:
@@ -206,6 +239,7 @@ def evaluate_anchor(problem: ProblemSpec, geometry: BregmanGeometry, x, y) -> An
         residual=problem.map.residual(x),
         grad_f=problem.f.grad(x),
         grad_phi_y=geometry.dual.grad(y),
+        hess_phi_y=geometry.dual.hess_diag(y),
     )
 
 

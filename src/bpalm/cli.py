@@ -226,11 +226,13 @@ def _sentinel(v: float) -> str:
 def write_problem_file(path: str, *, objective: dict, constraint: dict, bounds=None, solution=None) -> None:
     """Serialize a problem document with round-trip-exact numbers."""
 
-    def clean(obj, infinite=False):  # parse_problem accepts +-inf in bounds only
-        if isinstance(obj, dict):
-            return {k: clean(v, infinite) for k, v in obj.items()}
+    def clean(obj, infinite=False, text=False):  # parse_problem accepts +-inf in bounds only
+        if isinstance(obj, dict):  # constraint.type and objective.named.name are text
+            return {k: clean(v, infinite, k in ("type", "name")) for k, v in obj.items()}
         if isinstance(obj, (list, tuple, np.ndarray)):
             return [clean(v, infinite) for v in obj]
+        if isinstance(obj, str) and (text or infinite and obj.strip().lower() in _INFINITIES):
+            return obj
         if isinstance(obj, (bool, np.bool_)):  # parse_problem rejects booleans
             raise ParseError(f"cannot write the boolean {obj!r} as a number")
         if isinstance(obj, (int, np.integer)):
@@ -240,7 +242,7 @@ def write_problem_file(path: str, *, objective: dict, constraint: dict, bounds=N
             if math.isnan(v) or (math.isinf(v) and not infinite):
                 raise ParseError(f"cannot write the number {v!r}: it must be finite, or +-inf in bounds")
             return _fmt(v) if math.isfinite(v) else _sentinel(v)
-        return obj
+        raise ParseError(f"cannot write {obj!r} where a number belongs")
 
     doc = {"objective": clean(objective), "constraint": clean(constraint)}
     if bounds is not None:

@@ -194,21 +194,25 @@ def _max_divergence_on_cap(
     y = np.vstack(starts)
 
     best = np.max(bregman_distance(phi, np.vstack([np.zeros(m), y]), y0))
-    if phi.nonnegative:
-        # the geometry is separable, so one function of dimension k*m takes
-        # the gradients of all k starts in one call
-        wide = type(phi)(y.size)
-        grad0 = phi.grad(y0)
+    grad0 = phi.grad(y0) if phi.nonnegative else None
+    live = np.arange(len(y))  # the ascent maps rows alone: a row it fixes stays fixed
     for _ in range(60):
+        z = y[live]
         if phi.nonnegative:
-            grad = wide.grad(np.maximum(y, INTERIOR_FLOOR).ravel()).reshape(y.shape) - grad0
+            # separable: one function of dimension k*m takes all k gradients
+            grad = type(phi)(z.size).grad(np.maximum(z, INTERIOR_FLOOR).ravel())
+            grad = grad.reshape(z.shape) - grad0
         else:
-            grad = y - y0
+            grad = z - y0
         step = 0.1 * radius / (1.0 + np.linalg.norm(grad, axis=1))
-        y = np.maximum(y + step[:, None] * grad, 0.0)
-        norm = np.linalg.norm(y, axis=1)
+        z_next = np.maximum(z + step[:, None] * grad, 0.0)
+        norm = np.linalg.norm(z_next, axis=1)
         pos = norm > 0
-        y[pos] *= (radius / norm[pos])[:, None]
+        z_next[pos] *= (radius / norm[pos])[:, None]
+        y[live] = z_next
+        live = live[(z_next != z).any(axis=1)]
+        if not live.size:
+            break
     return float(max(best, np.max(bregman_distance(phi, y, y0))))
 
 

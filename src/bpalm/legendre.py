@@ -461,6 +461,10 @@ class Spence(_Orthant):
         total = 0.5 * np.vecdot(d, d)
         near = np.abs(d) <= 0.5 * b
         counts = near.sum(axis=1)
+        if len(a) == 1:  # one row: the stack's sums without its grouping
+            for sums in _spence_sums(a, b, d, near, int(counts[0])):
+                total += sums
+            return total.reshape(shape)
         order = np.argsort(counts, kind="stable")
         step = max(1, _SPENCE_CHUNK // self.dim)
         lo = 0
@@ -468,8 +472,6 @@ class Spence(_Orthant):
             hi = lo + len(list(run))
             for r0 in range(lo, hi, step):
                 rows = order[r0 : min(r0 + step, hi)]
-                if rows.size == order.size:  # every row, in stack order: a view
-                    rows = slice(None)
                 for sums in _spence_sums(a[rows], b[rows], d[rows], near[rows], c):
                     total[rows] += sums  # near, then far, as for one point
             lo = hi
@@ -674,7 +676,3 @@ class BregmanGeometry:
 
     primal: LegendreFunction
     dual: LegendreFunction
-
-    def joint(self) -> Product:
-        """The separable function on the product space, for primal-dual distances."""
-        return Product([self.primal, self.dual])

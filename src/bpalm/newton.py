@@ -202,12 +202,13 @@ class SpectralSystem:
         """H^{-1} g for H = W + I/sigma + sigma A^T diag(d) A."""
         w, G = self._gram(sigma)
         e = np.sqrt(sigma * d)
-        K = G * e
-        K *= e[:, None]
-        diagonal = np.einsum("ii->i", K)  # a strided view: no index arrays
+        # Kt.T is K bit for bit (root @ root.T is a syrk), in potrf's order
+        Kt = G * e[:, None]
+        Kt *= e
+        diagonal = np.einsum("ii->i", Kt)  # a strided view: no index arrays
         diagonal += 1.0
         r = w * (self.Q.T @ g)
-        z = e * _solve_spd(K, e * (self.B @ r))
+        z = e * _solve_spd(Kt.T, e * (self.B @ r))
         return self.Q @ (r - w * (self.B.T @ z))
 
 
@@ -269,8 +270,9 @@ def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = N
     for t in range(cap + 1):
         g = ctx.grad(point)
         grad_norm = float(np.linalg.norm(g))
-        check = ctx.acceptance_check(point, g)
-        accepted = check.accepted or grad_norm <= GRAD_FLOOR
+        floor = grad_norm <= GRAD_FLOOR
+        check = ctx.acceptance_check(point, g, exact=floor or t == cap)
+        accepted = check.accepted or floor
         if accepted or t == cap:
             trace.steps.append(
                 NewtonStepRecord(

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from bpalm.auglag import evaluate_anchor, make_context
+from bpalm import auglag
+from bpalm.auglag import PointEvaluation, evaluate_anchor, make_context
 from bpalm.exceptions import DomainError
 from bpalm.legendre import (
+    BOUNDARY_MARGIN,
     BregmanGeometry,
     box_barrier,
+    burg,
     bregman_distance,
     energy,
     spence,
@@ -92,7 +97,7 @@ class TestWorkedEqualityQP:
 
     def test_anchor_gap(self):
         ctx = eq_qp_context()
-        assert ctx.anchor_gap(ctx.evaluate([1 / 3])) == pytest.approx(5 / 18)
+        assert check_at(ctx, [1 / 3]).b_value == pytest.approx(5 / 18)
         assert ctx.evaluate([1 / 3]).y_plus == pytest.approx([-2 / 3])
 
     def test_value_at_anchor_without_prox(self):
@@ -397,3 +402,150 @@ class TestContextValidation:
         assert shared.x is frozen
         assert shared.y is not view and not shared.y.flags.writeable
         assert evaluate_anchor(ctx.problem, ctx.geometry, writable, frozen).x is not writable
+
+
+DUALS = {"von_neumann": von_neumann, "spence": spence, "energy": energy}
+
+
+def orthant_context(dual_kind, y, rho, n=2):
+    """Energy primal anchored at 0 and an m-dimensional dual geometry anchored
+    at y, over m orthant constraints."""
+    m = len(y)
+    ps = ProblemSpec(
+        f=SmoothObjective.quadratic(np.eye(n), np.zeros(n)),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense(np.ones((m, n)), np.zeros(m)),
+    )
+    geo = BregmanGeometry(energy(n), DUALS[dual_kind](m))
+    anchor = evaluate_anchor(ps, geo, np.zeros(n), y)
+    return make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 1.0, rho)
+
+
+def taylor_threshold(ctx, primal, y_plus):
+    """rho (D_psi + U)(1 + delta) as `acceptance_check` states it, from scratch."""
+    phi, y = ctx.geometry.dual, ctx.y_anchor
+    d = y_plus - y
+    curvature = np.maximum(phi.hess_diag(y_plus), phi.hess_diag(y))
+    delta = 2.0**-31 + (2 * d.size + 16) * 2.0**-53
+    return ctx.rho * (primal + 0.5 * float(np.sum(d * d * curvature))) * (1.0 + delta)
+
+
+def same_check(a, b):
+    return (a.accepted, a.lhs, a.rhs, a.b_value) == (b.accepted, b.lhs, b.rhs, b.b_value) and (
+        np.array_equal(a.x_plus, b.x_plus)
+    )
+
+
+# interior anchor coordinates from 1e-100 up; offsets y_plus / y - 1 near 0
+# (down to 1e-12), or far, down to y_plus = 0
+_COORDINATE = st.floats(-100.0, 3.0).map(lambda e: 10.0**e)
+_OFFSET = st.one_of(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -3.0)).map(
+        lambda p: p[0] * 10.0 ** p[1]
+    ),
+    st.floats(-1.0, 1e3),
+)
+
+
+class TestEarlyRejection:
+    """Where the caller keeps no B, a Taylor bound on D_phi may reject the
+    test without the exact distance, and only where the exact test rejects."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(DUALS)),
+        coords=st.lists(st.tuples(_COORDINATE, _OFFSET), min_size=1, max_size=6),
+        rho=st.floats(0.01, 0.99),
+        primal=st.sampled_from([0.0, 1e-30, 1e-8, 1.0]),
+        target=st.sampled_from(["exact", "bound"]),
+        lean=st.integers(-64, 64),
+    )
+    def test_bound_rejects_only_where_the_exact_test_rejects(
+        self, kind, coords, rho, primal, target, lean
+    ):
+        y = np.array([c for c, _ in coords])
+        y_plus = y * (1.0 + np.array([o for _, o in coords]))
+        ctx = orthant_context(kind, y, rho)
+        s = np.array([math.sqrt(2.0 * primal), 0.0])
+        zeros = np.zeros(len(y))
+        point = PointEvaluation(s, zeros, s, s, zeros, y_plus)  # the test reads s and y_plus
+        # lhs = |g|^2 / 2 at sigma = 1, placed a few ulps from either threshold
+        if target == "bound" and np.all(y_plus > BOUNDARY_MARGIN):
+            base = taylor_threshold(ctx, bregman_distance(energy(2), s, np.zeros(2)), y_plus)
+        else:
+            base = ctx.acceptance_check(point, np.zeros(2)).rhs
+        assume(math.isfinite(base))
+        g = np.array([math.sqrt(2.0 * base * (1.0 + lean * 2.0**-52)), 0.0])
+        exact = ctx.acceptance_check(point, g)
+        lean_check = ctx.acceptance_check(point, g, exact=False)
+        if math.isnan(lean_check.b_value):
+            event("rejected on the bound")
+            assert not exact.accepted
+            assert lean_check.lhs == exact.lhs and math.isnan(lean_check.rhs)
+            assert np.array_equal(lean_check.x_plus, exact.x_plus)
+        else:
+            assert same_check(lean_check, exact)
+
+    def test_bound_decides_clear_rejections(self):
+        ctx = orthant_context("spence", np.array([0.5, 2.0]), 0.5)
+        point = ctx.evaluate(np.array([0.3, -0.1]))
+        g = ctx.grad(point)
+        exact = ctx.acceptance_check(point, g)
+        assert not exact.accepted and exact.lhs > 10.0 * exact.rhs
+        lean_check = ctx.acceptance_check(point, g, exact=False)
+        assert not lean_check.accepted and math.isnan(lean_check.b_value)
+
+    @pytest.mark.parametrize("kind", ["von_neumann", "spence"])
+    def test_boundary_multiplier_takes_the_exact_path(self, kind):
+        # y_plus = 0 in a coordinate: phi'' is unbounded there
+        ctx = orthant_context(kind, np.array([0.5, 2.0]), 0.5)
+        zeros = np.zeros(2)
+        point = PointEvaluation(zeros, zeros, zeros, zeros, zeros, np.array([0.0, 2.0]))
+        g = np.array([100.0, 0.0])
+        assert same_check(ctx.acceptance_check(point, g, exact=False), ctx.acceptance_check(point, g))
+
+
+class TestTrustedDistance:
+    """The acceptance test's one-point distances skip the domain checks that
+    the anchor and the iterates have already passed, with the same bits."""
+
+    @pytest.mark.parametrize(
+        "fn",
+        [energy(5), von_neumann(5), burg(5), spence(5), box_barrier(-np.ones(5), 2.0 * np.ones(5))],
+        ids=lambda f: f.kind,
+    )
+    def test_equals_bregman_distance_bit_for_bit(self, fn):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            if fn.kind == "box_barrier":
+                z1, z2 = rng.uniform(-0.9, 1.9, (2, 5))
+            else:
+                z1, z2 = np.exp(rng.uniform(-8.0, 4.0, (2, 5)))
+            cases = [(z1, z2), (z2, z2), (z2 * (1.0 + 1e-12), z2)]
+            if fn.kind in ("von_neumann", "spence"):
+                cases.append((np.where(rng.uniform(size=5) < 0.5, 0.0, z1), z2))
+            for a, b in cases:
+                got, want = auglag._distance(fn, a, b), bregman_distance(fn, a, b)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["von_neumann", "spence", "energy"])
+    def test_non_finite_point_keeps_the_validated_result(self, kind):
+        fn = DUALS[kind](3)
+        z2 = np.array([0.5, 1.0, 2.0])
+        for bad in (math.nan, math.inf):
+            z1 = np.array([0.5, bad, 2.0])
+            with np.errstate(all="ignore"):
+                got, want = auglag._distance(fn, z1, z2), bregman_distance(fn, z1, z2)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if kind != "energy":  # off the domain
+            assert auglag._distance(fn, np.array([0.5, math.nan, 2.0]), z2) == math.inf
+
+    def test_one_row_spence_equals_the_row_in_a_stack(self):
+        rng = np.random.default_rng(32)
+        fn = spence(40)
+        b = np.exp(rng.uniform(-5.0, 3.0, 40))
+        z = b * (1.0 + 0.4 * rng.uniform(-1.0, 1.0, (30, 40)))
+        z[::3, ::4] = 0.0  # far coordinates in every third row
+        stacked = fn.distance(z, np.broadcast_to(b, z.shape))
+        for i, row in enumerate(z):
+            assert fn.distance(row, b).tobytes() == stacked[i].tobytes()

@@ -161,6 +161,42 @@ class TestParseProblem:
             )
         assert path.read_text() == "previous"
 
+    # a string where a number belongs is refused, as parse_problem refuses it;
+    # only the constraint type, a named objective's name and the bounds' +-inf
+    # sentinels are text
+    @pytest.mark.parametrize(
+        "objective, constraint, bounds, shown",
+        [
+            ({"c": ["0.5"]}, {}, {}, "'0.5'"),
+            ({}, {"A": [[0, 0, "1.0"]]}, {}, "'1.0'"),
+            ({}, {}, {"l": ["0.5"]}, "'0.5'"),
+            ({}, {"m": None}, {}, "None"),
+        ],
+        ids=["string_in_c", "string_in_triplet", "string_in_bounds", "none_for_m"],
+    )
+    def test_write_refuses_non_numbers(self, objective, constraint, bounds, shown, tmp_path):
+        path = tmp_path / "text.json"
+        path.write_text("previous")
+        with pytest.raises(ParseError, match=f"cannot write {shown} where a number belongs"):
+            write_problem_file(
+                str(path),
+                objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0], **objective}},
+                constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0], **constraint},
+                bounds={"l": ["-inf"], "u": [" +Inf"], **bounds},
+            )
+        assert path.read_text() == "previous"
+
+    def test_write_keeps_text_fields_and_sentinels(self, tmp_path):
+        path = tmp_path / "text.json"
+        write_problem_file(
+            str(path),
+            objective={"named": {"name": "sumexp", "n": 2}},
+            constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
+            bounds={"l": ["-inf", 0.0], "u": [math.inf, "inf"]},
+        )
+        ps, _ = parse_problem(str(path))
+        assert ps.m == 2  # the one finite bound, 0 <= x_1, adds a row
+
     # parse_problem refuses NaN anywhere and +-inf outside bounds, so neither
     # is written; the file is left as it was
     @pytest.mark.parametrize(

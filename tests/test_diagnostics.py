@@ -1,5 +1,7 @@
 """Tests for the trace diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,53 @@ def test_batched_cap_search_matches_per_start_loop(factory, m):
     geo = BregmanGeometry(energy(2), factory(m))
     got = dg._max_divergence_on_cap(geo, y0, 3.0)
     assert got == pytest.approx(cap_search_per_start(geo.dual, y0, 3.0), rel=1e-12)
+
+
+def cap_search_all_rows(phi, y0, radius):
+    """The cap search iterating every start for all 60 steps, as a reference
+    for the search that drops the rows the ascent has fixed."""
+    m = y0.size
+    starts = [radius * np.eye(m), np.full((1, m), radius / np.sqrt(m))]
+    if np.linalg.norm(y0) > 0:
+        starts.append(radius * y0[None, :] / np.linalg.norm(y0))
+    starts.append(np.tril(np.ones((m, m)))[1:] * (radius / np.sqrt(np.arange(2, m + 1)))[:, None])
+    y = np.vstack(starts)
+    best = np.max(bregman_distance(phi, np.vstack([np.zeros(m), y]), y0))
+    for _ in range(60):
+        if phi.nonnegative:
+            wide = type(phi)(y.size)
+            grad = wide.grad(np.maximum(y, 1e-148).ravel()).reshape(y.shape) - phi.grad(y0)
+        else:
+            grad = y - y0
+        step = 0.1 * radius / (1.0 + np.linalg.norm(grad, axis=1))
+        y = np.maximum(y + step[:, None] * grad, 0.0)
+        norm = np.linalg.norm(y, axis=1)
+        pos = norm > 0
+        y[pos] *= (radius / norm[pos])[:, None]
+    return float(max(best, np.max(bregman_distance(phi, y, y0)))), y
+
+
+@pytest.mark.parametrize("factory", [spence, von_neumann, energy], ids=lambda cls: cls.kind)
+@pytest.mark.parametrize("m", [1, 5, 100])
+def test_cap_search_equals_the_all_rows_loop(factory, m, monkeypatch):
+    stacks = []  # the points each distance call of the search is given
+
+    def recording(fn, z1, z2):
+        stacks.append(np.array(z1))
+        return bregman_distance(fn, z1, z2)
+
+    monkeypatch.setattr(dg, "bregman_distance", recording)
+    rng = np.random.default_rng(100 + m)
+    for y0, radius in [
+        (np.ones(m), 3.0),  # the CLI's start, where most rows are fixed from the first step
+        (rng.uniform(0.05, 2.0, m), 2.0 * math.sqrt(m) + 1.0),
+        (np.exp(rng.uniform(-30.0, 3.0, m)), 0.5),
+    ]:
+        geo = BregmanGeometry(energy(2), factory(m))
+        got = dg._max_divergence_on_cap(geo, y0, radius)
+        want, polished = cap_search_all_rows(geo.dual, y0, radius)
+        assert got == want
+        assert stacks[-1].tobytes() == polished.tobytes()
 
 
 def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):

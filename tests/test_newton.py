@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import LinAlgError
 
+import bpalm.auglag
 import bpalm.cli
 import bpalm.newton
 from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
@@ -31,6 +32,7 @@ from bpalm.outer import SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 from test_auglag import marginal_value
+from test_output_digest import benchmark_document
 from test_problem import _load_benchmark_instances
 
 
@@ -258,6 +260,54 @@ class TestCholeskyWrappers:
             assert c.tobytes() == reference[0].tobytes()
             x = bpalm.newton.cho_solve(c, g)
             assert x.tobytes() == scipy.linalg.cho_solve(reference, g).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 100, 150])
+    def test_spectral_system_factors_the_products_of_k(self, m):
+        # SpectralSystem.solve hands potrf K in Fortran order; the factor is
+        # the one of K = I + E G E formed row-scaled, as a C-ordered array
+        rng = np.random.default_rng(m)
+        n = m + 7
+        root = rng.normal(size=(n, n))
+        system = SpectralSystem(root @ root.T / n + np.eye(n), rng.normal(size=(m, n)))
+        factored = []
+
+        def recording(a):
+            factored.append(a)
+            return original(a)
+
+        original = bpalm.newton.cho_factor
+        cases = [(sigma, np.exp(rng.uniform(-6.0, 6.0, m))) for sigma in (2.0**-4, 1.0, 2.0**5)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bpalm.newton, "cho_factor", recording)
+            for sigma, d in cases:
+                system.solve(sigma, d, rng.normal(size=n))
+        for (sigma, d), a in zip(cases, factored):
+            G = system._gram(sigma)[1]
+            assert np.array_equal(G, G.T)  # numpy forms root @ root.T with syrk
+            assert a.flags.f_contiguous
+            e = np.sqrt(sigma * d)
+            K = G * e
+            K *= e[:, None]
+            K[np.diag_indices(m)] += 1.0
+            assert a.tobytes(order="C") == K.tobytes()
+            assert original(a).tobytes() == original(K).tobytes()
+
+    def test_lift_retry_starts_from_the_unfactored_matrix(self, monkeypatch):
+        # the second pivot of this singular K fails; the retry must factor
+        # K + lift I, not what the failed factorization left behind
+        K = np.asfortranarray([[1.0, 1.0], [1.0, 1.0]])
+        original = bpalm.newton.cho_factor
+        seen = []
+
+        def recording(a):
+            seen.append(a.copy())
+            return original(a)
+
+        monkeypatch.setattr(bpalm.newton, "cho_factor", recording)
+        _solve_spd(K, np.array([1.0, 1.0]))
+        assert len(seen) == 2
+        assert np.array_equal(K, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(seen[1], seen[0] + 2e-12 * np.eye(2))
 
     def test_failed_pivot_raises_linalg_error(self):
         with pytest.raises(LinAlgError, match="2-th leading minor"):
@@ -747,3 +797,34 @@ class TestRegimes:
             for r in report.trace.records
         ]
         assert got == self.TRAJECTORIES[regime]
+
+
+class TestEarlyRejectionInSolves:
+    """Where a solve keeps no B, a bound rejects most failing tests without
+    the exact dual distance, and the outputs do not move."""
+
+    def run_cli(self, tmp_path, capsys, tag):
+        counts = Counter()
+        distance = bpalm.auglag._distance
+
+        def counting(fn, z1, z2):
+            counts[fn.kind] += 1  # energy for D_psi(s, x), spence for D_phi(y_plus, y)
+            return distance(fn, z1, z2)
+
+        trace = tmp_path / f"{tag}.csv"
+        argv = ["--problem", str(tmp_path / "spence.json"), "--dual", "spence"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bpalm.auglag, "_distance", counting)
+            assert bpalm.cli.main(argv + ["--report", "json", "--trace", str(trace)]) == 0
+        return counts, capsys.readouterr().out, trace.read_bytes()
+
+    def test_fewer_exact_dual_distances_and_the_same_trace(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BPALM_WALL_TIME_MS", "0")
+        benchmark_document(tmp_path / "spence.json", 20, 10, 0)
+        counts, report, trace = self.run_cli(tmp_path, capsys, "bound")
+        monkeypatch.setattr(SubproblemContext, "_bound_rejects", lambda *args: False)
+        exact_counts, exact_report, exact_trace = self.run_cli(tmp_path, capsys, "exact")
+        # one primal and, without the bound, one dual distance per test
+        assert exact_counts["spence"] == exact_counts["energy"] == counts["energy"]
+        assert counts["spence"] < 0.75 * exact_counts["spence"]
+        assert (report, trace) == (exact_report, exact_trace)
