@@ -7,7 +7,6 @@ from .legendre import (
     box_barrier,
     burg,
     energy,
-    product,
     spence,
     von_neumann,
 )

@@ -54,21 +54,22 @@ class AcceptanceCheck:
 
 @dataclass(frozen=True)
 class Anchor:
-    """The outer iterate (x, y) and what both the step-size test and the
-    subproblem read there: r = Ax - b, grad f(x), grad phi(y) and phi''(y),
-    each evaluated once.  x and y are read-only."""
+    """The outer iterate (x, y) and what every sigma trial's subproblem reads
+    there: r = Ax - b, grad f(x), grad psi(x), grad phi(y) and phi''(y), each
+    evaluated once.  x and y are read-only."""
 
     x: np.ndarray
     y: np.ndarray
     residual: np.ndarray
     grad_f: np.ndarray
+    grad_psi: np.ndarray
     grad_phi_y: np.ndarray
     hess_phi_y: np.ndarray
 
-    def dual_update(self, penalty: DualPenalty, sigma: float, residual=None):
+    def dual_update(self, penalty: DualPenalty, sigma: float, residual: np.ndarray):
         """The dual argument u = grad phi(y) + sigma r and the multiplier
-        candidate P'(u), for r the anchor's own residual unless given."""
-        u = self.grad_phi_y + sigma * (self.residual if residual is None else residual)
+        candidate P'(u) for the residual r = As - b of a point s."""
+        u = self.grad_phi_y + sigma * residual
         return u, penalty.grad(u)
 
 
@@ -91,7 +92,8 @@ class PointEvaluation:
 class SubproblemContext:
     """Frozen state defining one subproblem; all evaluations are pure.
 
-    ``start`` is the evaluation at the warm start, the anchor x.  ``system``
+    ``start`` is the evaluation at the warm start, the anchor x; the regime's
+    step-size test reads it to admit or reject this sigma.  ``system``
     is the run's constraint-space Newton system, shared by every context of
     the run, or None where Newton steps assemble ``hess``.  The methods that
     read a point take its `PointEvaluation`, so that one iterate's evaluation
@@ -238,6 +240,7 @@ def evaluate_anchor(problem: ProblemSpec, geometry: BregmanGeometry, x, y) -> An
         y=y,
         residual=problem.map.residual(x),
         grad_f=problem.f.grad(x),
+        grad_psi=geometry.primal.grad(x),
         grad_phi_y=geometry.dual.grad(y),
         hess_phi_y=geometry.dual.hess_diag(y),
     )
@@ -251,20 +254,15 @@ def make_context(
     sigma: float,
     rho: float,
     system: SpectralSystem | None = None,
-    trial: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SubproblemContext:
     """The subproblem at ``anchor``, its warm start evaluated from the
-    anchor's own r, grad f and grad psi.  ``trial`` is (u, P'(u)) at the
-    anchor for this sigma, as `select_sigma` returns it; it is computed here
-    when not given."""
+    anchor's own r, grad f and grad psi."""
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    u, y_plus = anchor.dual_update(penalty, sigma) if trial is None else trial
-    start = PointEvaluation(
-        anchor.x, anchor.residual, anchor.grad_f, geometry.primal.grad(anchor.x), u, y_plus
-    )
+    u, y_plus = anchor.dual_update(penalty, sigma, anchor.residual)
+    start = PointEvaluation(anchor.x, anchor.residual, anchor.grad_f, anchor.grad_psi, u, y_plus)
     return SubproblemContext(
         problem=problem,
         penalty=penalty,

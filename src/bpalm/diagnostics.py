@@ -195,6 +195,7 @@ def _max_divergence_on_cap(
 
     best = np.max(bregman_distance(phi, np.vstack([np.zeros(m), y]), y0))
     grad0 = phi.grad(y0) if phi.nonnegative else None
+    start = y.copy()
     live = np.arange(len(y))  # the ascent maps rows alone: a row it fixes stays fixed
     for _ in range(60):
         z = y[live]
@@ -213,7 +214,8 @@ def _max_divergence_on_cap(
         live = live[(z_next != z).any(axis=1)]
         if not live.size:
             break
-    return float(max(best, np.max(bregman_distance(phi, y, y0))))
+    moved = y[(y != start).any(axis=1)]  # a row at its start has its distance in best
+    return float(max(best, np.max(bregman_distance(phi, moved, y0), initial=-np.inf)))
 
 
 @dataclass

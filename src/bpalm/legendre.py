@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "burg",
     "spence",
     "box_barrier",
-    "product",
     "bregman_distance",
 ]
 
@@ -587,63 +585,9 @@ class BoxBarrier(LegendreFunction):
         return x
 
 
-class Product(LegendreFunction):
-    """Coordinate-block product of catalog functions; evaluations decompose."""
-
-    kind = "product"
-
-    def __init__(self, blocks):
-        blocks = list(blocks)
-        if not blocks:
-            raise DimensionError("product requires at least one block")
-        super().__init__(sum(fn.dim for fn in blocks))
-        self.blocks = tuple(blocks)
-        offsets = np.cumsum([0] + [fn.dim for fn in blocks])
-        self._slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(blocks))]
-        mods = [fn.sc_modulus for fn in blocks]
-        self.sc_modulus = None if any(m is None for m in mods) else max(mods)
-
-    def _split(self, z, stack: bool = False):
-        z = _as_vector(z, self.dim, stack)
-        return [(fn, z[..., s]) for fn, s in zip(self.blocks, self._slices)]
-
-    def in_domain(self, z) -> bool:
-        return reduce(np.logical_and, (fn.in_domain(p) for fn, p in self._split(z, True)))
-
-    def in_interior(self, z) -> bool:
-        return reduce(np.logical_and, (fn.in_interior(p) for fn, p in self._split(z, True)))
-
-    def conj_in_interior(self, t) -> bool:
-        return all(fn.conj_in_interior(part) for fn, part in self._split(t))
-
-    def start(self) -> np.ndarray:
-        return np.concatenate([fn.start() for fn in self.blocks])
-
-    def value(self, z) -> float:
-        return float(sum(fn.value(part) for fn, part in self._split(z)))
-
-    def grad(self, z) -> np.ndarray:
-        return np.concatenate([fn.grad(part) for fn, part in self._split(z)])
-
-    def conj_grad(self, t) -> np.ndarray:
-        return np.concatenate([fn.conj_grad(part) for fn, part in self._split(t)])
-
-    def conj_value(self, t) -> float:
-        return float(sum(fn.conj_value(part) for fn, part in self._split(t)))
-
-    def hess_diag(self, z) -> np.ndarray:
-        return np.concatenate([fn.hess_diag(part) for fn, part in self._split(z)])
-
-    def conj_hess_diag(self, t) -> np.ndarray:
-        return np.concatenate([fn.conj_hess_diag(part) for fn, part in self._split(t)])
-
-    def distance(self, z1, z2):
-        return sum(fn.distance(z1[..., s], z2[..., s]) for fn, s in zip(self.blocks, self._slices))
-
-
 # the catalog's constructor names are the classes themselves
 energy, von_neumann, burg, spence = Energy, VonNeumann, Burg, Spence
-box_barrier, product = BoxBarrier, Product
+box_barrier = BoxBarrier
 
 
 def bregman_distance(fn: LegendreFunction, z1, z2):

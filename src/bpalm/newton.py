@@ -352,45 +352,29 @@ def _sc_modulus(ctx: SubproblemContext) -> float | None:
     return m if m > 0.0 else None
 
 
-def _qsc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float, np.ndarray], bool]:
-    """The per-anchor step-size test of a trial sigma, given the trial's
-    multiplier candidate P'(u) at the anchor."""
-    A = problem.map.A
-    grad_f = anchor.grad_f
-    m_f = problem.f.qsc_modulus
-    alpha = penalty.qsc_modulus
-    norm_a = problem.map.op_norm_bound
-
-    def admissible(sigma: float, y_plus: np.ndarray) -> bool:
-        g_k = float(np.linalg.norm(grad_f + A.T @ y_plus))
-        bound = math.inf
-        if g_k * m_f > 0.0:
-            bound = 1.0 / (2.0 * g_k * m_f)
-        pull = 2.0 * g_k * alpha * norm_a
-        if pull > 0.0:
-            bound = min(bound, 1.0 / math.sqrt(pull))
-        return sigma <= bound
-
-    return admissible
+def _qsc_admissible(ctx: SubproblemContext) -> bool:
+    """sigma <= min(1 / (2 g M_f), 1 / sqrt(2 g alpha ||A||)) for g the norm
+    of the subproblem gradient at the warm start, grad f(x) + A^T P'(u)."""
+    g_k = float(np.linalg.norm(ctx.grad(ctx.start)))
+    bound = math.inf
+    if g_k * ctx.problem.f.qsc_modulus > 0.0:
+        bound = 1.0 / (2.0 * g_k * ctx.problem.f.qsc_modulus)
+    pull = 2.0 * g_k * ctx.penalty.qsc_modulus * ctx.problem.map.op_norm_bound
+    if pull > 0.0:
+        bound = min(bound, 1.0 / math.sqrt(pull))
+    return ctx.sigma <= bound
 
 
-def _sc_admissibility(problem, penalty, geometry, anchor) -> Callable[[float, np.ndarray], bool]:
+def _sc_admissible(ctx: SubproblemContext) -> bool:
     """Keep the warm start inside the quadratic convergence region of the
-    local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1."""
-    A = problem.map.A
-    m_psi = geometry.primal.sc_modulus
-    m_f_sc = problem.f.sc_modulus
-    inv_hess = 1.0 / geometry.primal.hess_diag(anchor.x)
-    base = anchor.grad_f + A.T @ anchor.y
-    pull = A.T @ anchor.residual
-
-    def admissible(sigma: float, y_plus: np.ndarray) -> bool:
-        m_k = _sc_bound(m_f_sc, m_psi, sigma)
-        g_j = base + sigma * pull
-        quad = float(g_j @ (inv_hess * g_j))
-        return 16.0 * m_k * m_k * quad * sigma < 1.0
-
-    return admissible
+    local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1, for
+    gJ = grad f(x) + A^T y + sigma A^T r."""
+    A, anchor, sigma = ctx.problem.map.A, ctx.anchor, ctx.sigma
+    m_k = _sc_bound(ctx.problem.f.sc_modulus, ctx.geometry.primal.sc_modulus, sigma)
+    g_j = (anchor.grad_f + A.T @ anchor.y) + sigma * (A.T @ anchor.residual)
+    inv_hess = 1.0 / ctx.geometry.primal.hess_diag(anchor.x)
+    quad = float(g_j @ (inv_hess * g_j))
+    return 16.0 * m_k * m_k * quad * sigma < 1.0
 
 
 def _qsc_count(ctx: SubproblemContext, b_value: float) -> int | None:
@@ -434,14 +418,14 @@ def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:
 @dataclass(frozen=True)
 class Regime:
     """One complexity regime: ``modulus`` is the subproblem's generalized
-    self-concordance modulus (None when zero or unknown), ``admissibility``
-    builds from an `Anchor` the step-size test that puts the warm start inside
-    Newton's quadratic region (called with a trial sigma and the trial's
-    P'(u) at the anchor), ``predicted`` is the sufficient Newton count,
-    and ``validate`` rejects the problems the regime does not cover."""
+    self-concordance modulus (None when zero or unknown), ``admissible`` is
+    the step-size test that a sigma trial's subproblem passes when its warm
+    start lies inside Newton's quadratic region, ``predicted`` is the
+    sufficient Newton count, and ``validate`` rejects the problems the regime
+    does not cover."""
 
     modulus: Callable[[SubproblemContext], float | None]
-    admissibility: Callable[..., Callable[[float, np.ndarray], bool]]
+    admissible: Callable[[SubproblemContext], bool]
     _count: Callable[[SubproblemContext, float], int | None]
     validate: Callable[[ProblemSpec, BregmanGeometry], None] = lambda problem, geometry: None
 
@@ -454,7 +438,7 @@ class Regime:
 
 
 REGIMES = {
-    "qsc": Regime(_qsc_modulus, _qsc_admissibility, _qsc_count),
-    "qsc_lipschitz": Regime(_qsc_modulus, _qsc_admissibility, _lipschitz_count),
-    "sc": Regime(_sc_modulus, _sc_admissibility, _sc_count, _sc_validate),
+    "qsc": Regime(_qsc_modulus, _qsc_admissible, _qsc_count),
+    "qsc_lipschitz": Regime(_qsc_modulus, _qsc_admissible, _lipschitz_count),
+    "sc": Regime(_sc_modulus, _sc_admissible, _sc_count, _sc_validate),
 }

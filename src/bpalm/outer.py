@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .auglag import Anchor, _frozen, evaluate_anchor, make_context
+from .auglag import Anchor, SubproblemContext, _frozen, evaluate_anchor, make_context
 from .exceptions import (
     BisectionFailedError,
     DimensionError,
@@ -193,22 +193,20 @@ def select_sigma(
     penalty: DualPenalty,
     anchor: Anchor,
     target: float,
-) -> tuple[float, bool, tuple[np.ndarray, np.ndarray]]:
-    """Largest step size in {target * shrink^j} passing the regime bound at
-    the anchor.
-
-    Returns the step size, whether backtracking had to shrink the target,
-    and the accepted trial's dual argument u and multiplier candidate P'(u)
-    at the anchor, which `make_context` takes for the warm start.
-    """
-    admissible = REGIMES[cfg.regime].admissibility(problem, penalty, cfg.geometry, anchor)
+    rho: float,
+    system: SpectralSystem | None = None,
+) -> tuple[SubproblemContext, bool]:
+    """The subproblem of the largest step size in {target * shrink^j} that
+    passes the regime's step-size test at the anchor, and whether
+    backtracking had to shrink the target.  Each trial is a context."""
+    admissible = REGIMES[cfg.regime].admissible
     for j in range(_MAX_BACKTRACKS):
         sigma = target * _SHRINK**j
         if sigma < _SIGMA_MIN:
             break
-        trial = anchor.dual_update(penalty, sigma)
-        if admissible(sigma, trial[1]):
-            return sigma, j > 0, trial
+        ctx = make_context(problem, penalty, cfg.geometry, anchor, sigma, rho, system)
+        if admissible(ctx):
+            return ctx, j > 0
     raise BisectionFailedError(
         f"no admissible sigma >= {_SIGMA_MIN} below target {target}"
     )
@@ -224,15 +222,15 @@ def outer_iteration(
     """One outer step; on inner failure the state is returned unchanged.
 
     ``system`` is the run's constraint-space Newton system, if it has one.
-    The anchor, which is also the warm start, is evaluated once for the
-    step-size test and the subproblem; the inner solve's last point serves
-    the multiplier update and the KKT residuals.
+    The anchor, which is also the warm start, is evaluated once and shared
+    by every sigma trial; the accepted trial's context is the subproblem
+    solved, and the inner solve's last point serves the multiplier update
+    and the KKT residuals.
     """
     target = cfg.sigma0 if state.sigma_prev is None else state.sigma_prev * cfg.sigma_growth
     anchor = evaluate_anchor(problem, cfg.geometry, state.x, state.y)
-    sigma, clipped, trial = select_sigma(cfg, problem, penalty, anchor, target)
     rho = cfg.rho_schedule.value(state.k)
-    ctx = make_context(problem, penalty, cfg.geometry, anchor, sigma, rho, system, trial)
+    ctx, clipped = select_sigma(cfg, problem, penalty, anchor, target, rho, system)
     regime = REGIMES[cfg.regime]
 
     inner = solve_subproblem(ctx, cap=cfg.newton_cap, modulus=regime.modulus(ctx))
@@ -257,7 +255,7 @@ def outer_iteration(
 
     record = OuterRecord(
         k=state.k,
-        sigma=sigma,
+        sigma=ctx.sigma,
         rho=rho,
         sigma_clipped=clipped,
         # y_anchor, s and grad are shared with the deferred decrement of the
@@ -278,7 +276,7 @@ def outer_iteration(
     if not inner.accepted:
         return state, record
 
-    new_state = IterateState(x=x_next, y=y_next, k=state.k + 1, sigma_prev=sigma)
+    new_state = IterateState(x=x_next, y=y_next, k=state.k + 1, sigma_prev=ctx.sigma)
     return new_state, record
 
 

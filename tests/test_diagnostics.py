@@ -229,10 +229,13 @@ def test_cap_search_equals_the_all_rows_loop(factory, m, monkeypatch):
         (np.exp(rng.uniform(-30.0, 3.0, m)), 0.5),
     ]:
         geo = BregmanGeometry(energy(2), factory(m))
+        stacks.clear()
         got = dg._max_divergence_on_cap(geo, y0, radius)
         want, polished = cap_search_all_rows(geo.dual, y0, radius)
         assert got == want
-        assert stacks[-1].tobytes() == polished.tobytes()
+        # the final distances are taken on the polished rows the ascent moved
+        moved = (polished != stacks[0][1:]).any(axis=1)
+        assert stacks[-1].tobytes() == polished[moved].tobytes()
 
 
 def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):

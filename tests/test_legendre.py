@@ -330,21 +330,15 @@ class TestKLTerms:
 
 def sample_points(fn, rng, k, spread=2.0):
     """k interior points of fn as the rows of a (k, dim) array."""
-    if fn.kind == "product":
-        return np.hstack([sample_points(block, rng, k, spread) for block in fn.blocks])
     return np.array([sample_interior(fn, rng, spread) for _ in range(k)])
 
 
 def outside_point(fn):
     """A point outside the domain (so also off its interior); the energy has none."""
-    if fn.kind == "product":
-        return np.concatenate(
-            [np.zeros(b.dim) if b.kind == "energy" else outside_point(b) for b in fn.blocks]
-        )
     return fn.upper + 1.0 if fn.kind == "box_barrier" else -np.ones(fn.dim)
 
 
-STACK_CATALOG = catalog(4) + [lg.product(catalog(2))]
+STACK_CATALOG = catalog(4)
 
 
 def one_point_calls(fn, z1, z2):
@@ -414,32 +408,11 @@ class TestStackedDistances:
         np.testing.assert_array_equal(lg.bregman_distance(fn, b, z), one_point_calls(fn, b, z))
 
 
-class TestProductAndGeometry:
-    def test_product_decomposes(self):
-        blocks = [lg.energy(2), lg.von_neumann(1), lg.box_barrier([0.0], [1.0])]
-        fn = lg.product(blocks)
-        assert fn.dim == 4
-        z = np.array([0.3, -0.2, 1.7, 0.4])
-        parts = [z[:2], z[2:3], z[3:]]
-        assert fn.value(z) == pytest.approx(
-            sum(b.value(p) for b, p in zip(blocks, parts))
-        )
-        np.testing.assert_allclose(
-            fn.grad(z), np.concatenate([b.grad(p) for b, p in zip(blocks, parts)])
-        )
-        back = fn.conj_grad(fn.grad(z))
-        np.testing.assert_allclose(back, z, atol=1e-10)
-
-    def test_product_membership(self):
-        fn = lg.product([lg.energy(1), lg.burg(1)])
-        assert fn.in_interior([0.0, 1.0])
-        assert not fn.in_interior([0.0, -1.0])
-
-    def test_dimension_errors(self):
-        with pytest.raises(DimensionError):
-            lg.energy(2).value([1.0])
-        with pytest.raises(DimensionError):
-            lg.energy(0)
+def test_dimension_errors():
+    with pytest.raises(DimensionError):
+        lg.energy(2).value([1.0])
+    with pytest.raises(DimensionError):
+        lg.energy(0)
 
 
 @pytest.mark.parametrize(
@@ -450,7 +423,7 @@ def test_nonnegative_means_negative_points_lie_outside(factory):
     assert fn.nonnegative == (not fn.in_domain(-np.ones(2)))
 
 
-@pytest.mark.parametrize("fn", catalog() + [lg.product(catalog(2))], ids=lambda fn: fn.kind)
+@pytest.mark.parametrize("fn", catalog(), ids=lambda fn: fn.kind)
 def test_start_is_interior(fn):
     z0 = fn.start()
     assert z0.shape == (fn.dim,)

@@ -799,6 +799,94 @@ class TestRegimes:
         assert got == self.TRAJECTORIES[regime]
 
 
+class TestStepSizeRules:
+    """Each regime's step-size test against its README formula, computed here
+    in numpy.  qsc admits sigma <= min(1/(2 g M_f), 1/sqrt(2 g alpha ||A||))
+    for g = ||grad f(x) + A^T P'(u)||, u = grad phi(y) + sigma r; sc admits
+    16 M^2 sigma <g, psi''(x)^-1 g> < 1 for M = max(M_f, sqrt(sigma) M_psi)
+    and g = grad f(x) + A^T y + sigma A^T r.  With r = Ax - b = 0 at the
+    anchor the bound does not depend on sigma, and sigma is tried just below
+    and just above it."""
+
+    @staticmethod
+    def admissible(regime, ps, geo, x, y, sigma):
+        anchor = evaluate_anchor(ps, geo, x, y)
+        ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, sigma, 0.5)
+        return REGIMES[regime].admissible(ctx)
+
+    @staticmethod
+    def logistic_case(y_level, a_scale, residual):
+        """Logistic f (M_f = 1) with the sum-exp penalty (alpha = 1)."""
+        rng = np.random.default_rng(5)
+        A = a_scale * rng.normal(size=(2, 3))
+        x = rng.uniform(-1.0, 1.0, 3)
+        ps = ProblemSpec(
+            f=SmoothObjective.named("logistic", 3),
+            g=NonsmoothTerm.nonneg_orthant_indicator(),
+            map=AffineMap.from_dense(A, A @ x - residual),
+        )
+        return ps, BregmanGeometry(energy(3), von_neumann(2)), x, np.full(2, y_level)
+
+    @staticmethod
+    def qsc_terms(ps, x, y, sigma):
+        A = ps.map.A
+        multiplier = y * np.exp(sigma * (A @ x - ps.map.b))  # P'(log y + sigma r)
+        g = np.linalg.norm(1.0 / (1.0 + np.exp(-x)) + A.T @ multiplier)
+        return 1.0 / (2.0 * g), 1.0 / math.sqrt(2.0 * g * np.linalg.norm(A, 2))
+
+    @staticmethod
+    def box_case(residual):
+        """A box QP (M_f = 0) under the box barrier (M_psi = 1)."""
+        rng = np.random.default_rng(6)
+        root, A = rng.normal(size=(4, 4)), rng.normal(size=(2, 4))
+        x, y = rng.uniform(0.2, 0.8, 4), rng.normal(size=2)
+        lo, hi = np.zeros(4), np.ones(4)
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(root @ root.T / 4, rng.normal(size=4), box=(lo, hi)),
+            g=NonsmoothTerm.zero_indicator(),
+            map=AffineMap.from_dense(A, A @ x - residual),
+        )
+        return ps, BregmanGeometry(box_barrier(lo, hi), energy(2)), x, y
+
+    @staticmethod
+    def sc_quad(ps, x, y, sigma):
+        """<g, psi''(x)^-1 g>; the rule reads 16 sigma^2 quad < 1 here."""
+        A = ps.map.A
+        g = ps.f.W @ x + ps.f.c + A.T @ y + sigma * (A.T @ (A @ x - ps.map.b))
+        return float(g @ (g / (1.0 + 1.0 / (1.0 - x) ** 2 + 1.0 / x**2)))
+
+    @pytest.mark.parametrize("regime", ["qsc", "qsc_lipschitz"])
+    @pytest.mark.parametrize("y_level,a_scale,binding", [(10.0, 1.0, 0), (0.01, 5.0, 1)])
+    def test_qsc_bound(self, regime, y_level, a_scale, binding):
+        ps, geo, x, y = self.logistic_case(y_level, a_scale, 0.0)
+        terms = self.qsc_terms(ps, x, y, 1.0)
+        assert np.argmin(terms) == binding
+        assert self.admissible(regime, ps, geo, x, y, min(terms) * (1.0 - 1e-9))
+        assert not self.admissible(regime, ps, geo, x, y, min(terms) * (1.0 + 1e-9))
+
+    def test_sc_bound(self):
+        ps, geo, x, y = self.box_case(0.0)
+        bound = 1.0 / (4.0 * math.sqrt(self.sc_quad(ps, x, y, 1.0)))
+        assert self.admissible("sc", ps, geo, x, y, bound * (1.0 - 1e-9))
+        assert not self.admissible("sc", ps, geo, x, y, bound * (1.0 + 1e-9))
+
+    def test_rules_over_sigmas_off_feasibility(self):
+        residual = np.array([0.3, -0.2])
+        cases = [
+            ("qsc", self.logistic_case(1.0, 1.0, residual),
+             lambda ps, x, y, sigma: sigma <= min(self.qsc_terms(ps, x, y, sigma))),
+            ("sc", self.box_case(residual),
+             lambda ps, x, y, sigma: 16.0 * sigma**2 * self.sc_quad(ps, x, y, sigma) < 1.0),
+        ]
+        for regime, (ps, geo, x, y), rule in cases:
+            seen = set()
+            for sigma in 2.0 ** np.arange(-12.0, 6.0, 1.0 / 16.0):
+                expected = rule(ps, x, y, sigma)
+                assert self.admissible(regime, ps, geo, x, y, sigma) == expected, (regime, sigma)
+                seen.add(expected)
+            assert seen == {True, False}
+
+
 class TestEarlyRejectionInSolves:
     """Where a solve keeps no B, a bound rejects most failing tests without
     the exact dual distance, and the outputs do not move."""

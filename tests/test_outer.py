@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bpalm.outer as outer
 from bpalm.auglag import evaluate_anchor
 from bpalm.exceptions import DomainError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, burg, energy, spence, von_neumann
@@ -17,7 +18,8 @@ from bpalm.outer import (
     run,
     select_sigma,
 )
-from bpalm.legendre import Spence, VonNeumann
+from bpalm.legendre import Energy, Spence, VonNeumann
+from bpalm.newton import REGIMES
 from bpalm.penalty import DualPenalty, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
@@ -84,8 +86,8 @@ class TestSelectSigma:
         cfg = vn_cfg(ps)
         pen = penalty_for(ps.g, cfg.geometry.dual)
         anchor = evaluate_anchor(ps, cfg.geometry, [0.0], [1.0])
-        sigma, clipped, _ = select_sigma(cfg, ps, pen, anchor, 1.0)
-        assert sigma == pytest.approx(0.5)
+        ctx, clipped = select_sigma(cfg, ps, pen, anchor, 1.0, 0.5)
+        assert ctx.sigma == pytest.approx(0.5)
         assert clipped
 
     def test_unbounded_when_modulus_zero(self):
@@ -95,8 +97,8 @@ class TestSelectSigma:
         cfg = eq_cfg()
         pen = penalty_for(ps.g, cfg.geometry.dual)
         anchor = evaluate_anchor(ps, cfg.geometry, [0.0], [0.0])
-        sigma, clipped, _ = select_sigma(cfg, ps, pen, anchor, 64.0)
-        assert sigma == 64.0
+        ctx, clipped = select_sigma(cfg, ps, pen, anchor, 64.0, 0.5)
+        assert ctx.sigma == 64.0
         assert not clipped
 
     def test_sc_accepts_target_at_stationary_start(self):
@@ -110,9 +112,39 @@ class TestSelectSigma:
         pen = penalty_for(ps.g, cfg.geometry.dual)
         # x = 0.5 is the saddle with y = 0: grad J vanishes, any sigma passes
         anchor = evaluate_anchor(ps, cfg.geometry, [0.5], [0.0])
-        sigma, clipped, _ = select_sigma(cfg, ps, pen, anchor, 8.0)
-        assert sigma == 8.0
+        ctx, clipped = select_sigma(cfg, ps, pen, anchor, 8.0, 0.5)
+        assert ctx.sigma == 8.0
         assert not clipped
+
+    def test_solve_starts_from_the_accepted_trial(self, monkeypatch):
+        ps = _small_inequality_qp(3)
+        cfg = vn_cfg(ps)
+        admissible = REGIMES[cfg.regime].admissible
+        make, solve = outer.make_context, outer.solve_subproblem
+        rungs, solves = [], []
+
+        def trial(*args):
+            rungs.append(make(*args))
+            return rungs[-1]
+
+        def solve_from(ctx, **kwargs):
+            solves.append((rungs[:], ctx))
+            rungs.clear()
+            return solve(ctx, **kwargs)
+
+        monkeypatch.setattr(outer, "make_context", trial)
+        monkeypatch.setattr(outer, "solve_subproblem", solve_from)
+        records = run(cfg, ps).trace.records
+        assert len(solves) == len(records)
+        assert any(rec.sigma_clipped for rec in records)
+        for (tried, ctx), rec in zip(solves, records):
+            assert tried[-1] is ctx and admissible(ctx)
+            assert not any(admissible(larger) for larger in tried[:-1])
+            assert [c.sigma for c in tried] == [tried[0].sigma * 0.5**j for j in range(len(tried))]
+            assert rec.sigma_clipped == (len(tried) > 1)
+            assert (rec.sigma, rec.rho) == (ctx.sigma, ctx.rho)
+            assert rec.x_anchor is ctx.start.s
+            assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
 
 class TestOuterIteration:
@@ -339,9 +371,10 @@ def _small_inequality_qp(seed: int, n: int = 10, m: int = 5) -> ProblemSpec:
 class TestEvaluationCounts:
     """Each evaluated point, an anchor (which is also the warm start) or a
     Newton iterate, computes Ax - b and grad f once; the dual geometry's
-    gradient is taken once per outer iteration, at the anchor; P'(u) once
-    per sigma trial and per Newton iterate, the warm start taking the
-    accepted trial's."""
+    gradient is taken once per outer iteration, at the anchor, and the
+    primal geometry's once per point; each sigma trial builds one context,
+    whose warm start computes P'(u), and each Newton iterate computes P'(u)
+    once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -362,6 +395,8 @@ class TestEvaluationCounts:
         count(DualPenalty, "grad", "penalty_grad")
         count(VonNeumann, "grad", "dual_grad")
         count(Spence, "grad", "dual_grad")
+        count(Energy, "grad", "primal_grad")
+        count(outer, "make_context", "make_context")
         return counts
 
     @staticmethod
@@ -384,6 +419,8 @@ class TestEvaluationCounts:
         assert calls["residual"] == points
         assert calls["f_grad"] == points
         assert calls["dual_grad"] == report.outer_iterations
+        assert calls["primal_grad"] == points
         trials = self.sigma_trials(cfg, report.trace.records)
-        # the accepted sigma trial hands u and P'(u) to the warm start
+        assert calls["make_context"] == trials
+        # the accepted trial's context is the solve's: its P'(u) is the warm start's
         assert calls["penalty_grad"] == points + trials - report.outer_iterations

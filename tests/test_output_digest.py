@@ -2,8 +2,10 @@
 
 A change meant to keep every output bit, as most performance changes are,
 proves it here.  The runs are a Spence CLI solve with ``--trace`` and
-``--diagnose``, whose JSON report and trace CSV are hashed, and a von_neumann
-library solve, whose x, y, status, sigmas, B_k and Newton counts are hashed.
+``--diagnose``, whose JSON report and trace CSV are hashed, a von_neumann
+library solve, whose x, y, status, sigmas, B_k and Newton counts are hashed,
+and the golden box QPs under the ``sc`` regime, whose x, y, status, sigmas,
+B_k, Newton counts and per-step decrements are hashed.
 The digests hold for the numpy, scipy and BLAS builds in RECORDED and the BLAS
 kernels OpenBLAS picks for the CPU; elsewhere rounding may differ, so the
 tests skip and name what differs.  A change that moves bits on purpose
@@ -23,6 +25,8 @@ import scipy
 
 import bpalm
 from bpalm.cli import main, write_problem_file
+from bpalm.oracle import golden_suite
+from test_acceptance import family_config
 from test_problem import _load_benchmark_instances
 
 RECORDED = {
@@ -34,6 +38,7 @@ RECORDED = {
 CLI_REPORT_SHA256 = "db4caccfaa4975b86c7259a52c68bd657ab23a868db2ea40c2b37563f0a673e8"
 CLI_TRACE_SHA256 = "6c919a1bd75c17307610e77b035951eb46c05cebae68de745c2259b28464050f"
 LIBRARY_SHA256 = "d8532356bf374fecaeb03808e54cbf9330d7148c0dd8238f03fc7d9823a1b1b9"
+SC_BOX_SHA256 = "2be92a66e47dbc94550acaa3b522e8c39ced522971bcba8bc5f9e941a41b485c"
 
 
 def _blas_kernels() -> str:
@@ -120,3 +125,19 @@ def test_von_neumann_library_run():
         digest.update(struct.pack("<ddqq", r.sigma, r.b_value, r.newton.iterations_used, predicted))
     assert report.trace.records
     assert digest.hexdigest() == LIBRARY_SHA256, f"library digest: {digest.hexdigest()}"
+
+
+def test_sc_box_runs():
+    digest = hashlib.sha256()
+    boxes = [gp for gp in golden_suite() if gp.family == "box"]
+    for gp in boxes:
+        cfg = family_config(gp)
+        assert cfg.regime == "sc"
+        report = bpalm.run(cfg, gp.problem)
+        digest.update(report.x.tobytes() + report.y.tobytes() + report.status.value.encode())
+        for r in report.trace.records:
+            digest.update(struct.pack("<ddq", r.sigma, r.b_value, r.newton.iterations_used))
+            for step in r.newton.steps:
+                digest.update(struct.pack("<d", step.decrement))
+    assert boxes
+    assert digest.hexdigest() == SC_BOX_SHA256, f"sc box digest: {digest.hexdigest()}"
