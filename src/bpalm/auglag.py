@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,6 +126,12 @@ class SubproblemContext:
         return PointEvaluation(
             s, r, self.problem.f.grad(s), self.geometry.primal.grad(s), u, y_plus
         )
+
+    @cached_property
+    def start_grad(self) -> np.ndarray:
+        """The gradient at the warm start, which the step-size test and the
+        Newton solve both read."""
+        return self.grad(self.start)
 
     def grad(self, point: PointEvaluation) -> np.ndarray:
         pull = self.problem.map.A.T @ point.y_plus

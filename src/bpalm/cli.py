@@ -16,9 +16,6 @@ Numbers must be finite; only bounds entries may also be the sentinels
 semidefinite, and a named objective's n at most 4096.  Under the sc
 regime bounds become the barrier box of the primal geometry; otherwise they
 are appended to an inequality constraint block.  Unknown fields are rejected.
-
-Numbers in documents written by this module carry 17 significant digits so
-fixtures round-trip exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .outer import RhoSchedule, SolveReport, SolveStatus, SolverConfig, run
 from .penalty import penalty_for
 from .problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective, canonicalize_triplets
 
-__all__ = ["parse_problem", "write_problem_file", "main"]
+__all__ = ["parse_problem", "main"]
 
 _CONSTRAINT_TYPES = {"eq": "zero", "ineq": "orthant", "vecmax": "vecmax", "l1": "one_norm"}
 # the default dual geometry of each NonsmoothTerm variant
@@ -214,44 +211,9 @@ def parse_problem(path: str, regime: str = "qsc"):
     return problem, golden
 
 
-def _fmt(x: float) -> float:
-    return float(format(float(x), ".17g"))
-
-
 def _sentinel(v: float) -> str:
-    """The sentinel string that documents and reports write for a non-finite v."""
+    """The sentinel string the JSON report writes for a non-finite v."""
     return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
-
-
-def write_problem_file(path: str, *, objective: dict, constraint: dict, bounds=None, solution=None) -> None:
-    """Serialize a problem document with round-trip-exact numbers."""
-
-    def clean(obj, infinite=False, text=False):  # parse_problem accepts +-inf in bounds only
-        if isinstance(obj, dict):  # constraint.type and objective.named.name are text
-            return {k: clean(v, infinite, k in ("type", "name")) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple, np.ndarray)):
-            return [clean(v, infinite) for v in obj]
-        if isinstance(obj, str) and (text or infinite and obj.strip().lower() in _INFINITIES):
-            return obj
-        if isinstance(obj, (bool, np.bool_)):  # parse_problem rejects booleans
-            raise ParseError(f"cannot write the boolean {obj!r} as a number")
-        if isinstance(obj, (int, np.integer)):
-            return int(obj)
-        if isinstance(obj, (float, np.floating)):
-            v = float(obj)
-            if math.isnan(v) or (math.isinf(v) and not infinite):
-                raise ParseError(f"cannot write the number {v!r}: it must be finite, or +-inf in bounds")
-            return _fmt(v) if math.isfinite(v) else _sentinel(v)
-        raise ParseError(f"cannot write {obj!r} where a number belongs")
-
-    doc = {"objective": clean(objective), "constraint": clean(constraint)}
-    if bounds is not None:
-        doc["bounds"] = clean(bounds, infinite=True)
-    if solution is not None:
-        doc["solution"] = clean(solution)
-    text = json.dumps(doc, indent=2) + "\n"  # complete before the file is opened
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 class _Parser(argparse.ArgumentParser):

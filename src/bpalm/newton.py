@@ -57,8 +57,6 @@ class NewtonStepRecord:
 
     grad_norm: float
     decrement_or_deferred: float | Callable[[], float]
-    step_norm: float
-    accepted: bool
 
     @property
     def decrement(self) -> float:
@@ -263,29 +261,24 @@ def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = N
     """
     scale = modulus if modulus and modulus > 0.0 else 1.0
     cap = max(cap, 0)
-    point = ctx.start
+    point, g = ctx.start, ctx.start_grad
     trace = NewtonTrace()
-    step_norm = 0.0
 
     for t in range(cap + 1):
-        g = ctx.grad(point)
         grad_norm = float(np.linalg.norm(g))
         floor = grad_norm <= GRAD_FLOOR
         check = ctx.acceptance_check(point, g, exact=floor or t == cap)
         accepted = check.accepted or floor
         if accepted or t == cap:
             trace.steps.append(
-                NewtonStepRecord(
-                    grad_norm, _deferred_decrement(ctx, point.s, g, scale), step_norm, accepted
-                )
+                NewtonStepRecord(grad_norm, _deferred_decrement(ctx, point.s, g, scale))
             )
             return InnerSolve(point, trace, accepted, g, check.x_plus, check.b_value)
         hess = partial(ctx.hess, point)
         d = _newton_direction(ctx.system, ctx.sigma, ctx.penalty, point.u, g, hess)
-        trace.steps.append(NewtonStepRecord(grad_norm, _decrement(g, d, scale), step_norm, False))
-        s_next = _clamped_step(ctx, point.s, d)
-        step_norm = float(np.linalg.norm(s_next - point.s))
-        point = ctx.evaluate(s_next)
+        trace.steps.append(NewtonStepRecord(grad_norm, _decrement(g, d, scale)))
+        point = ctx.evaluate(_clamped_step(ctx, point.s, d))
+        g = ctx.grad(point)
 
 
 def _ceil_log2(x: float) -> int:
@@ -355,7 +348,7 @@ def _sc_modulus(ctx: SubproblemContext) -> float | None:
 def _qsc_admissible(ctx: SubproblemContext) -> bool:
     """sigma <= min(1 / (2 g M_f), 1 / sqrt(2 g alpha ||A||)) for g the norm
     of the subproblem gradient at the warm start, grad f(x) + A^T P'(u)."""
-    g_k = float(np.linalg.norm(ctx.grad(ctx.start)))
+    g_k = float(np.linalg.norm(ctx.start_grad))
     bound = math.inf
     if g_k * ctx.problem.f.qsc_modulus > 0.0:
         bound = 1.0 / (2.0 * g_k * ctx.problem.f.qsc_modulus)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import bpalm.diagnostics as dg
-from bpalm.cli import main as cli_main, write_problem_file
+from bpalm.cli import main as cli_main
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.oracle import golden_suite, penalty_bruteforce, solve_equality_qp
 from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_cli import write_document
 
 DUALS = {"energy": energy, "von_neumann": von_neumann, "spence": spence}
 
@@ -320,7 +321,7 @@ def test_criterion_09_exponential_multiplier_identity(suite_runs):
 
 def test_criterion_10_cli_determinism_and_schema(tmp_path, capsys, monkeypatch):
     doc = tmp_path / "eq.json"
-    write_problem_file(
+    write_document(
         str(doc),
         objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0]}},
         constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},

@@ -16,15 +16,21 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 from bpalm import cli, newton
-from bpalm.cli import main, parse_problem, write_problem_file
+from bpalm.cli import main, parse_problem
 from bpalm.exceptions import DimensionError, ParseError
 from bpalm.newton import REGIMES
+
+
+def write_document(path, **sections):
+    """A problem document holding ``sections``, with arrays as JSON lists."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sections, fh, default=lambda v: v.tolist())
 
 
 @pytest.fixture
 def eq_doc(tmp_path):
     path = tmp_path / "eq.json"
-    write_problem_file(
+    write_document(
         str(path),
         objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0]}},
         constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
@@ -36,7 +42,7 @@ def eq_doc(tmp_path):
 @pytest.fixture
 def ineq_doc(tmp_path):
     path = tmp_path / "ineq.json"
-    write_problem_file(
+    write_document(
         str(path),
         objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [-2.0]}},
         constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
@@ -54,7 +60,7 @@ class TestParseProblem:
 
     def test_out_of_range_triplet(self, tmp_path):
         path = tmp_path / "bad.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"quadratic": {"n": 1, "W": [[0, 1, 1.0]], "c": [0.0]}},
             constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [0.0]},
@@ -78,7 +84,7 @@ class TestParseProblem:
 
     def test_ineq_bounds_appended(self, tmp_path):
         path = tmp_path / "b.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"quadratic": {"n": 2, "W": [[0, 0, 1.0], [1, 1, 1.0]], "c": [0.0, 0.0]}},
             constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0], [0, 1, 1.0]], "b": [1.0]},
@@ -92,7 +98,7 @@ class TestParseProblem:
 
     def test_eq_bounds_require_sc(self, tmp_path):
         path = tmp_path / "eqb.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0]}},
             constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [0.5]},
@@ -105,7 +111,7 @@ class TestParseProblem:
 
     def test_named_objective(self, tmp_path):
         path = tmp_path / "named.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"named": {"name": "logistic", "n": 1}},
             constraint={"type": "ineq", "m": 1, "A": [[0, 0, -1.0]], "b": [-1.0]},
@@ -137,7 +143,7 @@ class TestParseProblem:
 
     def test_inf_sentinel_roundtrip(self, tmp_path):
         path = tmp_path / "inf.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0]}},
             constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
@@ -146,49 +152,9 @@ class TestParseProblem:
         ps, _ = parse_problem(str(path))
         assert ps.m == 2  # only the finite upper bound becomes a row
 
-    # a boolean where a number belongs is refused, as parse_problem refuses
-    # it, and the file is left as it was: writing starts only once the whole
-    # document is built
-    @pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["python_bool", "numpy_bool"])
-    def test_write_refuses_booleans(self, flag, tmp_path):
-        path = tmp_path / "flag.json"
-        path.write_text("previous")
-        with pytest.raises(ParseError, match="True"):
-            write_problem_file(
-                str(path),
-                objective={"quadratic": {"n": flag, "W": [[0, 0, 1.0]], "c": [0.0]}},
-                constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
-            )
-        assert path.read_text() == "previous"
-
-    # a string where a number belongs is refused, as parse_problem refuses it;
-    # only the constraint type, a named objective's name and the bounds' +-inf
-    # sentinels are text
-    @pytest.mark.parametrize(
-        "objective, constraint, bounds, shown",
-        [
-            ({"c": ["0.5"]}, {}, {}, "'0.5'"),
-            ({}, {"A": [[0, 0, "1.0"]]}, {}, "'1.0'"),
-            ({}, {}, {"l": ["0.5"]}, "'0.5'"),
-            ({}, {"m": None}, {}, "None"),
-        ],
-        ids=["string_in_c", "string_in_triplet", "string_in_bounds", "none_for_m"],
-    )
-    def test_write_refuses_non_numbers(self, objective, constraint, bounds, shown, tmp_path):
-        path = tmp_path / "text.json"
-        path.write_text("previous")
-        with pytest.raises(ParseError, match=f"cannot write {shown} where a number belongs"):
-            write_problem_file(
-                str(path),
-                objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0], **objective}},
-                constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0], **constraint},
-                bounds={"l": ["-inf"], "u": [" +Inf"], **bounds},
-            )
-        assert path.read_text() == "previous"
-
     def test_write_keeps_text_fields_and_sentinels(self, tmp_path):
         path = tmp_path / "text.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"named": {"name": "sumexp", "n": 2}},
             constraint={"type": "ineq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
@@ -196,28 +162,6 @@ class TestParseProblem:
         )
         ps, _ = parse_problem(str(path))
         assert ps.m == 2  # the one finite bound, 0 <= x_1, adds a row
-
-    # parse_problem refuses NaN anywhere and +-inf outside bounds, so neither
-    # is written; the file is left as it was
-    @pytest.mark.parametrize(
-        "objective, shown",
-        [
-            ({"n": 1, "W": [[0, 0, 1.0]], "c": [math.nan]}, "nan"),
-            ({"n": 1, "W": [[0, 0, math.inf]], "c": [0.0]}, "inf"),
-        ],
-        ids=["nan_in_c", "inf_outside_bounds"],
-    )
-    def test_write_refuses_what_the_parser_rejects(self, objective, shown, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("previous")
-        with pytest.raises(ParseError, match=f"number {shown}"):
-            write_problem_file(
-                str(path),
-                objective={"quadratic": objective},
-                constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
-                bounds={"l": [-math.inf], "u": [math.inf]},
-            )
-        assert path.read_text() == "previous"
 
 
 def _refuse_constant(name):
@@ -386,7 +330,7 @@ class TestMain:
 
     def test_trace_distance_empty_without_solution(self, tmp_path, capsys):
         path = tmp_path / "nosol.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0]}},
             constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [1.0]},
@@ -438,7 +382,7 @@ class TestMain:
         # the rate fit reaches its final ratio test on this run, whose numpy
         # comparison once made the JSON report unserializable
         path = tmp_path / "ineq3.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={
                 "quadratic": {
@@ -513,7 +457,7 @@ class TestMain:
 
     def test_sc_regime_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "box.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={
                 "quadratic": {
@@ -542,7 +486,7 @@ class TestMain:
 
     def test_vecmax_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "vecmax.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={
                 "quadratic": {"n": 2, "W": [[0, 0, 1.0], [1, 1, 1.0]], "c": [0.0, 0.0]}
@@ -563,7 +507,7 @@ class TestMain:
 
     def test_l1_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "l1.json"
-        write_problem_file(
+        write_document(
             str(path),
             objective={
                 "quadratic": {"n": 2, "W": [[0, 0, 1.0], [1, 1, 1.0]], "c": [-2.0, -0.3]}

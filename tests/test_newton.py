@@ -215,8 +215,7 @@ class TestSolveSubproblem:
         ctx = ineq_vn_context(rho=0.4)
         inner = solve_subproblem(ctx, cap=50)
         assert len(inner.trace.steps) == inner.trace.iterations_used + 1
-        assert inner.trace.steps[0].step_norm == 0.0
-        assert inner.trace.steps[-1].accepted
+        assert inner.accepted
 
 
 class TestFactorization:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bpalm.outer as outer
-from bpalm.auglag import evaluate_anchor
+from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import DomainError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, burg, energy, spence, von_neumann
 from bpalm.outer import (
@@ -178,7 +178,9 @@ class TestOuterIteration:
         state = IterateState(x=np.array([0.0]), y=np.array([1.0]), k=0)
         _, rec = outer_iteration(cfg, ps, pen, state)
         np.testing.assert_allclose(rec.x_anchor, [0.0])
-        assert rec.newton.steps[0].step_norm == 0.0
+        anchor = evaluate_anchor(ps, cfg.geometry, state.x, state.y)
+        ctx = make_context(ps, pen, cfg.geometry, anchor, rec.sigma, rec.rho)
+        assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
 
     def test_next_iterate_is_shared_not_copied(self):
@@ -373,8 +375,8 @@ class TestEvaluationCounts:
     Newton iterate, computes Ax - b and grad f once; the dual geometry's
     gradient is taken once per outer iteration, at the anchor, and the
     primal geometry's once per point; each sigma trial builds one context,
-    whose warm start computes P'(u), and each Newton iterate computes P'(u)
-    once."""
+    whose warm start computes P'(u) and the subproblem gradient, and each
+    Newton iterate computes both once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -397,6 +399,7 @@ class TestEvaluationCounts:
         count(Spence, "grad", "dual_grad")
         count(Energy, "grad", "primal_grad")
         count(outer, "make_context", "make_context")
+        count(SubproblemContext, "grad", "subproblem_grad")
         return counts
 
     @staticmethod
@@ -424,3 +427,5 @@ class TestEvaluationCounts:
         assert calls["make_context"] == trials
         # the accepted trial's context is the solve's: its P'(u) is the warm start's
         assert calls["penalty_grad"] == points + trials - report.outer_iterations
+        # the step-size test's warm-start gradient is the solve's first
+        assert calls["subproblem_grad"] == trials + report.total_newton_steps

@@ -24,9 +24,10 @@ import pytest
 import scipy
 
 import bpalm
-from bpalm.cli import main, write_problem_file
+from bpalm.cli import main
 from bpalm.oracle import golden_suite
 from test_acceptance import family_config
+from test_cli import write_document
 from test_problem import _load_benchmark_instances
 
 RECORDED = {
@@ -79,7 +80,7 @@ def benchmark_document(path, n: int, m: int, seed: int) -> None:
     def triplets(M):
         return [[i, j, v] for (i, j), v in np.ndenumerate(M)]
 
-    write_problem_file(
+    write_document(
         str(path),
         objective={"quadratic": {"n": n, "W": triplets(inst.W), "c": inst.c}},
         constraint={"type": "ineq", "m": m, "A": triplets(inst.A), "b": inst.b},

@@ -1,9 +1,12 @@
 """Every public name the package declares resolves: each module's __all__,
-and each name the top-level package re-exports."""
+and each name the top-level package re-exports; and every public name has a
+caller outside the tests."""
 
 import ast
 import importlib
 import pkgutil
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,40 @@ def test_top_level_exports_are_declared_public():
         mod = importlib.import_module(f"bpalm.{module}")
         assert name in mod.__all__, f"bpalm.{module}.{name}"
         assert getattr(bpalm, name) is getattr(mod, name)
+
+
+def _module_bindings(tree: ast.Module, name: str) -> int:
+    """How many module-level statements of ``tree`` define ``name``."""
+    count = 0
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            count += node.name == name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            count += sum(isinstance(t, ast.Name) and t.id == name for t in targets)
+    return count
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a use is an identifier token in the package's code or in the benchmark
+    # harness's scripts; strings, comments, the name's own definition and the
+    # package's re-exports are not uses
+    repo = Path(__file__).resolve().parents[1]
+    package = repo / "src" / "bpalm"
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    tokens = Counter()
+    for path in sources + sorted((repo / "perfbench").glob("*.py")):
+        with tokenize.open(path) as fh:
+            tokens.update(
+                tok.string for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NAME
+            )
+    unused = []
+    for path in sources:
+        if path.stem == "oracle":  # the test oracle, which ROADMAP item 9 keeps in the package
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in getattr(importlib.import_module(f"bpalm.{path.stem}"), "__all__", []):
+            if tokens[name] <= _module_bindings(tree, name):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == [], f"public names only tests call: {unused}"
