@@ -27,6 +27,7 @@ from .newton import (
     solve_subproblem,
 )
 from .outer import (
+    Iterate,
     IterateState,
     OuterRecord,
     RhoSchedule,

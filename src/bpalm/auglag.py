@@ -20,7 +20,7 @@ For the Euclidean primal geometry the left side reduces to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -57,7 +57,9 @@ class AcceptanceCheck:
 class Anchor:
     """The outer iterate (x, y) and what every sigma trial's subproblem reads
     there: r = Ax - b, grad f(x), grad psi(x), grad phi(y) and phi''(y), each
-    evaluated once.  x and y are read-only."""
+    evaluated once.  x and y are read-only.  ``memo`` keeps what a regime's
+    step-size test forms at the anchor on its first trial, for the later
+    trials to reuse."""
 
     x: np.ndarray
     y: np.ndarray
@@ -66,6 +68,7 @@ class Anchor:
     grad_psi: np.ndarray
     grad_phi_y: np.ndarray
     hess_phi_y: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def dual_update(self, penalty: DualPenalty, sigma: float, residual: np.ndarray):
         """The dual argument u = grad phi(y) + sigma r and the multiplier

@@ -249,16 +249,16 @@ _TRACE_COLUMNS = [
 
 
 def _write_trace(
-    path: str, report: SolveReport, geometry: BregmanGeometry, golden, distances
+    path: str, log: diagnostics.IterateLog, geometry: BregmanGeometry, golden, distances
 ) -> None:
     """``distances`` holds D(z*, z_k) per record when the diagnostics already
     computed it, else None."""
-    records = report.trace.records
+    records, iterates = log.records, log.iterates
     if distances is None and golden is not None:
-        distances = diagnostics._distance_series(report.trace, *golden, geometry)[1:]
+        distances = diagnostics._distance_series(log, *golden, geometry)[1:]
     # read in sigma order: the spectral system keeps G for the last sigma only
     order = sorted(range(len(records)), key=lambda i: records[i].sigma)
-    decrements = dict(zip(order, [records[i].decrement for i in order]))
+    decrements = dict(zip(order, [iterates[i].decrement for i in order]))
     lines = [",".join(_TRACE_COLUMNS)]
     for i, rec in enumerate(records):
         d_str = "" if distances is None else format(distances[i], ".17g")
@@ -287,32 +287,26 @@ def _wall_time_ms(report: SolveReport) -> int:
     return int(round(report.wall_seconds * 1000.0))
 
 
-def _diagnostics_payload(report, problem, geometry, golden) -> tuple[dict, list[float]]:
+def _diagnostics_payload(log, problem, geometry, golden) -> tuple[dict, list[float]]:
     """The diagnostics block, and D(z*, z_k) per record for the trace."""
     gx, gy = golden
     payload = {}
-    fejer = diagnostics.fejer_check(report.trace, gx, gy, geometry)
+    fejer = diagnostics.fejer_check(log, gx, gy, geometry)
     payload["fejer_monotone"] = fejer.monotone
     payload["fejer_violations"] = fejer.violations
-    total, budget = diagnostics.summability_check(report.trace, gx, gy, geometry)
+    total, budget = diagnostics.summability_check(log, gx, gy, geometry)
     payload["summability_sum"], payload["summability_budget"] = total, budget
     try:
-        rate = diagnostics.rate_fit(
-            report.trace, gx, gy, geometry, distances=fejer.distances
-        )
+        rate = diagnostics.rate_fit(log, gx, gy, geometry, distances=fejer.distances)
         payload["superlinear"] = rate.superlinear
         payload["final_ratio"] = rate.ratios[-1] if rate.ratios else None
     except BpalmError:
         payload["superlinear"] = None
         payload["final_ratio"] = None
-    gap = diagnostics.ergodic_gap_check(
-        report.trace, problem, geometry, [(gx, gy)]
-    )
+    gap = diagnostics.ergodic_gap_check(log, problem, geometry, [(gx, gy)])
     payload["ergodic_max_violation"] = gap.max_violation
     if problem.g.variant == "orthant":
-        conic = diagnostics.conic_feasibility_check(
-            report.trace, problem, geometry, gx, gy
-        )
+        conic = diagnostics.conic_feasibility_check(log, problem, geometry, gx, gy)
         payload["conic_max_excess"] = conic.max_excess
     return payload, fejer.distances[1:]
 
@@ -390,15 +384,20 @@ def main(argv=None) -> int:
             max_outer=args.max_outer,
             newton_cap=args.newton_cap,
         )
-        report = run(cfg, problem)
+        # the trace and the diagnostics replay the iterates, which the run
+        # hands to this log, from run's default start, and keeps nowhere else
+        log = None
+        if args.trace or (args.diagnose and golden is not None):
+            log = diagnostics.IterateLog(geometry.primal.start(), geometry.dual.start())
+        report = run(cfg, problem, on_iteration=log)
         diag = distances = None
         if args.diagnose:
             if golden is None:
                 print("warning: --diagnose ignored, no solution embedded", file=sys.stderr)
             else:
-                diag, distances = _diagnostics_payload(report, problem, geometry, golden)
-        if args.trace:  # reads each record's decrement, which may factorize
-            _write_trace(args.trace, report, geometry, golden, distances)
+                diag, distances = _diagnostics_payload(log, problem, geometry, golden)
+        if args.trace:  # reads each iterate's decrement, which may factorize
+            _write_trace(args.trace, log, geometry, golden, distances)
     except BpalmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

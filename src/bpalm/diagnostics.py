@@ -1,9 +1,10 @@
-"""Empirical certification of the convergence claims from solver traces.
+"""Empirical certification of the convergence claims from solver runs.
 
-These post-processors replay a finished trace against an oracle solution or a
-set of test points: monotone decrease of the primal-dual distance, fitted
-contraction factors with a superlinearity verdict, the ergodic saddle-point
-bound, and the ergodic objective/feasibility bound for conic constraints.
+These post-processors replay a finished run's iterates, kept by an
+`IterateLog`, against an oracle solution or a set of test points: monotone
+decrease of the primal-dual distance, fitted contraction factors with a
+superlinearity verdict, the ergodic saddle-point bound, and the ergodic
+objective/feasibility bound for conic constraints.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import numpy as np
 
 from .exceptions import DomainError, InsufficientTraceError, ScaleError
 from .legendre import BLOCK_COORDS, INTERIOR_FLOOR, BregmanGeometry, bregman_distance
-from .outer import SolveTrace
+from .outer import Iterate, OuterRecord
 from .problem import ProblemSpec, lagrangian
 
 __all__ = [
+    "IterateLog",
     "FejerResult",
     "RateEstimate",
     "ErgodicGapResult",
@@ -36,18 +38,34 @@ _FEJER_SLACK = 1e-10
 _DISTANCE_FLOOR = 1e-28
 
 
+@dataclass
+class IterateLog:
+    """An `outer.run` observer keeping what the checks replay: the run's start
+    (x0, y0) and each outer iteration's record and iterate, in k order.  The
+    iterates' arrays are the solver's own, shared, not copied."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    records: list[OuterRecord] = field(default_factory=list)
+    iterates: list[Iterate] = field(default_factory=list)
+
+    def __call__(self, record: OuterRecord, iterate: Iterate) -> None:
+        self.records.append(record)
+        self.iterates.append(iterate)
+
+
 def _distance_series(
-    trace: SolveTrace, x_star, y_star, geometry: BregmanGeometry
+    log: IterateLog, x_star, y_star, geometry: BregmanGeometry
 ) -> list[float]:
     """D(z*, z_k) along the anchor sequence, starting at the initial point,
     from one distance call per geometry on the stacked anchors."""
 
     def distances(fn, z_star, start, attr):  # one geometry's stack at a time
-        anchors = np.array([start] + [getattr(r, attr) for r in trace.records], dtype=float)
+        anchors = np.array([start] + [getattr(it, attr) for it in log.iterates], dtype=float)
         return bregman_distance(fn, z_star, anchors)
 
-    primal = distances(geometry.primal, x_star, trace.x0, "x_next")
-    return (primal + distances(geometry.dual, y_star, trace.y0, "y_next")).tolist()
+    primal = distances(geometry.primal, x_star, log.x0, "x_next")
+    return (primal + distances(geometry.dual, y_star, log.y0, "y_next")).tolist()
 
 
 @dataclass
@@ -58,10 +76,10 @@ class FejerResult:
 
 
 def fejer_check(
-    trace: SolveTrace, x_star, y_star, geometry: BregmanGeometry
+    log: IterateLog, x_star, y_star, geometry: BregmanGeometry
 ) -> FejerResult:
     """Nonincrease of D(z*, z_k) along the run, within a 1e-10 slack."""
-    d = _distance_series(trace, x_star, y_star, geometry)
+    d = _distance_series(log, x_star, y_star, geometry)
     if math.isinf(d[0]):
         raise DomainError("oracle solution lies outside the geometry's domain")
     violations = [k for k in range(len(d) - 1) if d[k + 1] > d[k] + _FEJER_SLACK]
@@ -76,7 +94,7 @@ class RateEstimate:
 
 
 def rate_fit(
-    trace: SolveTrace,
+    log: IterateLog,
     x_star,
     y_star,
     geometry: BregmanGeometry,
@@ -87,17 +105,17 @@ def rate_fit(
     Superlinear verdict: the last five ratios decrease strictly and the final
     one is below 0.1.  The series truncates where distances reach rounding
     noise (an exact solve drives them to zero and the ratio degenerates).
-    ``distances`` is the D(z*, z_k) series of the same trace and solution
+    ``distances`` is the D(z*, z_k) series of the same run and solution
     when the caller has it, as `fejer_check` returns it; `fejer_check`
     computes it otherwise.
     """
-    if len(trace.records) < 6:
+    if len(log.iterates) < 6:
         raise InsufficientTraceError(
-            f"rate fit needs at least 6 iterations, trace has {len(trace.records)}"
+            f"rate fit needs at least 6 iterations, the run has {len(log.iterates)}"
         )
     d = distances
     if d is None:
-        d = fejer_check(trace, x_star, y_star, geometry).distances
+        d = fejer_check(log, x_star, y_star, geometry).distances
     ratios = []
     for k in range(len(d) - 1):
         if d[k] <= _DISTANCE_FLOOR or d[k + 1] <= _DISTANCE_FLOOR:
@@ -120,7 +138,7 @@ class ErgodicGapResult:
 
 
 def ergodic_gap_check(
-    trace: SolveTrace,
+    log: IterateLog,
     problem: ProblemSpec,
     geometry: BregmanGeometry,
     test_points: list[tuple[np.ndarray, np.ndarray]],
@@ -131,11 +149,11 @@ def ergodic_gap_check(
     n, m = problem.n, problem.m
     xs = np.array([x for x, _ in test_points], dtype=float).reshape(-1, n)
     ys = np.array([y for _, y in test_points], dtype=float).reshape(-1, m)
-    rhs = bregman_distance(geometry.primal, xs, trace.x0) + bregman_distance(
-        geometry.dual, ys, trace.y0
+    rhs = bregman_distance(geometry.primal, xs, log.x0) + bregman_distance(
+        geometry.dual, ys, log.y0
     )
-    excess = np.empty((len(trace.records), len(test_points)))
-    averages = _ergodic_averages(trace, lambda r: np.concatenate([r.s, r.y_next]), n + m)
+    excess = np.empty((len(log.iterates), len(test_points)))
+    averages = _ergodic_averages(log, lambda it: np.concatenate([it.s, it.y_next]), n + m)
     with np.errstate(invalid="ignore"):
         for rows, weight, bars in averages:
             s_bar, y_bar = bars[:, :n], bars[:, n:]
@@ -150,21 +168,23 @@ def ergodic_gap_check(
     return ErgodicGapResult(max_violation=float(excess[k, j]), worst_k=int(k), worst_point=int(j))
 
 
-def _ergodic_averages(trace: SolveTrace, vector, dim: int):
-    """Per block of consecutive records: its rows, the weights sum_{i<=k}
-    sigma_i and the sigma-weighted averages of ``vector(record)``, per prefix k.
+def _ergodic_averages(log: IterateLog, vector, dim: int):
+    """Per block of consecutive iterations: its rows, the weights
+    sum_{i<=k} sigma_i and the sigma-weighted averages of ``vector(iterate)``,
+    per prefix k.
 
-    np.cumsum adds in record order and each block starts from the sum the last
+    np.cumsum adds in k order and each block starts from the sum the last
     one ended with, so every prefix is bit for bit the running sum; blocks of at
     most BLOCK_COORDS coordinates bound the memory.
     """
-    records = trace.records
-    weight = np.cumsum([r.sigma for r in records])
+    sigmas = [r.sigma for r in log.records]
+    weight = np.cumsum(sigmas)
     carried = np.zeros(dim)
     step = max(1, BLOCK_COORDS // dim)
-    for lo in range(0, len(records), step):
+    for lo in range(0, len(sigmas), step):
         rows = slice(lo, lo + step)
-        prefix = np.array([r.sigma * vector(r) for r in records[rows]])
+        pairs = zip(sigmas[rows], log.iterates[rows])
+        prefix = np.array([sigma * vector(it) for sigma, it in pairs])
         prefix[0] += carried
         np.cumsum(prefix, axis=0, out=prefix)
         carried = prefix[-1].copy()
@@ -227,7 +247,7 @@ class ConicFeasibilityResult:
 
 
 def conic_feasibility_check(
-    trace: SolveTrace,
+    log: IterateLog,
     problem: ProblemSpec,
     geometry: BregmanGeometry,
     x_star,
@@ -242,12 +262,12 @@ def conic_feasibility_check(
     x_star = np.asarray(x_star, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
     radius = 2.0 * float(np.linalg.norm(y_star)) + 1.0
-    d_primal = bregman_distance(geometry.primal, x_star, trace.x0)
-    d_dual_max = _max_divergence_on_cap(geometry, trace.y0, radius)
+    d_primal = bregman_distance(geometry.primal, x_star, log.x0)
+    d_dual_max = _max_divergence_on_cap(geometry, log.y0, radius)
     f_star = problem.f.value(x_star)
 
-    obj, feas, bounds = (np.empty(len(trace.records)) for _ in range(3))
-    for rows, weight, s_bar in _ergodic_averages(trace, lambda r: r.s, problem.n):
+    obj, feas, bounds = (np.empty(len(log.iterates)) for _ in range(3))
+    for rows, weight, s_bar in _ergodic_averages(log, lambda it: it.s, problem.n):
         obj[rows] = np.abs(problem.f.value(s_bar) - f_star)
         excess = np.maximum(problem.map.residual(s_bar), 0.0)
         feas[rows] = np.sqrt(np.vecdot(excess, excess))  # np.linalg.norm's sum per row
@@ -261,12 +281,12 @@ def conic_feasibility_check(
 
 
 def summability_check(
-    trace: SolveTrace, x_star, y_star, geometry: BregmanGeometry
+    log: IterateLog, x_star, y_star, geometry: BregmanGeometry
 ) -> tuple[float, float]:
     """Partial sums of the progress proxy against the telescoped distance
     budget D(z*, z0) / (1 - max rho); returns (sum, budget)."""
-    d0 = bregman_distance(geometry.primal, np.asarray(x_star, float), trace.x0)
-    d0 += bregman_distance(geometry.dual, np.asarray(y_star, float), trace.y0)
-    rho_max = max((r.rho for r in trace.records), default=0.0)
-    total = sum((r.b_value for r in trace.records), 0.0)
+    d0 = bregman_distance(geometry.primal, np.asarray(x_star, float), log.x0)
+    d0 += bregman_distance(geometry.dual, np.asarray(y_star, float), log.y0)
+    rho_max = max((r.rho for r in log.records), default=0.0)
+    total = sum((r.b_value for r in log.records), 0.0)
     return total, d0 / (1.0 - rho_max)

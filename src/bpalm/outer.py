@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "SolverConfig",
     "IterateState",
     "OuterRecord",
+    "Iterate",
     "SolveTrace",
     "SolveReport",
     "select_sigma",
@@ -117,31 +120,40 @@ class IterateState:
     sigma_prev: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OuterRecord:
-    """Everything one outer iteration produced, for traces and diagnostics."""
+    """The scalars of one outer iteration, for traces and diagnostics; the
+    iteration's arrays go to `run`'s observer as an `Iterate`."""
 
     k: int
     sigma: float
     rho: float
     sigma_clipped: bool
-    x_anchor: np.ndarray
-    y_anchor: np.ndarray
-    s: np.ndarray
-    x_next: np.ndarray
-    y_next: np.ndarray
     b_value: float
     grad_norm: float
     newton: NewtonTrace
     predicted_newton: int | None
     residuals: KKTResiduals
-    grad: np.ndarray  # the subproblem gradient at s; grad_norm is its norm
     accepted: bool
 
-    @property
+
+@dataclass(frozen=True)
+class Iterate:
+    """The arrays of one outer iteration: the subproblem's last point s, its
+    gradient there and the next iterate (x_next, y_next), which is the next
+    iteration's anchor.  Each is read-only and shared with the solver, not
+    copied."""
+
+    s: np.ndarray
+    x_next: np.ndarray
+    y_next: np.ndarray
+    grad: np.ndarray  # the subproblem gradient at s; the record's grad_norm is its norm
+    _decrement: Callable[[], float] = field(repr=False)
+
+    @cached_property
     def decrement(self) -> float:
         """Newton decrement at s; the first read pays one factorization."""
-        return self.newton.steps[-1].decrement
+        return self._decrement()
 
 
 @dataclass
@@ -218,7 +230,7 @@ def outer_iteration(
     penalty: DualPenalty,
     state: IterateState,
     system: SpectralSystem | None = None,
-) -> tuple[IterateState, OuterRecord]:
+) -> tuple[IterateState, OuterRecord, Iterate]:
     """One outer step; on inner failure the state is returned unchanged.
 
     ``system`` is the run's constraint-space Newton system, if it has one.
@@ -241,10 +253,10 @@ def outer_iteration(
     if cfg.geometry.dual.nonnegative:
         y_next = np.maximum(y_next, INTERIOR_FLOOR)
     x_next = inner.x_plus if inner.x_plus is not None else s
-    # one read-only array each, shared by the record, the next state and the
+    # one read-only array each, shared by the iterate, the next state and the
     # next context's anchors
-    x_next.flags.writeable = False
-    y_next.flags.writeable = False
+    for array in (s, x_next, y_next, inner.grad):
+        array.flags.writeable = False
 
     try:
         predicted = regime.predicted(ctx, inner.b_value)
@@ -258,26 +270,19 @@ def outer_iteration(
         sigma=ctx.sigma,
         rho=rho,
         sigma_clipped=clipped,
-        # y_anchor, s and grad are shared with the deferred decrement of the
-        # last Newton record
-        x_anchor=ctx.x_anchor,
-        y_anchor=ctx.y_anchor,
-        s=s,
-        x_next=x_next,
-        y_next=y_next,
         b_value=inner.b_value,
         grad_norm=inner.trace.steps[-1].grad_norm,
         newton=inner.trace,
         predicted_newton=predicted,
         residuals=residuals,
-        grad=inner.grad,
         accepted=inner.accepted,
     )
+    iterate = Iterate(s, x_next, y_next, inner.grad, inner.decrement)
     if not inner.accepted:
-        return state, record
+        return state, record, iterate
 
     new_state = IterateState(x=x_next, y=y_next, k=state.k + 1, sigma_prev=ctx.sigma)
-    return new_state, record
+    return new_state, record, iterate
 
 
 def run(
@@ -285,9 +290,14 @@ def run(
     problem: ProblemSpec,
     x0=None,
     y0=None,
+    on_iteration: Callable[[OuterRecord, Iterate], object] | None = None,
 ) -> SolveReport:
     """Drive outer iterations until the progress proxy and the KKT residuals
-    both fall below their tolerances."""
+    both fall below their tolerances.
+
+    The report's trace keeps each iteration's record; ``on_iteration``, if
+    given, is called once per outer iteration, in k order, with the record
+    and the iterate, whose arrays nothing else keeps."""
     penalty = penalty_for(problem.g, cfg.geometry.dual)
     _validate(cfg, problem)
     # one read-only copy each, shared by the trace and the first anchor
@@ -307,13 +317,16 @@ def run(
     # built here, per call: W's eigendecomposition is part of the solve
     system = SpectralSystem.for_run(problem, cfg.geometry)
 
+    iterate = None
     for _ in range(cfg.max_outer):
         try:
-            state, record = outer_iteration(cfg, problem, penalty, state, system)
+            state, record, iterate = outer_iteration(cfg, problem, penalty, state, system)
         except BisectionFailedError:
             status = SolveStatus.INNER_FAILURE
             break
         trace.records.append(record)
+        if on_iteration is not None:
+            on_iteration(record, iterate)
         resid = record.residuals
         converged = record.b_value <= cfg.tol_b and resid.max_residual() <= cfg.tol_kkt
         if not record.accepted:
@@ -344,7 +357,7 @@ def run(
 
     if trace.records:
         last = trace.records[-1]
-        final_x, final_y = last.s, last.y_next
+        final_x, final_y = iterate.s, iterate.y_next
         residuals = last.residuals
         sigma_final = last.sigma
     else:

@@ -20,6 +20,7 @@ from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 from test_cli import write_document
+from test_diagnostics import anchors, logged_run
 
 DUALS = {"energy": energy, "von_neumann": von_neumann, "spence": spence}
 
@@ -67,9 +68,9 @@ def suite_runs():
     for gp in golden_suite():
         cfg = family_config(gp)
         started = time.perf_counter()
-        report = run(cfg, gp.problem)
+        report, log = logged_run(cfg, gp.problem)
         wall = time.perf_counter() - started
-        runs.append((gp, cfg, report, wall))
+        runs.append((gp, cfg, report, log, wall))
     return runs
 
 
@@ -82,7 +83,7 @@ def test_criterion_01_golden_solve_equivalence(suite_runs):
     worst_rel = 0.0
     worst_time = 0.0
     assert len(suite_runs) >= 20
-    for gp, cfg, report, wall in suite_runs:
+    for gp, cfg, report, _, wall in suite_runs:
         assert report.status == SolveStatus.OPTIMAL, gp.name
         tol = 1e-6 * (1.0 + np.linalg.norm(gp.x_star))
         err = np.linalg.norm(report.x - gp.x_star)
@@ -174,7 +175,7 @@ def test_criterion_03_legendre_calculus():
 def test_criterion_04_inner_complexity_bound(suite_runs):
     checked = 0
     over_ten = 0
-    for gp, cfg, report, _ in suite_runs:
+    for gp, cfg, report, _, _ in suite_runs:
         if gp.family not in ("ineq", "box"):
             continue
         for rec in report.trace.records:
@@ -199,11 +200,11 @@ def test_criterion_04_inner_complexity_bound(suite_runs):
 def test_criterion_05_quadratic_decrement_contraction(suite_runs):
     pairs = 0
     worst = -math.inf
-    for gp, cfg, report, _ in suite_runs:
+    for gp, cfg, _, log, _ in suite_runs:
         if gp.family != "box":
             continue
-        for rec in report.trace.records:
-            lams = [s.decrement for s in rec.newton.steps]
+        for rec, iterate in zip(log.records, log.iterates):
+            lams = [s.decrement for s in rec.newton.steps[:-1]] + [iterate.decrement]
             for a, b in zip(lams, lams[1:]):
                 if a < 0.25:
                     pairs += 1
@@ -217,14 +218,14 @@ def test_criterion_05_quadratic_decrement_contraction(suite_runs):
 def test_criterion_06_fejer_monotonicity(suite_runs):
     checked = 0
     skipped = 0
-    for gp, cfg, report, _ in suite_runs:
+    for gp, cfg, report, log, _ in suite_runs:
         if report.status != SolveStatus.OPTIMAL:
             continue
         geometry = cfg.geometry
         if not (geometry.primal.in_domain(gp.x_star) and geometry.dual.in_domain(gp.y_star)):
             skipped += 1  # solution on the boundary: the distance is undefined
             continue
-        res = dg.fejer_check(report.trace, gp.x_star, gp.y_star, cfg.geometry)
+        res = dg.fejer_check(log, gp.x_star, gp.y_star, cfg.geometry)
         assert res.monotone, f"{gp.name}: violations at {res.violations[:5]}"
         checked += 1
     assert checked >= 20
@@ -256,8 +257,8 @@ def test_criterion_07_superlinear_tail():
         tol_kkt=1e-300,
         max_outer=8,
     )
-    report = run(cfg, ps)
-    est = dg.rate_fit(report.trace, x_star, y_star, cfg.geometry)
+    _, log = logged_run(cfg, ps)
+    est = dg.rate_fit(log, x_star, y_star, cfg.geometry)
     tail = est.ratios[-5:]
     ok = (
         est.superlinear
@@ -272,7 +273,7 @@ def test_criterion_08_ergodic_bounds(suite_runs):
     worst_gap = -math.inf
     worst_conic = -math.inf
     rng = np.random.default_rng(8)
-    for gp, cfg, report, _ in suite_runs:
+    for gp, cfg, _, log, _ in suite_runs:
         psi = cfg.geometry.primal
         if psi.kind == "box_barrier":
             x_pts = [0.5 * (psi.lower + psi.upper),
@@ -284,12 +285,12 @@ def test_criterion_08_ergodic_bounds(suite_runs):
         else:
             y_pts = [np.maximum(gp.y_star, 0.0), np.ones(gp.problem.m)]
         pts = [(x, y) for x in x_pts for y in y_pts]
-        res = dg.ergodic_gap_check(report.trace, gp.problem, cfg.geometry, pts)
+        res = dg.ergodic_gap_check(log, gp.problem, cfg.geometry, pts)
         assert res.max_violation <= 1e-8, f"{gp.name}: {res.max_violation:.2e}"
         worst_gap = max(worst_gap, res.max_violation)
         if gp.family == "ineq":
             conic = dg.conic_feasibility_check(
-                report.trace, gp.problem, cfg.geometry, gp.x_star, gp.y_star
+                log, gp.problem, cfg.geometry, gp.x_star, gp.y_star
             )
             assert conic.max_excess <= 1e-8, f"{gp.name}: {conic.max_excess:.2e}"
             worst_conic = max(worst_conic, conic.max_excess)
@@ -304,14 +305,14 @@ def test_criterion_08_ergodic_bounds(suite_runs):
 def test_criterion_09_exponential_multiplier_identity(suite_runs):
     worst = 0.0
     checked = 0
-    for gp, cfg, report, _ in suite_runs:
+    for gp, cfg, _, log, _ in suite_runs:
         # the multiplicative update is the orthant/von-Neumann pairing; the
         # vecmax problems share the dual geometry but update through softmax
         if gp.family != "ineq" or cfg.geometry.dual.kind != "von_neumann":
             continue
-        for rec in report.trace.records:
-            expected = rec.y_anchor * np.exp(rec.sigma * gp.problem.map.residual(rec.s))
-            gap = float(np.max(np.abs(rec.y_next - expected)))
+        for rec, iterate, (_, y_anchor) in zip(log.records, log.iterates, anchors(log)):
+            expected = y_anchor * np.exp(rec.sigma * gp.problem.map.residual(iterate.s))
+            gap = float(np.max(np.abs(iterate.y_next - expected)))
             assert gap <= 1e-12, f"{gp.name} k={rec.k}: {gap:.2e}"
             worst = max(worst, gap)
             checked += 1

@@ -16,7 +16,7 @@ from bpalm.legendre import (
     von_neumann,
 )
 from bpalm.oracle import golden_suite
-from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, SolveTrace, run
+from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, run
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 
 
@@ -28,6 +28,19 @@ def eq_qp():
     )
 
 
+def logged_run(cfg, problem):
+    """run from the geometry's default start, with an IterateLog observing;
+    returns the report and the log."""
+    log = dg.IterateLog(cfg.geometry.primal.start(), cfg.geometry.dual.start())
+    return run(cfg, problem, on_iteration=log), log
+
+
+def anchors(log):
+    """Each logged outer iteration's anchor (x_k, y_k): the start, then each
+    iterate's successor."""
+    return [(log.x0, log.y0)] + [(it.x_next, it.y_next) for it in log.iterates[:-1]]
+
+
 def solve_eq(tol=1e-9, max_outer=100, **kw):
     cfg = SolverConfig(
         geometry=BregmanGeometry(energy(1), energy(1)),
@@ -37,26 +50,27 @@ def solve_eq(tol=1e-9, max_outer=100, **kw):
         max_outer=max_outer,
         **kw,
     )
-    return cfg, run(cfg, eq_qp())
+    return cfg, logged_run(cfg, eq_qp())[1]
 
 
 class TestFejer:
     def test_converged_run_monotone(self):
-        cfg, rep = solve_eq()
-        res = dg.fejer_check(rep.trace, [1.0], [-1.0], cfg.geometry)
+        cfg, log = solve_eq()
+        res = dg.fejer_check(log, [1.0], [-1.0], cfg.geometry)
         assert res.monotone
         assert res.violations == []
         assert all(b <= a + 1e-10 for a, b in zip(res.distances, res.distances[1:]))
 
     def test_single_iterate_trivially_monotone(self):
-        cfg, rep = solve_eq(max_outer=1)
-        res = dg.fejer_check(rep.trace, [1.0], [-1.0], cfg.geometry)
+        cfg, log = solve_eq(max_outer=1)
+        res = dg.fejer_check(log, [1.0], [-1.0], cfg.geometry)
         assert res.monotone
 
     def test_corrupted_trace_detected(self):
-        cfg, rep = solve_eq()
-        rep.trace.records.reverse()  # negative control
-        res = dg.fejer_check(rep.trace, [1.0], [-1.0], cfg.geometry)
+        cfg, log = solve_eq()
+        log.records.reverse()  # negative control
+        log.iterates.reverse()
+        res = dg.fejer_check(log, [1.0], [-1.0], cfg.geometry)
         assert not res.monotone
         assert res.violations
 
@@ -69,69 +83,69 @@ class TestFejer:
         )
         geo = BregmanGeometry(box_barrier(lo, hi), energy(1))
         cfg = SolverConfig(geometry=geo, regime="sc", max_outer=5)
-        rep = run(cfg, ps)
+        _, log = logged_run(cfg, ps)
         with pytest.raises(DomainError):
-            dg.fejer_check(rep.trace, [1.0], [0.0], geo)  # x* on the box boundary
+            dg.fejer_check(log, [1.0], [0.0], geo)  # x* on the box boundary
 
 
 class TestRateFit:
     def test_superlinear_with_doubling_sigma(self):
-        cfg, rep = solve_eq(
+        cfg, log = solve_eq(
             tol=1e-300,
             max_outer=8,
             sigma_growth=2.0,
             rho_schedule=RhoSchedule(0.5, 0.5),
         )
-        est = dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
+        est = dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
         assert est.superlinear
         tail = est.ratios[-5:]
         assert all(b < a for a, b in zip(tail, tail[1:]))
         assert tail[-1] < 0.1
 
     def test_constant_parameters_not_superlinear(self):
-        cfg, rep = solve_eq(
+        cfg, log = solve_eq(
             tol=1e-300,
             max_outer=12,
             sigma_growth=1.0,
             rho_schedule=RhoSchedule(0.5),
         )
-        est = dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
+        est = dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
         assert not est.superlinear
         # contraction factors hover around a constant level
         assert max(est.ratios[2:]) > 0.05
 
     def test_truncates_at_rounding_floor(self):
-        cfg, rep = solve_eq(
+        cfg, log = solve_eq(
             tol=1e-300,
             max_outer=25,
             sigma_growth=2.0,
             rho_schedule=RhoSchedule(0.5, 0.5),
         )
-        est = dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
+        est = dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
         assert len(est.ratios) <= len(est.distances) - 1
 
     def test_insufficient_trace(self):
-        cfg, rep = solve_eq(max_outer=4, tol=1e-300)
+        cfg, log = solve_eq(max_outer=4, tol=1e-300)
         with pytest.raises(InsufficientTraceError):
-            dg.rate_fit(rep.trace, [1.0], [-1.0], cfg.geometry)
+            dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
 
 
 class TestErgodicGap:
     def test_bound_holds_on_eq_run(self):
-        cfg, rep = solve_eq()
+        cfg, log = solve_eq()
         pts = [
             (np.array([1.0]), np.array([-1.0])),
             (np.array([0.0]), np.array([0.0])),
             (np.array([2.0]), np.array([1.0])),
         ]
-        res = dg.ergodic_gap_check(rep.trace, eq_qp(), cfg.geometry, pts)
+        res = dg.ergodic_gap_check(log, eq_qp(), cfg.geometry, pts)
         assert res.max_violation <= 1e-8
 
     def test_saddle_point_gap_nonnegative_first_prefix(self):
         # with the saddle as test point the one-step inequality already holds
-        cfg, rep = solve_eq(max_outer=1, tol=1e-300)
+        cfg, log = solve_eq(max_outer=1, tol=1e-300)
         res = dg.ergodic_gap_check(
-            rep.trace, eq_qp(), cfg.geometry, [(np.array([1.0]), np.array([-1.0]))]
+            log, eq_qp(), cfg.geometry, [(np.array([1.0]), np.array([-1.0]))]
         )
         assert res.max_violation <= 1e-8
 
@@ -139,9 +153,9 @@ class TestErgodicGap:
         gp = [g for g in golden_suite() if g.family == "ineq"][2]
         geo = BregmanGeometry(energy(gp.problem.n), von_neumann(gp.problem.m))
         cfg = SolverConfig(geometry=geo, regime="qsc", tol_b=1e-9, tol_kkt=1e-9, max_outer=300)
-        rep = run(cfg, gp.problem)
+        rep, log = logged_run(cfg, gp.problem)
         assert rep.status == SolveStatus.OPTIMAL
-        res = dg.conic_feasibility_check(rep.trace, gp.problem, geo, gp.x_star, gp.y_star)
+        res = dg.conic_feasibility_check(log, gp.problem, geo, gp.x_star, gp.y_star)
         assert res.max_excess <= 1e-8
         # the bounds and gaps decay together
         assert res.bounds[-1] < res.bounds[0]
@@ -245,23 +259,23 @@ def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):
     ps = gp.problem
     geo = BregmanGeometry(energy(ps.n), spence(ps.m))
     cfg = SolverConfig(geometry=geo, tol_b=1e-300, tol_kkt=1e-300, max_outer=150)
-    trace = run(cfg, ps).trace
-    assert len(trace.records) >= 100
+    _, log = logged_run(cfg, ps)
+    assert len(log.iterates) >= 100
     calls = []
     original = dg.bregman_distance
     monkeypatch.setattr(dg, "bregman_distance", lambda *a: calls.append(a) or original(*a))
 
-    def count(trace):
+    def count(log):
         calls.clear()
-        dg.fejer_check(trace, gp.x_star, gp.y_star, geo)
-        dg.rate_fit(trace, gp.x_star, gp.y_star, geo)
+        dg.fejer_check(log, gp.x_star, gp.y_star, geo)
+        dg.rate_fit(log, gp.x_star, gp.y_star, geo)
         points = [(gp.x_star, gp.y_star), (np.zeros(ps.n), geo.dual.start())]
-        dg.ergodic_gap_check(trace, ps, geo, points)
-        dg.conic_feasibility_check(trace, ps, geo, gp.x_star, gp.y_star)
+        dg.ergodic_gap_check(log, ps, geo, points)
+        dg.conic_feasibility_check(log, ps, geo, gp.x_star, gp.y_star)
         return len(calls)
 
-    short = SolveTrace(x0=trace.x0, y0=trace.y0, records=trace.records[:10])
-    assert count(trace) == count(short) > 0
+    short = dg.IterateLog(log.x0, log.y0, log.records[:10], log.iterates[:10])
+    assert count(log) == count(short) > 0
 
 
 @pytest.mark.parametrize("block", [None, 20], ids=["one_block", "carried_blocks"])
@@ -276,20 +290,20 @@ def test_ergodic_checks_match_running_sums(block, monkeypatch):
     gp = [g for g in golden_suite() if g.family == "ineq"][4]
     ps = gp.problem
     geo = BregmanGeometry(energy(ps.n), von_neumann(ps.m))
-    trace = run(SolverConfig(geometry=geo, max_outer=300), ps).trace
+    _, log = logged_run(SolverConfig(geometry=geo, max_outer=300), ps)
     points = [(gp.x_star, gp.y_star), (np.zeros(ps.n), 2.0 * np.ones(ps.m))]
     rhs = [
-        bregman_distance(geo.primal, x, trace.x0) + bregman_distance(geo.dual, y, trace.y0)
+        bregman_distance(geo.primal, x, log.x0) + bregman_distance(geo.dual, y, log.y0)
         for x, y in points
     ]
     weight, sx, sy, excess, conic = 0.0, np.zeros(ps.n), np.zeros(ps.m), [], []
-    bound_num = bregman_distance(geo.primal, gp.x_star, trace.x0) + dg._max_divergence_on_cap(
-        geo, trace.y0, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
+    bound_num = bregman_distance(geo.primal, gp.x_star, log.x0) + dg._max_divergence_on_cap(
+        geo, log.y0, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
     )
-    for rec in trace.records:
+    for rec, iterate in zip(log.records, log.iterates):
         weight += rec.sigma
-        sx = sx + rec.sigma * rec.s
-        sy = sy + rec.sigma * rec.y_next
+        sx = sx + rec.sigma * iterate.s
+        sy = sy + rec.sigma * iterate.y_next
         s_bar, y_bar = sx / weight, sy / weight
         excess.append(
             [lagrangian(ps, s_bar, y) - lagrangian(ps, x, y_bar) - r / weight
@@ -298,17 +312,20 @@ def test_ergodic_checks_match_running_sums(block, monkeypatch):
         obj = abs(ps.f.value(s_bar) - ps.f.value(gp.x_star))
         feas = float(np.linalg.norm(np.maximum(ps.map.residual(s_bar), 0.0)))
         conic.append(max(obj, feas) - bound_num / weight)
-    gap = dg.ergodic_gap_check(trace, ps, geo, points)
+    gap = dg.ergodic_gap_check(log, ps, geo, points)
     k, j = np.unravel_index(np.argmax(excess), (len(excess), 2))
     assert (gap.max_violation, gap.worst_k, gap.worst_point) == (excess[k][j], k, j)
-    assert dg.conic_feasibility_check(trace, ps, geo, gp.x_star, gp.y_star).max_excess == max(conic)
+    assert dg.conic_feasibility_check(log, ps, geo, gp.x_star, gp.y_star).max_excess == max(conic)
 
 
-def dual_perturbation(cfg, rec):
-    """v_k in the x-block of the KKT operator at (s, y_next):
+def dual_perturbations(cfg, log):
+    """v_k in the x-block of the KKT operator at (s, y_next), per iteration:
     grad - (psi'(s) - psi'(x_k)) / sigma."""
     psi = cfg.geometry.primal
-    return rec.grad - (psi.grad(rec.s) - psi.grad(rec.x_anchor)) / rec.sigma
+    return [
+        it.grad - (psi.grad(it.s) - psi.grad(x)) / rec.sigma
+        for rec, it, (x, _) in zip(log.records, log.iterates, anchors(log))
+    ]
 
 
 def dual_perturbation_value(ps, v, y):
@@ -321,13 +338,13 @@ def dual_perturbation_value(ps, v, y):
 class TestDualAsymptotics:
     def test_dual_values_approach_optimum(self):
         # F*(v_k, y_{k+1}) -> F*(0, y*) along a run with the Euclidean primal
-        cfg, rep = solve_eq()
+        cfg, log = solve_eq()
         ps = eq_qp()
         target = dual_perturbation_value(ps, [0.0], [-1.0])
         assert target == pytest.approx(-0.5)
         values = [
-            dual_perturbation_value(ps, dual_perturbation(cfg, rec), rec.y_next)
-            for rec in rep.trace.records
+            dual_perturbation_value(ps, v, it.y_next)
+            for v, it in zip(dual_perturbations(cfg, log), log.iterates)
         ]
         gaps = [abs(v - target) for v in values]
         assert gaps[-1] <= 1e-8
@@ -337,25 +354,25 @@ class TestDualAsymptotics:
         # v_k agrees with grad_x L(s_k, y_{k+1}) for the smooth objective
         from bpalm.problem import lagrangian
 
-        cfg, rep = solve_eq()
+        cfg, log = solve_eq()
         ps = eq_qp()
         h = 1e-7
-        for rec in rep.trace.records[:5]:
+        for v, it in list(zip(dual_perturbations(cfg, log), log.iterates))[:5]:
             fd = (
-                lagrangian(ps, rec.s + h, rec.y_next)
-                - lagrangian(ps, rec.s - h, rec.y_next)
+                lagrangian(ps, it.s + h, it.y_next)
+                - lagrangian(ps, it.s - h, it.y_next)
             ) / (2 * h)
-            assert dual_perturbation(cfg, rec)[0] == pytest.approx(fd, abs=1e-6)
+            assert v[0] == pytest.approx(fd, abs=1e-6)
 
 
 class TestSummability:
     def test_partial_sums_bounded(self):
-        cfg, rep = solve_eq()
-        total, budget = dg.summability_check(rep.trace, [1.0], [-1.0], cfg.geometry)
+        cfg, log = solve_eq()
+        total, budget = dg.summability_check(log, [1.0], [-1.0], cfg.geometry)
         assert total <= budget + 1e-6
 
     def test_budget_uses_max_rho(self):
-        cfg, rep = solve_eq(rho_schedule=RhoSchedule(0.25))
-        d0 = dg.summability_check(rep.trace, [1.0], [-1.0], cfg.geometry)[1]
+        cfg, log = solve_eq(rho_schedule=RhoSchedule(0.25))
+        d0 = dg.summability_check(log, [1.0], [-1.0], cfg.geometry)[1]
         expected = (0.5 * 1.0**2 + 0.5 * (-1.0) ** 2) / (1 - 0.25)
         assert d0 == pytest.approx(expected)

@@ -13,9 +13,10 @@ from scipy.linalg import LinAlgError
 import bpalm.auglag
 import bpalm.cli
 import bpalm.newton
+import bpalm.outer
 from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import FactorizationError
-from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
+from bpalm.legendre import BoxBarrier, BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
     REGIMES,
     SpectralSystem,
@@ -28,10 +29,13 @@ from bpalm.newton import (
     sc_steps,
     solve_subproblem,
 )
+from bpalm.oracle import golden_suite
 from bpalm.outer import SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_acceptance import family_config
 from test_auglag import marginal_value
+from test_diagnostics import anchors, logged_run
 from test_output_digest import benchmark_document
 from test_problem import _load_benchmark_instances
 
@@ -361,15 +365,14 @@ class TestDeferredDecrement:
     def test_one_factorization_per_step(self, factor_calls):
         cfg, ps = small_ineq_run()
         assert SpectralSystem.for_run(ps, cfg.geometry) is not None  # m x m systems
-        report = run(cfg, ps)
+        report, log = logged_run(cfg, ps)
         assert report.total_newton_steps > 0
         assert factor_calls == {"ok": report.total_newton_steps, "raised": 0}
 
-        records = report.trace.records
-        first = [rec.decrement for rec in records]
+        first = [iterate.decrement for iterate in log.iterates]
         assert factor_calls["ok"] == report.total_newton_steps + report.outer_iterations
-        assert [rec.decrement for rec in records] == first
-        assert [rec.newton.steps[-1].decrement for rec in records] == first
+        assert [iterate.decrement for iterate in log.iterates] == first
+        assert all(rec.newton.steps[-1].decrement is None for rec in log.records)
         assert factor_calls["ok"] == report.total_newton_steps + report.outer_iterations
 
     def test_deferred_value_matches_direct_decrement(self, monkeypatch):
@@ -384,16 +387,16 @@ class TestDeferredDecrement:
 
         monkeypatch.setattr(SpectralSystem, "for_run", capture)
         cfg, ps = small_ineq_run()
-        report = run(cfg, ps)
+        _, log = logged_run(cfg, ps)
         [system] = built
         assert system is not None
         geometry = cfg.geometry
         penalty = penalty_for(ps.g, geometry.dual)
-        for rec in report.trace.records:
-            anchor = evaluate_anchor(ps, geometry, rec.x_anchor, rec.y_anchor)
+        for rec, iterate, (x, y) in zip(log.records, log.iterates, anchors(log)):
+            anchor = evaluate_anchor(ps, geometry, x, y)
             ctx = make_context(ps, penalty, geometry, anchor, rec.sigma, rec.rho, system)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
-            assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
+            assert iterate.decrement == newton_decrement(ctx, iterate.s, modulus)
 
     def test_cap_reached_without_acceptance(self, factor_calls):
         ctx = ineq_vn_context(rho=0.0)
@@ -401,7 +404,8 @@ class TestDeferredDecrement:
         assert not inner.accepted
         assert inner.trace.iterations_used == 2 and len(inner.trace.steps) == 3
         assert factor_calls["ok"] == 2
-        assert inner.trace.steps[-1].decrement == newton_decrement(ctx, inner.point.s, 1.0)
+        assert inner.trace.steps[-1].decrement is None
+        assert inner.decrement() == newton_decrement(ctx, inner.point.s, 1.0)
 
 
 def spectral_pieces(seed, n=12, m=5, shift=0.5):
@@ -487,10 +491,10 @@ class TestDecrementReads:
         else:
             ps, geo, regime = dispatch_case(case)
             cfg = SolverConfig(geometry=geo, regime=regime, max_outer=20)
-        report = run(cfg, ps)
+        _, log = logged_run(cfg, ps)
         [system] = built
         assert (system is not None) == (case == "spectral")
-        records = report.trace.records
+        records = log.records
         sigmas = [rec.sigma for rec in records]
         if case == "spectral":  # k order would rebuild G at every change of sigma
             assert sum(a != b for a, b in zip(sigmas, sigmas[1:])) + 1 > len(set(sigmas))
@@ -518,7 +522,7 @@ class TestDecrementReads:
         monkeypatch.setattr(bpalm.newton, "cho_factor", counted(bpalm.newton.cho_factor, "factor"))
         monkeypatch.setattr(SpectralSystem, "_gram", counting_gram)
         path = tmp_path / "trace.csv"
-        bpalm.cli._write_trace(str(path), report, cfg.geometry, None, None)
+        bpalm.cli._write_trace(str(path), log, cfg.geometry, None, None)
 
         assert calls["evaluate_anchor"] == calls["make_context"] == calls["grad"] == 0
         assert calls["factor"] == len(records)
@@ -527,12 +531,12 @@ class TestDecrementReads:
         assert [row.split(",")[0] for row in rows] == [str(rec.k) for rec in records]
         # each read equals the direct decrement of a rebuilt context, bit for bit
         penalty = penalty_for(ps.g, cfg.geometry.dual)
-        for rec, row in zip(records, rows):
-            anchor = evaluate_anchor(ps, cfg.geometry, rec.x_anchor, rec.y_anchor)
+        for rec, iterate, (x, y), row in zip(records, log.iterates, anchors(log), rows):
+            anchor = evaluate_anchor(ps, cfg.geometry, x, y)
             ctx = make_context(ps, penalty, cfg.geometry, anchor, rec.sigma, rec.rho, system)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
-            assert rec.decrement == newton_decrement(ctx, rec.s, modulus)
-            assert row.split(",")[7] == format(rec.decrement, ".17g")
+            assert iterate.decrement == newton_decrement(ctx, iterate.s, modulus)
+            assert row.split(",")[7] == format(iterate.decrement, ".17g")
 
 
 class TestSpectralSystem:
@@ -884,6 +888,50 @@ class TestStepSizeRules:
                 assert self.admissible(regime, ps, geo, x, y, sigma) == expected, (regime, sigma)
                 seen.add(expected)
             assert seen == {True, False}
+
+    def test_sc_anchor_terms_serve_every_trial(self):
+        # one anchor's memo, formed by its first context, answers every sigma
+        residual = np.array([0.3, -0.2])
+        ps, geo, x, y = self.box_case(residual)
+        anchor = evaluate_anchor(ps, geo, x, y)
+        penalty = penalty_for(ps.g, geo.dual)
+        for sigma in 2.0 ** np.arange(-12.0, 6.0, 1.0 / 16.0):
+            ctx = make_context(ps, penalty, geo, anchor, sigma, 0.5)
+            expected = 16.0 * sigma**2 * self.sc_quad(ps, x, y, sigma) < 1.0
+            assert REGIMES["sc"].admissible(ctx) == expected, sigma
+        assert set(anchor.memo) == {"sc"}
+
+    def test_sc_hessian_at_the_anchor_once_per_outer_iteration(self, monkeypatch):
+        # sigma backtracks in 20 of box_qp_0_n3's 21 outer iterations; the
+        # later trials of an anchor reuse the first one's 1 / psi''(x)
+        gp = next(g for g in golden_suite() if g.family == "box")
+        cfg = family_config(gp)
+        searching, calls = [None], Counter()
+        select, make = bpalm.outer.select_sigma, bpalm.outer.make_context
+        hess_diag = BoxBarrier.hess_diag
+
+        def search(*args):
+            searching[0] = args[3]  # the anchor
+            try:
+                return select(*args)
+            finally:
+                searching[0] = None
+
+        def trial(*args):
+            calls["trial"] += 1
+            return make(*args)
+
+        def counting(self, z):
+            calls["at_anchor"] += searching[0] is not None and z is searching[0].x
+            return hess_diag(self, z)
+
+        monkeypatch.setattr(bpalm.outer, "select_sigma", search)
+        monkeypatch.setattr(bpalm.outer, "make_context", trial)
+        monkeypatch.setattr(BoxBarrier, "hess_diag", counting)
+        report = run(cfg, gp.problem)
+        assert report.outer_iterations == 21
+        assert calls["trial"] > report.outer_iterations
+        assert calls["at_anchor"] == report.outer_iterations
 
 
 class TestEarlyRejectionInSolves:

@@ -1,6 +1,7 @@
 """Tests for the outer proximal multiplier driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from bpalm.legendre import Energy, Spence, VonNeumann
 from bpalm.newton import REGIMES
 from bpalm.penalty import DualPenalty, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_diagnostics import anchors, logged_run
+from test_newton import newton_decrement
+from test_problem import _load_benchmark_instances
 
 
 def eq_qp():
@@ -134,16 +138,18 @@ class TestSelectSigma:
 
         monkeypatch.setattr(outer, "make_context", trial)
         monkeypatch.setattr(outer, "solve_subproblem", solve_from)
-        records = run(cfg, ps).trace.records
+        report, log = logged_run(cfg, ps)
+        records = log.records
+        x_anchors = [report.trace.x0] + [it.x_next for it in log.iterates[:-1]]
         assert len(solves) == len(records)
         assert any(rec.sigma_clipped for rec in records)
-        for (tried, ctx), rec in zip(solves, records):
+        for (tried, ctx), rec, x_anchor in zip(solves, records, x_anchors):
             assert tried[-1] is ctx and admissible(ctx)
             assert not any(admissible(larger) for larger in tried[:-1])
             assert [c.sigma for c in tried] == [tried[0].sigma * 0.5**j for j in range(len(tried))]
             assert rec.sigma_clipped == (len(tried) > 1)
             assert (rec.sigma, rec.rho) == (ctx.sigma, ctx.rho)
-            assert rec.x_anchor is ctx.start.s
+            assert x_anchor is ctx.start.s
             assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
 
@@ -153,8 +159,8 @@ class TestOuterIteration:
         cfg = eq_cfg(sigma0=1.0, rho_schedule=RhoSchedule(0.0))
         pen = penalty_for(ps.g, cfg.geometry.dual)
         state = IterateState(x=np.array([0.0]), y=np.array([0.0]), k=0)
-        new_state, rec = outer_iteration(cfg, ps, pen, state)
-        assert rec.s == pytest.approx([1 / 3], abs=1e-12)
+        new_state, rec, iterate = outer_iteration(cfg, ps, pen, state)
+        assert iterate.s == pytest.approx([1 / 3], abs=1e-12)
         assert new_state.x == pytest.approx([1 / 3], abs=1e-12)
         assert new_state.y == pytest.approx([-2 / 3], abs=1e-12)
         assert rec.sigma == 1.0
@@ -164,7 +170,7 @@ class TestOuterIteration:
         cfg = eq_cfg(rho_schedule=RhoSchedule(0.5))
         pen = penalty_for(ps.g, cfg.geometry.dual)
         state = IterateState(x=np.array([1.0]), y=np.array([-1.0]), k=0)
-        new_state, rec = outer_iteration(cfg, ps, pen, state)
+        new_state, rec, _ = outer_iteration(cfg, ps, pen, state)
         assert new_state.x == pytest.approx([1.0], abs=1e-10)
         assert new_state.y == pytest.approx([-1.0], abs=1e-10)
         assert rec.newton.iterations_used == 0
@@ -176,23 +182,88 @@ class TestOuterIteration:
         cfg = vn_cfg(ps)
         pen = penalty_for(ps.g, cfg.geometry.dual)
         state = IterateState(x=np.array([0.0]), y=np.array([1.0]), k=0)
-        _, rec = outer_iteration(cfg, ps, pen, state)
-        np.testing.assert_allclose(rec.x_anchor, [0.0])
+        _, rec, _ = outer_iteration(cfg, ps, pen, state)
         anchor = evaluate_anchor(ps, cfg.geometry, state.x, state.y)
         ctx = make_context(ps, pen, cfg.geometry, anchor, rec.sigma, rec.rho)
         assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
+    def test_next_iterate_is_shared_not_copied(self, monkeypatch):
+        # x_next and y_next are one read-only array each: the iterate's, the
+        # next state's and the next iteration's anchor
+        evaluated = []
+        evaluate = outer.evaluate_anchor
 
-    def test_next_iterate_is_shared_not_copied(self):
-        # x_next and y_next are one read-only array each: the record's, the
-        # next state's and the next context's anchors
-        rep = run(vn_cfg(ineq_qp(), max_outer=5, tol_b=0.0, tol_kkt=0.0), ineq_qp())
-        records = rep.trace.records
-        assert len(records) == 5 and all(rec.accepted for rec in records)
-        for prev, rec in zip(records, records[1:]):
-            assert rec.x_anchor is prev.x_next and rec.y_anchor is prev.y_next
-        assert not records[-1].x_next.flags.writeable
-        assert not records[-1].y_next.flags.writeable
+        def capture(*args):
+            evaluated.append(evaluate(*args))
+            return evaluated[-1]
+
+        monkeypatch.setattr(outer, "evaluate_anchor", capture)
+        cfg = vn_cfg(ineq_qp(), max_outer=5, tol_b=0.0, tol_kkt=0.0)
+        report, log = logged_run(cfg, ineq_qp())
+        assert len(log.iterates) == len(evaluated) == 5
+        assert all(rec.accepted for rec in log.records)
+        start = report.trace
+        assert evaluated[0].x is start.x0 and evaluated[0].y is start.y0
+        for prev, anchor in zip(log.iterates, evaluated[1:]):
+            assert anchor.x is prev.x_next and anchor.y is prev.y_next
+        for iterate in log.iterates:
+            for array in (iterate.s, iterate.x_next, iterate.y_next, iterate.grad):
+                assert not array.flags.writeable
+
+
+class TestObserver:
+    """run hands each outer iteration's record and iterate to on_iteration."""
+
+    def test_sees_every_record_once_in_k_order(self):
+        ps = _small_inequality_qp(3)
+        seen = []
+        report = run(vn_cfg(ps), ps, on_iteration=lambda rec, it: seen.append((rec, it)))
+        records = report.trace.records
+        assert len(seen) == len(records) > 1
+        assert all(rec is kept for (rec, _), kept in zip(seen, records))
+        assert [rec.k for rec, _ in seen] == list(range(len(records)))
+        last = seen[-1][1]
+        assert np.array_equal(report.x, last.s) and np.array_equal(report.y, last.y_next)
+
+    @pytest.mark.parametrize("dual", [von_neumann, spence], ids=["von_neumann", "spence"])
+    def test_decrement_matches_a_rebuilt_context(self, dual):
+        # the dense n x n path (m >= n); test_newton covers the spectral one
+        ps = _small_inequality_qp(4, n=4, m=6)
+        cfg = SolverConfig(geometry=BregmanGeometry(energy(ps.n), dual(ps.m)), regime="qsc")
+        assert outer.SpectralSystem.for_run(ps, cfg.geometry) is None
+        _, log = logged_run(cfg, ps)
+        assert log.records
+        penalty = penalty_for(ps.g, cfg.geometry.dual)
+        for rec, iterate, (x, y) in zip(log.records, log.iterates, anchors(log)):
+            anchor = evaluate_anchor(ps, cfg.geometry, x, y)
+            ctx = make_context(ps, penalty, cfg.geometry, anchor, rec.sigma, rec.rho)
+            modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
+            assert iterate.decrement == newton_decrement(ctx, iterate.s, modulus)
+            assert rec.newton.steps[-1].decrement is None
+
+
+def test_records_keep_scalars_only():
+    # a report keeps each outer record's scalars, not the iteration's arrays,
+    # which only an observer receives: at most 2 KB per record on a kl_ineq
+    # sized QP, where the arrays of one iteration take about 12 KB
+    inst = _load_benchmark_instances().inequality_instance(0, 300, 150)
+    ps = ProblemSpec(
+        f=SmoothObjective.quadratic(inst.W, inst.c),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense(inst.A, inst.b),
+    )
+    geometry = BregmanGeometry(energy(300), von_neumann(150))
+    cfg = SolverConfig(geometry=geometry, tol_b=1e-8, tol_kkt=1e-8, max_outer=60)
+    run(SolverConfig(geometry=geometry, max_outer=1), ps)  # first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run(cfg, ps)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.outer_iterations == 60
+    assert retained <= 2048 * report.outer_iterations, retained / report.outer_iterations
 
 
 class TestRun:
@@ -228,17 +299,17 @@ class TestRun:
 
     def test_exponential_multiplier_identity(self):
         ps = ineq_qp()
-        rep = run(vn_cfg(ps), ps)
-        for rec in rep.trace.records:
-            expected = rec.y_anchor * np.exp(rec.sigma * ps.map.residual(rec.s))
-            np.testing.assert_allclose(rec.y_next, expected, atol=1e-12)
+        _, log = logged_run(vn_cfg(ps), ps)
+        for rec, iterate, (_, y_anchor) in zip(log.records, log.iterates, anchors(log)):
+            expected = y_anchor * np.exp(rec.sigma * ps.map.residual(iterate.s))
+            np.testing.assert_allclose(iterate.y_next, expected, atol=1e-12)
 
     def test_dual_interiority(self):
         ps = ineq_qp()
         for dual in (von_neumann(1), spence(1)):
             cfg = SolverConfig(geometry=BregmanGeometry(energy(1), dual), regime="qsc")
-            rep = run(cfg, ps)
-            assert all(np.all(r.y_next > 0.0) for r in rep.trace.records)
+            _, log = logged_run(cfg, ps)
+            assert all(np.all(it.y_next > 0.0) for it in log.iterates)
 
     def test_sigma_growth_unclipped_on_quadratics(self):
         rep = run(eq_cfg(sigma0=1.0, sigma_growth=2.0, max_outer=6,

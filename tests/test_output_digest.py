@@ -28,6 +28,7 @@ from bpalm.cli import main
 from bpalm.oracle import golden_suite
 from test_acceptance import family_config
 from test_cli import write_document
+from test_diagnostics import logged_run
 from test_problem import _load_benchmark_instances
 
 RECORDED = {
@@ -134,11 +135,12 @@ def test_sc_box_runs():
     for gp in boxes:
         cfg = family_config(gp)
         assert cfg.regime == "sc"
-        report = bpalm.run(cfg, gp.problem)
+        report, log = logged_run(cfg, gp.problem)
         digest.update(report.x.tobytes() + report.y.tobytes() + report.status.value.encode())
-        for r in report.trace.records:
+        for r, iterate in zip(log.records, log.iterates, strict=True):
             digest.update(struct.pack("<ddq", r.sigma, r.b_value, r.newton.iterations_used))
-            for step in r.newton.steps:
+            for step in r.newton.steps[:-1]:
                 digest.update(struct.pack("<d", step.decrement))
+            digest.update(struct.pack("<d", iterate.decrement))  # the last point's
     assert boxes
     assert digest.hexdigest() == SC_BOX_SHA256, f"sc box digest: {digest.hexdigest()}"
