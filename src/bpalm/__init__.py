@@ -5,7 +5,6 @@ from .legendre import (
     LegendreFunction,
     bregman_distance,
     box_barrier,
-    burg,
     energy,
     spence,
     von_neumann,

@@ -140,7 +140,7 @@ def parse_problem(path: str, regime: str = "qsc"):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
     _require_keys(
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
                 diag, distances = _diagnostics_payload(log, problem, geometry, golden)
         if args.trace:  # reads each iterate's decrement, which may factorize
             _write_trace(args.trace, log, geometry, golden, distances)
-    except BpalmError as exc:
+    except (BpalmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ __all__ = [
     "BregmanGeometry",
     "energy",
     "von_neumann",
-    "burg",
     "spence",
     "box_barrier",
     "bregman_distance",

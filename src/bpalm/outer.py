@@ -50,10 +50,8 @@ _MAX_BACKTRACKS = 40
 _SHRINK = 0.5
 _SIGMA_MIN = 1e-12
 
-# a multiplier norm above _DIVERGENCE_NORM, or _STAGNATION_LIMIT clipped
-# iterations in a row without primal progress, stop the run as diverged
+# a multiplier norm above _DIVERGENCE_NORM stops the run as diverged
 _DIVERGENCE_NORM = 1e12
-_STAGNATION_LIMIT = 50
 
 
 class SolveStatus(Enum):
@@ -293,7 +291,10 @@ def run(
     on_iteration: Callable[[OuterRecord, Iterate], object] | None = None,
 ) -> SolveReport:
     """Drive outer iterations until the progress proxy and the KKT residuals
-    both fall below their tolerances.
+    both fall below their tolerances (optimal), ||y|| exceeds
+    _DIVERGENCE_NORM (diverged), no step size is admissible or the Newton cap
+    is spent without acceptance (inner_failure), or max_outer is reached
+    (max_iter).
 
     The report's trace keeps each iteration's record; ``on_iteration``, if
     given, is called once per outer iteration, in k order, with the record
@@ -312,8 +313,6 @@ def run(
     trace = SolveTrace(x0=x0, y0=y0)
     state = IterateState(x=x0, y=y0, k=0)
     status = SolveStatus.MAX_ITER
-    best_primal = math.inf
-    stall = 0
     # built here, per call: W's eigendecomposition is part of the solve
     system = SpectralSystem.for_run(problem, cfg.geometry)
 
@@ -342,18 +341,6 @@ def run(
         if float(np.linalg.norm(state.y)) > _DIVERGENCE_NORM:
             status = SolveStatus.DIVERGED
             break
-        if (
-            record.sigma_clipped
-            and resid.primal_res > cfg.tol_kkt
-            and resid.primal_res > 0.999 * best_primal
-        ):
-            stall += 1
-            if stall >= _STAGNATION_LIMIT:
-                status = SolveStatus.DIVERGED
-                break
-        else:
-            stall = 0
-        best_primal = min(best_primal, resid.primal_res)
 
     if trace.records:
         last = trace.records[-1]

@@ -551,7 +551,11 @@ def _ineq_document(**overrides):
 def _assert_one_error_line(doc, tmp_path, capsys, *options):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))  # NaN, Infinity literals
-    rc = main(["--problem", str(path), *options])
+    _assert_error_exit(capsys, "--problem", str(path), *options)
+
+
+def _assert_error_exit(capsys, *argv):
+    rc = main(list(argv))
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
@@ -625,6 +629,26 @@ class TestBadNumbers:
         path.write_text(json.dumps(doc))
         ps, _ = parse_problem(str(path))
         assert ps.m == 1  # no finite bound, no extra row
+
+
+class TestBadFiles:
+    """Files that cannot be decoded or written exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe\x00{", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "nested_too_deeply"],
+    )
+    def test_undecodable_files_exit_two(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        _assert_error_exit(capsys, "--problem", str(path))
+
+    @pytest.mark.parametrize("trace", ["missing/trace.csv", "."], ids=["no_directory", "directory"])
+    def test_unwritable_trace_exits_two(self, trace, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(_ineq_document()))
+        _assert_error_exit(capsys, "--problem", str(path), "--trace", str(tmp_path / trace))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -51,6 +51,16 @@ def eq_cfg(**kw):
     return SolverConfig(**defaults)
 
 
+def kl_ineq_qp(inst):
+    """The QP of a benchmark inequality instance, as the kl_ineq workload
+    builds it."""
+    return ProblemSpec(
+        f=SmoothObjective.quadratic(inst.W, inst.c),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense(inst.A, inst.b),
+    )
+
+
 def vn_cfg(problem, **kw):
     defaults = dict(
         geometry=BregmanGeometry(energy(problem.n), von_neumann(problem.m)),
@@ -246,12 +256,7 @@ def test_records_keep_scalars_only():
     # a report keeps each outer record's scalars, not the iteration's arrays,
     # which only an observer receives: at most 2 KB per record on a kl_ineq
     # sized QP, where the arrays of one iteration take about 12 KB
-    inst = _load_benchmark_instances().inequality_instance(0, 300, 150)
-    ps = ProblemSpec(
-        f=SmoothObjective.quadratic(inst.W, inst.c),
-        g=NonsmoothTerm.nonneg_orthant_indicator(),
-        map=AffineMap.from_dense(inst.A, inst.b),
-    )
+    ps = kl_ineq_qp(_load_benchmark_instances().inequality_instance(0, 300, 150))
     geometry = BregmanGeometry(energy(300), von_neumann(150))
     cfg = SolverConfig(geometry=geometry, tol_b=1e-8, tol_kkt=1e-8, max_outer=60)
     run(SolverConfig(geometry=geometry, max_outer=1), ps)  # first-call caches
@@ -369,6 +374,32 @@ class TestRun:
         )
         rep = run(cfg, ps)
         assert rep.status == SolveStatus.DIVERGED
+        # the multiplier bound is the one test that reports divergence
+        assert np.linalg.norm(rep.y) > 1e12
+
+    def test_inner_failure_when_newton_cap_is_spent(self):
+        # no Newton step allowed: the first subproblem cannot be accepted
+        rep = run(vn_cfg(ineq_qp(), newton_cap=0), ineq_qp())
+        assert rep.status == SolveStatus.INNER_FAILURE
+        assert rep.outer_iterations == 1
+        assert not rep.trace.records[0].accepted
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_slow_primal_progress_still_ends_optimal(self, seed):
+        # the primal residual stalls for many clipped iterations on these
+        # kl_ineq instances; only the outer tolerances may stop the run
+        instances = _load_benchmark_instances()
+        inst = instances.inequality_instance(seed, 300, 150)
+        cfg = SolverConfig(
+            geometry=BregmanGeometry(energy(300), von_neumann(150)),
+            tol_b=1e-8,
+            tol_kkt=1e-8,
+            max_outer=3000,
+        )
+        rep = run(cfg, kl_ineq_qp(inst))
+        assert rep.status == SolveStatus.OPTIMAL
+        assert instances.kkt_residual(inst, rep.x, rep.y) <= 1e-8
+        assert instances.reference_distance(inst, rep.x) <= 1e-6
 
     def test_invalid_start_raises(self):
         with pytest.raises(DomainError):

@@ -48,7 +48,12 @@ def _module_bindings(tree: ast.Module, name: str) -> int:
             count += node.name == name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            count += sum(isinstance(t, ast.Name) and t.id == name for t in targets)
+            # names bound inside tuple or list targets count too
+            count += sum(
+                isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store) and t.id == name
+                for target in targets
+                for t in ast.walk(target)
+            )
     return count
 
 
