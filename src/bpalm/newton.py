@@ -21,7 +21,7 @@ from .auglag import PointEvaluation, SubproblemContext, subproblem_hess
 from .exceptions import FactorizationError, InvalidRegimeError
 from .legendre import BregmanGeometry
 from .penalty import DualPenalty, penalty_for
-from .problem import ProblemSpec
+from .problem import AffineMap, ProblemSpec, SmoothObjective
 
 __all__ = [
     "NewtonStepRecord",
@@ -139,15 +139,22 @@ def _clamped_step(ctx: SubproblemContext, s: np.ndarray, direction: np.ndarray) 
 
 
 class SpectralSystem:
-    """Constraint-space Newton systems for a quadratic objective under the
-    energy primal, built once per run from eigh(W) = Q diag(lam) Q^T.
+    """A quadratic objective under the energy primal in the eigenbasis of W,
+    eigh(W) = Q diag(lam) Q^T, and its constraint-space Newton systems, built
+    once per run.
 
-    With w = 1/(lam + 1/sigma), B = A Q and D = diag(d) the penalty
-    Hessian, the subproblem Hessian is
-    H = Q (diag(1/w) + sigma B^T D B) Q^T, and Woodbury with
-    E = diag(sqrt(sigma d)) gives
+    ``problem`` is the run's problem in the coordinates x~ = Q^T x:
+    f(x~) = x~^T diag(lam) x~ / 2 + (Q^T c)^T x~ and the map x~ -> B x~ - b
+    with B = A Q, under A's own norm bound.  The energy distances, the
+    penalties and the 2-norms of gradients and KKT residuals are invariant
+    under the orthogonal change, so `run` solves it instead, and no n x n
+    product is left in the outer loop.
 
-        H^{-1} g = Q (r - w * B^T E K^{-1} E B r),   r = w * Q^T g,
+    With w = 1/(lam + 1/sigma) and D = diag(d) the penalty Hessian, the
+    subproblem Hessian there is H = diag(1/w) + sigma B^T D B, and Woodbury
+    with E = diag(sqrt(sigma d)) gives
+
+        H^{-1} g = r - w * B^T E K^{-1} E B r,   r = w * g,
 
     where K = I + E G E and G = B diag(w) B^T.  K is m x m with eigenvalues
     at least 1 and holds no 1/(sigma d), so entries of d that underflow to 0
@@ -155,15 +162,30 @@ class SpectralSystem:
     sigma seen.
     """
 
-    def __init__(self, W: np.ndarray, A: np.ndarray):
+    def __init__(self, problem: ProblemSpec):
+        f, affine = problem.f, problem.map
         try:
-            lam, self.Q = eigh(W)
+            lam, self.Q = eigh(f.W)
         except LinAlgError as exc:
             raise FactorizationError("eigendecomposition of W did not converge") from exc
         # W is validated PSD; a negative rounding-level eigenvalue would
         # make w change sign at large sigma
         self.lam = np.maximum(lam, 0.0)
-        self.B = A @ self.Q
+        self.B = affine.A @ self.Q
+        for array in (self.Q, self.lam, self.B):
+            array.flags.writeable = False
+        rotated = SmoothObjective(
+            "quadratic",
+            n=f.n,
+            W=self.lam,
+            c=self.Q.T @ f.c,
+            qsc_modulus=f.qsc_modulus,
+            lipschitz_modulus=f.lipschitz_modulus,
+            sc_modulus=f.sc_modulus,
+        )
+        self.problem = ProblemSpec(
+            rotated, problem.g, AffineMap(self.B, affine.b, affine.op_norm_bound)
+        )
         self._sigma = self._w = self._G = None
 
     @classmethod
@@ -180,7 +202,7 @@ class SpectralSystem:
             or not penalty_for(problem.g, geometry.dual).diagonal
         ):
             return None
-        return cls(problem.f.W, problem.map.A)
+        return cls(problem)
 
     def _gram(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         if sigma != self._sigma:
@@ -190,7 +212,7 @@ class SpectralSystem:
         return self._w, self._G
 
     def solve(self, sigma: float, d: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """H^{-1} g for H = W + I/sigma + sigma A^T diag(d) A."""
+        """H^{-1} g for H = diag(lam) + I/sigma + sigma B^T diag(d) B."""
         w, G = self._gram(sigma)
         e = np.sqrt(sigma * d)
         # Kt.T is K bit for bit (root @ root.T is a syrk), in potrf's order
@@ -198,9 +220,9 @@ class SpectralSystem:
         Kt *= e
         diagonal = np.einsum("ii->i", Kt)  # a strided view: no index arrays
         diagonal += 1.0
-        r = w * (self.Q.T @ g)
+        r = w * g
         z = e * _solve_spd(Kt.T, e * (self.B @ r))
-        return self.Q @ (r - w * (self.B.T @ z))
+        return r - w * (self.B.T @ z)
 
 
 def _newton_direction(

@@ -139,14 +139,38 @@ class OuterRecord:
 class Iterate:
     """The arrays of one outer iteration: the subproblem's last point s, its
     gradient there and the next iterate (x_next, y_next), which is the next
-    iteration's anchor.  Each is read-only and shared with the solver, not
-    copied."""
+    iteration's anchor.  Each is read-only.
 
-    s: np.ndarray
-    x_next: np.ndarray
+    The iterate keeps the solver's own arrays, shared, not copied, which the
+    deferred decrement reads too.  Where the run solves in W's eigenbasis
+    (``basis`` is Q), each read of s, x_next or grad maps the solver's array
+    back to the caller's coordinates, and nothing keeps the result."""
+
+    _s: np.ndarray
+    _x_next: np.ndarray
     y_next: np.ndarray
-    grad: np.ndarray  # the subproblem gradient at s; the record's grad_norm is its norm
+    _grad: np.ndarray  # the subproblem gradient at s; the record's grad_norm is its norm
     _decrement: Callable[[], float] = field(repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False)
+
+    def _in_caller_coordinates(self, z: np.ndarray) -> np.ndarray:
+        if self.basis is None:
+            return z
+        out = self.basis @ z
+        out.flags.writeable = False
+        return out
+
+    @property
+    def s(self) -> np.ndarray:
+        return self._in_caller_coordinates(self._s)
+
+    @property
+    def x_next(self) -> np.ndarray:
+        return self._in_caller_coordinates(self._x_next)
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._in_caller_coordinates(self._grad)
 
     @cached_property
     def decrement(self) -> float:
@@ -231,7 +255,9 @@ def outer_iteration(
 ) -> tuple[IterateState, OuterRecord, Iterate]:
     """One outer step; on inner failure the state is returned unchanged.
 
-    ``system`` is the run's constraint-space Newton system, if it has one.
+    ``system`` is the run's constraint-space Newton system, if it has one;
+    then ``problem`` is its ``system.problem`` and ``state`` is in W's
+    eigenbasis, and the iterate maps its reads back.
     The anchor, which is also the warm start, is evaluated once and shared
     by every sigma trial; the accepted trial's context is the subproblem
     solved, and the inner solve's last point serves the multiplier update
@@ -275,7 +301,8 @@ def outer_iteration(
         residuals=residuals,
         accepted=inner.accepted,
     )
-    iterate = Iterate(s, x_next, y_next, inner.grad, inner.decrement)
+    basis = None if system is None else system.Q
+    iterate = Iterate(s, x_next, y_next, inner.grad, inner.decrement, basis)
     if not inner.accepted:
         return state, record, iterate
 
@@ -296,6 +323,9 @@ def run(
     is spent without acceptance (inner_failure), or max_outer is reached
     (max_iter).
 
+    Where the run has a spectral system, the loop solves the problem in W's
+    eigenbasis, and only the report's x and the iterate's reads map back.
+
     The report's trace keeps each iteration's record; ``on_iteration``, if
     given, is called once per outer iteration, in k order, with the record
     and the iterate, whose arrays nothing else keeps."""
@@ -311,15 +341,19 @@ def run(
 
     started = time.perf_counter()
     trace = SolveTrace(x0=x0, y0=y0)
-    state = IterateState(x=x0, y=y0, k=0)
-    status = SolveStatus.MAX_ITER
     # built here, per call: W's eigendecomposition is part of the solve
     system = SpectralSystem.for_run(problem, cfg.geometry)
+    solved, start = problem, x0
+    if system is not None:
+        solved, start = system.problem, system.Q.T @ x0
+        start.flags.writeable = False
+    state = IterateState(x=start, y=y0, k=0)
+    status = SolveStatus.MAX_ITER
 
     iterate = None
     for _ in range(cfg.max_outer):
         try:
-            state, record, iterate = outer_iteration(cfg, problem, penalty, state, system)
+            state, record, iterate = outer_iteration(cfg, solved, penalty, state, system)
         except BisectionFailedError:
             status = SolveStatus.INNER_FAILURE
             break

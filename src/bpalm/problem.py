@@ -136,9 +136,11 @@ class SmoothObjective:
     """Smooth convex part of the composite objective.
 
     Either a (possibly box-constrained) convex quadratic or a named objective
-    from `_NAMED`.  Carries the generalized self-concordance moduli the
-    path-following rules consume: ``qsc_modulus`` always, ``lipschitz_modulus``
-    and ``sc_modulus`` when available.
+    from `_NAMED`.  A quadratic's ``W`` may be a vector, the diagonal of a
+    diagonal W, as in the objective `run` solves in W's eigenbasis.  Carries
+    the generalized self-concordance moduli the path-following rules
+    consume: ``qsc_modulus`` always, ``lipschitz_modulus`` and
+    ``sc_modulus`` when available.
     """
 
     def __init__(
@@ -244,7 +246,7 @@ class SmoothObjective:
         """f(x), one value per row for points x of shape (..., n)."""
         x = np.asarray(x, dtype=float)
         if self.variant == "quadratic":
-            wx = np.matmul(self.W, x[..., None])[..., 0]
+            wx = self.W * x if self.W.ndim == 1 else np.matmul(self.W, x[..., None])[..., 0]
             out = 0.5 * np.vecdot(x, wx) + np.vecdot(self.c, x)
         else:
             out = self._value_fn(x)
@@ -255,14 +257,14 @@ class SmoothObjective:
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         if self.variant == "quadratic":
-            return self.W @ x + self.c
+            return (self.W * x if self.W.ndim == 1 else self.W @ x) + self.c
         return np.asarray(self._grad_fn(x), dtype=float)
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         if self.variant == "quadratic":
-            return self.W
+            return np.diag(self.W) if self.W.ndim == 1 else self.W
         return np.asarray(self._hess_fn(x), dtype=float)
 
 

@@ -35,7 +35,7 @@ from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 from test_acceptance import family_config
 from test_auglag import marginal_value
-from test_diagnostics import anchors, logged_run
+from test_diagnostics import logged_run
 from test_output_digest import benchmark_document
 from test_problem import _load_benchmark_instances
 
@@ -271,7 +271,7 @@ class TestCholeskyWrappers:
         rng = np.random.default_rng(m)
         n = m + 7
         root = rng.normal(size=(n, n))
-        system = SpectralSystem(root @ root.T / n + np.eye(n), rng.normal(size=(m, n)))
+        system = spectral_system(root @ root.T / n + np.eye(n), rng.normal(size=(m, n)))
         factored = []
 
         def recording(a):
@@ -392,11 +392,12 @@ class TestDeferredDecrement:
         assert system is not None
         geometry = cfg.geometry
         penalty = penalty_for(ps.g, geometry.dual)
-        for rec, iterate, (x, y) in zip(log.records, log.iterates, anchors(log)):
-            anchor = evaluate_anchor(ps, geometry, x, y)
-            ctx = make_context(ps, penalty, geometry, anchor, rec.sigma, rec.rho, system)
+        solved = system.problem  # the problem in W's eigenbasis, which the run solved
+        for rec, iterate, (x, y) in zip(log.records, log.iterates, solver_anchors(log, system)):
+            anchor = evaluate_anchor(solved, geometry, x, y)
+            ctx = make_context(solved, penalty, geometry, anchor, rec.sigma, rec.rho, system)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
-            assert iterate.decrement == newton_decrement(ctx, iterate.s, modulus)
+            assert iterate.decrement == newton_decrement(ctx, iterate._s, modulus)
 
     def test_cap_reached_without_acceptance(self, factor_calls):
         ctx = ineq_vn_context(rho=0.0)
@@ -406,6 +407,26 @@ class TestDeferredDecrement:
         assert factor_calls["ok"] == 2
         assert inner.trace.steps[-1].decrement is None
         assert inner.decrement() == newton_decrement(ctx, inner.point.s, 1.0)
+
+
+def solver_anchors(log, system):
+    """Each logged outer iteration's anchor (x_k, y_k) in the coordinates the
+    run solved in: W's eigenbasis where it had a spectral system."""
+    x0 = log.x0 if system is None else system.Q.T @ log.x0
+    return [(x0, log.y0)] + [(it._x_next, it.y_next) for it in log.iterates[:-1]]
+
+
+def spectral_system(W, A):
+    """The spectral system of min x'Wx/2 s.t. Ax <= 0; its Newton systems
+    read W and A alone."""
+    m, n = A.shape
+    return SpectralSystem(
+        ProblemSpec(
+            f=SmoothObjective.quadratic(W, np.zeros(n)),
+            g=NonsmoothTerm.nonneg_orthant_indicator(),
+            map=AffineMap.from_dense(A, np.zeros(m)),
+        )
+    )
 
 
 def spectral_pieces(seed, n=12, m=5, shift=0.5):
@@ -529,67 +550,102 @@ class TestDecrementReads:
         assert calls["G"] <= (0 if system is None else len(set(sigmas)))
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == [str(rec.k) for rec in records]
-        # each read equals the direct decrement of a rebuilt context, bit for bit
+        # each read equals the direct decrement of a context rebuilt on the
+        # problem the run solved, bit for bit
         penalty = penalty_for(ps.g, cfg.geometry.dual)
-        for rec, iterate, (x, y), row in zip(records, log.iterates, anchors(log), rows):
-            anchor = evaluate_anchor(ps, cfg.geometry, x, y)
-            ctx = make_context(ps, penalty, cfg.geometry, anchor, rec.sigma, rec.rho, system)
+        solved = ps if system is None else system.problem
+        points = zip(records, log.iterates, solver_anchors(log, system), rows)
+        for rec, iterate, (x, y), row in points:
+            anchor = evaluate_anchor(solved, cfg.geometry, x, y)
+            ctx = make_context(solved, penalty, cfg.geometry, anchor, rec.sigma, rec.rho, system)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
-            assert iterate.decrement == newton_decrement(ctx, iterate.s, modulus)
+            assert iterate.decrement == newton_decrement(ctx, iterate._s, modulus)
             assert row.split(",")[7] == format(iterate.decrement, ".17g")
 
 
 class TestSpectralSystem:
     """Constraint-space Newton solves for quadratic objectives under the
-    energy primal."""
+    energy primal, in W's eigenbasis: each system is
+    diag(lam) + I/sigma + sigma B^T D B with B = A Q."""
+
+    @staticmethod
+    def eigenbasis_hessian(system, sigma, d):
+        return dense_hessian(np.diag(system.lam), system.B, sigma, d)
 
     @pytest.mark.parametrize("log2_sigma", [-20, -10, 0, 10, 20])
     def test_backward_error_over_wide_spectra(self, log2_sigma):
         sigma = 2.0**log2_sigma
         W, A, g = spectral_pieces(11)
-        system = SpectralSystem(W, A)
+        system = spectral_system(W, A)
         rng = np.random.default_rng(12)
         for _ in range(5):
             d = np.exp(rng.uniform(-30.0, 30.0, A.shape[0]))
             d[rng.integers(A.shape[0])] = 0.0
             x = system.solve(sigma, d, g)
-            assert backward_error(dense_hessian(W, A, sigma, d), x, g) <= 1e-14
+            assert backward_error(self.eigenbasis_hessian(system, sigma, d), x, g) <= 1e-14
 
     def test_backward_error_with_singular_objective(self):
         # w = 1/(lam + 1/sigma) reaches sigma on W's null space, and the
         # Woodbury correction cancels terms that large: at sigma = 2^20 the
-        # error grows to about 6e-13, where the dense path needs its SPD lift
-        # and reaches about 8e-14
+        # error is 3.7e-14 on this draw of d, and over 300 draws its median
+        # is 2.1e-13 and its maximum 2.5e-12, where the dense path needs its
+        # SPD lift and reaches 8.3e-14 and 1.6e-13
         W, A, g = spectral_pieces(11, shift=0.0)
-        system = SpectralSystem(W, A)
+        system = spectral_system(W, A)
         rng = np.random.default_rng(12)
         for log2_sigma in (-20, 0, 20):
             sigma = 2.0**log2_sigma
             d = np.exp(rng.uniform(-30.0, 30.0, A.shape[0]))
             d[rng.integers(A.shape[0])] = 0.0
             x = system.solve(sigma, d, g)
-            assert backward_error(dense_hessian(W, A, sigma, d), x, g) <= 1e-11
+            assert backward_error(self.eigenbasis_hessian(system, sigma, d), x, g) <= 1e-11
 
     def test_agrees_with_dense_path(self):
+        # mapped back, the eigenbasis solve is the caller's system's
         W, A, g = spectral_pieces(13)
-        system = SpectralSystem(W, A)
+        system = spectral_system(W, A)
+        Q = system.Q
         rng = np.random.default_rng(14)
         for sigma in (2.0**-6, 0.5, 1.0, 8.0, 2.0**6):
             d = np.exp(rng.uniform(-9.0, 9.0, A.shape[0]))
             dense = np.linalg.solve(dense_hessian(W, A, sigma, d), g)
-            x = system.solve(sigma, d, g)
+            x = Q @ system.solve(sigma, d, Q.T @ g)
             assert np.linalg.norm(x - dense) <= 1e-8 * np.linalg.norm(dense)
+
+    def test_eigenbasis_problem(self):
+        # built with the constructors: no second eigvalsh or svdvals, and B
+        # is the system's own array, not a copy
+        cfg, ps = small_ineq_run()
+        system = SpectralSystem.for_run(ps, cfg.geometry)
+        solved, Q = system.problem, system.Q
+        np.testing.assert_allclose(Q @ np.diag(system.lam) @ Q.T, ps.f.W, atol=1e-13)
+        assert solved.map.A is system.B and solved.map.b is ps.map.b
+        assert solved.map.op_norm_bound == ps.map.op_norm_bound
+        assert solved.g is ps.g
+        for name in ("qsc_modulus", "lipschitz_modulus", "sc_modulus"):
+            assert getattr(solved.f, name) == getattr(ps.f, name)
+        x = np.linspace(-1.0, 1.0, ps.n)
+        np.testing.assert_allclose(Q @ solved.f.grad(Q.T @ x), ps.f.grad(x), atol=1e-13)
+        assert solved.f.value(Q.T @ x) == pytest.approx(ps.f.value(x), rel=1e-13)
+        np.testing.assert_allclose(solved.map.residual(Q.T @ x), ps.map.residual(x), atol=1e-13)
+        for array in (Q, system.lam, system.B):
+            assert not array.flags.writeable
 
     def test_newton_oracle_agrees_with_dense_context(self):
         cfg, ps = small_ineq_run()
         pen = penalty_for(ps.g, cfg.geometry.dual)
         system = SpectralSystem.for_run(ps, cfg.geometry)
+        Q = system.Q
         x0, y0 = np.full(ps.n, 0.1), np.full(ps.m, 0.5)
-        args = (ps, pen, cfg.geometry, evaluate_anchor(ps, cfg.geometry, x0, y0), 0.25, 0.5)
-        dense, spectral = make_context(*args), make_context(*args, system)
+        anchor = evaluate_anchor(ps, cfg.geometry, x0, y0)
+        dense = make_context(ps, pen, cfg.geometry, anchor, 0.25, 0.5)
+        anchor = evaluate_anchor(system.problem, cfg.geometry, Q.T @ x0, y0)
+        spectral = make_context(system.problem, pen, cfg.geometry, anchor, 0.25, 0.5, system)
         s = np.linspace(-0.3, 0.3, ps.n)
-        np.testing.assert_allclose(newton_step(spectral, s), newton_step(dense, s), rtol=1e-8)
-        assert newton_decrement(spectral, s, 2.0) == pytest.approx(
+        np.testing.assert_allclose(
+            Q @ newton_step(spectral, Q.T @ s), newton_step(dense, s), rtol=1e-8
+        )
+        assert newton_decrement(spectral, Q.T @ s, 2.0) == pytest.approx(
             newton_decrement(dense, s, 2.0), rel=1e-8
         )
 

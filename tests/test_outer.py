@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bpalm.outer as outer
+from bpalm import diagnostics as dg
 from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import DomainError, InvalidRegimeError
 from bpalm.legendre import BregmanGeometry, box_barrier, burg, energy, spence, von_neumann
@@ -22,9 +23,11 @@ from bpalm.outer import (
 from bpalm.legendre import Energy, Spence, VonNeumann
 from bpalm.newton import REGIMES
 from bpalm.penalty import DualPenalty, penalty_for
+from bpalm.oracle import golden_suite
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_acceptance import family_config
 from test_diagnostics import anchors, logged_run
-from test_newton import newton_decrement
+from test_newton import newton_decrement, solver_anchors
 from test_problem import _load_benchmark_instances
 
 
@@ -150,16 +153,23 @@ class TestSelectSigma:
         monkeypatch.setattr(outer, "solve_subproblem", solve_from)
         report, log = logged_run(cfg, ps)
         records = log.records
-        x_anchors = [report.trace.x0] + [it.x_next for it in log.iterates[:-1]]
+        # the solver's own arrays, in W's eigenbasis: the run has a spectral system
+        system = solves[0][1].system
+        assert system is not None
+        x_anchors = solver_anchors(log, system)
         assert len(solves) == len(records)
         assert any(rec.sigma_clipped for rec in records)
-        for (tried, ctx), rec, x_anchor in zip(solves, records, x_anchors):
+        for (tried, ctx), rec, (x_anchor, _) in zip(solves, records, x_anchors):
             assert tried[-1] is ctx and admissible(ctx)
             assert not any(admissible(larger) for larger in tried[:-1])
             assert [c.sigma for c in tried] == [tried[0].sigma * 0.5**j for j in range(len(tried))]
             assert rec.sigma_clipped == (len(tried) > 1)
             assert (rec.sigma, rec.rho) == (ctx.sigma, ctx.rho)
-            assert x_anchor is ctx.start.s
+            assert ctx.system is system
+            if rec.k == 0:  # Q^T x0, formed once by run
+                assert np.array_equal(x_anchor, ctx.start.s)
+            else:
+                assert x_anchor is ctx.start.s
             assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
 
@@ -198,8 +208,10 @@ class TestOuterIteration:
         assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
     def test_next_iterate_is_shared_not_copied(self, monkeypatch):
-        # x_next and y_next are one read-only array each: the iterate's, the
-        # next state's and the next iteration's anchor
+        # the solver's x_next and y_next are one read-only array each: the
+        # iterate's, the next state's and the next iteration's anchor; where
+        # the run solves in W's eigenbasis (m < n), each read of s, x_next
+        # or grad maps the solver's array back afresh, read-only too
         evaluated = []
         evaluate = outer.evaluate_anchor
 
@@ -208,17 +220,35 @@ class TestOuterIteration:
             return evaluated[-1]
 
         monkeypatch.setattr(outer, "evaluate_anchor", capture)
-        cfg = vn_cfg(ineq_qp(), max_outer=5, tol_b=0.0, tol_kkt=0.0)
-        report, log = logged_run(cfg, ineq_qp())
-        assert len(log.iterates) == len(evaluated) == 5
-        assert all(rec.accepted for rec in log.records)
-        start = report.trace
-        assert evaluated[0].x is start.x0 and evaluated[0].y is start.y0
-        for prev, anchor in zip(log.iterates, evaluated[1:]):
-            assert anchor.x is prev.x_next and anchor.y is prev.y_next
-        for iterate in log.iterates:
-            for array in (iterate.s, iterate.x_next, iterate.y_next, iterate.grad):
-                assert not array.flags.writeable
+        for ps, spectral in ((ineq_qp(), False), (_small_inequality_qp(3), True)):
+            evaluated.clear()
+            cfg = vn_cfg(ps, max_outer=5, tol_b=0.0, tol_kkt=0.0)
+            report, log = logged_run(cfg, ps)
+            assert len(log.iterates) == len(evaluated) == 5
+            assert all(rec.accepted for rec in log.records)
+            start = report.trace
+            Q = log.iterates[0].basis
+            assert (Q is not None) == spectral
+            if Q is None:
+                assert evaluated[0].x is start.x0
+            else:
+                assert np.array_equal(evaluated[0].x, Q.T @ start.x0)
+            assert evaluated[0].y is start.y0
+            for prev, anchor in zip(log.iterates, evaluated[1:]):
+                assert anchor.x is prev._x_next and anchor.y is prev.y_next
+            for iterate in log.iterates:
+                assert iterate.basis is Q
+                solver = (iterate._s, iterate._x_next, iterate.y_next, iterate._grad)
+                read = (iterate.s, iterate.x_next, iterate.y_next, iterate.grad)
+                for array in solver + read:
+                    assert not array.flags.writeable
+                for kept, mapped in zip(solver[:2] + solver[3:], read[:2] + read[3:]):
+                    if Q is None:
+                        assert mapped is kept
+                    else:  # computed on each read, not kept
+                        assert mapped is not kept and np.array_equal(mapped, Q @ kept)
+                if Q is not None:
+                    assert iterate.s is not iterate.s
 
 
 class TestObserver:
@@ -252,6 +282,64 @@ class TestObserver:
             assert rec.newton.steps[-1].decrement is None
 
 
+class TestEigenbasisRun:
+    """Where the run has a spectral system, it solves in W's eigenbasis and
+    maps back at the edges; the dense path solves the same problem in the
+    caller's coordinates."""
+
+    @staticmethod
+    def dense_run(cfg, ps, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(outer.SpectralSystem, "for_run", lambda problem, geometry: None)
+            return run(cfg, ps)
+
+    @pytest.mark.parametrize("dual", [von_neumann, spence], ids=["von_neumann", "spence"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_dense_path(self, dual, seed, monkeypatch):
+        ps = _small_inequality_qp(seed, n=40, m=20)
+        cfg = SolverConfig(geometry=BregmanGeometry(energy(ps.n), dual(ps.m)), max_outer=3000)
+        assert outer.SpectralSystem.for_run(ps, cfg.geometry) is not None
+        spectral, dense = run(cfg, ps), self.dense_run(cfg, ps, monkeypatch)
+        assert spectral.status == dense.status == SolveStatus.OPTIMAL
+        for a, b in ((spectral.x, dense.x), (spectral.y, dense.y)):
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+        # decisions may part only where B reaches rounding level
+        records = spectral.trace.records, dense.trace.records
+        floor = next(
+            (k for k, pair in enumerate(zip(*records)) if min(r.b_value for r in pair) <= 1e-10),
+            min(map(len, records)),
+        )
+        assert floor > 10
+        for a, b in zip(*(r[:floor] for r in records)):
+            assert (a.sigma, a.newton.iterations_used) == (b.sigma, b.newton.iterations_used)
+
+    def test_observer_reads_caller_coordinates(self):
+        ps = _small_inequality_qp(3)
+        cfg = vn_cfg(ps)
+        x0 = np.linspace(-1.0, 1.0, ps.n)
+        log = dg.IterateLog(x0, cfg.geometry.dual.start())
+        report = run(cfg, ps, x0=x0, on_iteration=log)
+        assert np.array_equal(report.trace.x0, x0)
+        last = log.iterates[-1]
+        assert last.basis is not None
+        assert np.array_equal(last.s, report.x)
+        # the caller's stationarity: grad f(s) + A^T P'(u) + (s - x_k) / sigma
+        rec = log.records[-1]
+        x_anchor = log.iterates[-2].x_next
+        grad = ps.f.grad(last.s) + ps.map.A.T @ last.y_next + (last.s - x_anchor) / rec.sigma
+        np.testing.assert_allclose(last.grad, grad, atol=1e-12)
+
+    def test_fejer_monotone_on_a_golden_problem(self):
+        [gp] = [gp for gp in golden_suite() if gp.name == "ineq_qp_n10_m6"]
+        cfg = family_config(gp)
+        assert outer.SpectralSystem.for_run(gp.problem, cfg.geometry) is not None
+        _, log = logged_run(cfg, gp.problem)
+        res = dg.fejer_check(log, gp.x_star, gp.y_star, cfg.geometry)
+        assert res.monotone
+        # distances to the caller's x*: the iterates are not in the eigenbasis
+        assert res.distances[-1] <= 1e-12 * res.distances[0]
+
+
 def test_records_keep_scalars_only():
     # a report keeps each outer record's scalars, not the iteration's arrays,
     # which only an observer receives: at most 2 KB per record on a kl_ineq
@@ -269,6 +357,37 @@ def test_records_keep_scalars_only():
         tracemalloc.stop()
     assert report.outer_iterations == 60
     assert retained <= 2048 * report.outer_iterations, retained / report.outer_iterations
+
+
+def test_iterate_log_keeps_the_solver_arrays_only():
+    # per iterate, an IterateLog keeps the solver's s, x_next, y_next and
+    # gradient, 3n + m floats, with at most 2 KB for the record (see above)
+    # and 1 KB for the array headers, the iterate and its deferred decrement.
+    # A read in the caller's coordinates maps W's eigenbasis back and keeps
+    # nothing; keeping the mapped s, x_next and gradient would add 3n floats.
+    # Two run lengths cancel what a run keeps once, such as its system.
+    n, m = 300, 150
+    ps = kl_ineq_qp(_load_benchmark_instances().inequality_instance(0, n, m))
+    geometry = BregmanGeometry(energy(n), von_neumann(m))
+    logged_run(SolverConfig(geometry=geometry, max_outer=1), ps)  # first-call caches
+
+    def retained(max_outer):
+        cfg = SolverConfig(geometry=geometry, tol_b=1e-8, tol_kkt=1e-8, max_outer=max_outer)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report, log = logged_run(cfg, ps)
+            for iterate in log.iterates:  # as the diagnostics read them
+                iterate.s, iterate.x_next, iterate.grad
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.outer_iterations == max_outer
+        assert log.iterates[0].basis is not None
+        return kept
+
+    per_iterate = (retained(60) - retained(20)) / 40
+    assert per_iterate <= 8 * (3 * n + m) + 3072, per_iterate
 
 
 class TestRun:

@@ -37,9 +37,9 @@ RECORDED = {
     "blas": "scipy-openblas 0.3.31.188.0",
     "blas_kernels": "SkylakeX",
 }
-CLI_REPORT_SHA256 = "db4caccfaa4975b86c7259a52c68bd657ab23a868db2ea40c2b37563f0a673e8"
-CLI_TRACE_SHA256 = "6c919a1bd75c17307610e77b035951eb46c05cebae68de745c2259b28464050f"
-LIBRARY_SHA256 = "d8532356bf374fecaeb03808e54cbf9330d7148c0dd8238f03fc7d9823a1b1b9"
+CLI_REPORT_SHA256 = "3da0551f21c9a3949c01b0d692470be77eb5ec4c22f4c4da690f6360a2d4ea59"
+CLI_TRACE_SHA256 = "99715b927d0479dd1b14132f4a0660940324e3ec98196ee5c4162802e5406121"
+LIBRARY_SHA256 = "e5baa77d14ef391cf1870d2001eeb7072bb829ef322b037d46d298bc4d765a65"
 SC_BOX_SHA256 = "2be92a66e47dbc94550acaa3b522e8c39ced522971bcba8bc5f9e941a41b485c"
 
 

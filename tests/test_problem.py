@@ -248,6 +248,16 @@ class TestSmoothObjective:
         with pytest.raises(DomainError):
             f.grad(np.array([2.0]))
 
+    def test_diagonal_quadratic_is_the_diagonal_matrix(self):
+        # W given as its diagonal, as in the eigenbasis objective run solves
+        lam, c = np.array([0.0, 0.5, 3.0]), np.array([1.0, -2.0, 0.25])
+        diagonal = SmoothObjective("quadratic", n=3, W=lam, c=c)
+        dense = SmoothObjective.quadratic(np.diag(lam), c)
+        x = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -3.0]])
+        np.testing.assert_array_equal(diagonal.value(x), dense.value(x))
+        np.testing.assert_array_equal(diagonal.grad(x[0]), dense.grad(x[0]))
+        np.testing.assert_array_equal(diagonal.hess(x[0]), dense.hess(x[0]))
+
     @pytest.mark.parametrize("name", sorted(_NAMED))
     def test_named_derivatives(self, name):
         f = SmoothObjective.named(name, 3)
