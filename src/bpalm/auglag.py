@@ -267,8 +267,9 @@ def make_context(
 ) -> SubproblemContext:
     """The subproblem at ``anchor``, its warm start evaluated from the
     anchor's own r, grad f and grad psi."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    # the energy acceptance test squares sigma, and a float ** overflow raises
+    if not (sigma > 0.0 and math.isfinite(sigma * sigma)):
+        raise DomainError(f"sigma must be positive with a finite square, got {sigma}")
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     u, y_plus = anchor.dual_update(penalty, sigma, anchor.residual)

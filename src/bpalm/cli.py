@@ -13,7 +13,7 @@ Problem files are JSON documents with three sections::
 
 Numbers must be finite; only bounds entries may also be the sentinels
 "inf" / "-inf" (or JSON's Infinity / -Infinity).  W must be positive
-semidefinite, and a named objective's n at most 4096.  Under the sc
+semidefinite, and every dimension (n, m) at most 4096.  Under the sc
 regime bounds become the barrier box of the primal geometry; otherwise they
 are appended to an inequality constraint block.  Unknown fields are rejected.
 """
@@ -45,9 +45,9 @@ _DEFAULT_DUAL = {"zero": "energy", "orthant": "von_neumann", "vecmax": "von_neum
                  "one_norm": "energy"}
 _DUAL_FACTORY = {"energy": energy, "von_neumann": von_neumann, "spence": spence}
 
-# A named objective's n is the one dimension no array in the document backs;
-# at the cap each dense n x n matrix of a solve takes 128 MiB.
-_MAX_NAMED_DIMENSION = 4096
+# Dense n x n and m x n arrays are allocated from the stated dimensions before
+# any entry is read; at the cap each n x n matrix of a solve takes 128 MiB.
+_MAX_DIMENSION = 4096
 
 # report timing can be pinned through this environment variable so that
 # fixture comparisons are byte-stable
@@ -93,6 +93,8 @@ def _dimension(value, where: str) -> int:
         raise ParseError(f"{where}: bad dimension {value!r}")
     if value < 1:
         raise DimensionError(f"{where}: dimension must be positive, got {value}")
+    if value > _MAX_DIMENSION:
+        raise DimensionError(f"{where}: dimension at most {_MAX_DIMENSION}, got {value}")
     return value
 
 
@@ -112,8 +114,6 @@ def _parse_objective(doc: dict) -> SmoothObjective:
     named = doc["named"]
     _require_keys(named, {"name", "n"}, {"name", "n"}, "objective.named")
     n = _dimension(named["n"], "objective.named.n")
-    if n > _MAX_NAMED_DIMENSION:
-        raise DimensionError(f"objective.named.n: at most {_MAX_NAMED_DIMENSION}, got {n}")
     return SmoothObjective.named(str(named["name"]), n)
 
 
@@ -297,7 +297,7 @@ def _diagnostics_payload(log, problem, geometry, golden) -> tuple[dict, list[flo
     total, budget = diagnostics.summability_check(log, gx, gy, geometry)
     payload["summability_sum"], payload["summability_budget"] = total, budget
     try:
-        rate = diagnostics.rate_fit(log, gx, gy, geometry, distances=fejer.distances)
+        rate = diagnostics.rate_fit(fejer.distances)
         payload["superlinear"] = rate.superlinear
         payload["final_ratio"] = rate.ratios[-1] if rate.ratios else None
     except BpalmError:
@@ -385,10 +385,10 @@ def main(argv=None) -> int:
             newton_cap=args.newton_cap,
         )
         # the trace and the diagnostics replay the iterates, which the run
-        # hands to this log, from run's default start, and keeps nowhere else
+        # hands to this log and keeps nowhere else
         log = None
         if args.trace or (args.diagnose and golden is not None):
-            log = diagnostics.IterateLog(geometry.primal.start(), geometry.dual.start())
+            log = diagnostics.IterateLog()
         report = run(cfg, problem, on_iteration=log)
         diag = distances = None
         if args.diagnose:

@@ -40,12 +40,11 @@ _DISTANCE_FLOOR = 1e-28
 
 @dataclass
 class IterateLog:
-    """An `outer.run` observer keeping what the checks replay: the run's start
-    (x0, y0) and each outer iteration's record and iterate, in k order.  The
-    iterates' arrays are the solver's own, shared, not copied."""
+    """An `outer.run` observer keeping what the checks replay: each outer
+    iteration's record and iterate, in k order.  The iterates' arrays are the
+    solver's own, shared, not copied.  The checks replay a `run`, so they take
+    its start from the geometry."""
 
-    x0: np.ndarray
-    y0: np.ndarray
     records: list[OuterRecord] = field(default_factory=list)
     iterates: list[Iterate] = field(default_factory=list)
 
@@ -60,12 +59,12 @@ def _distance_series(
     """D(z*, z_k) along the anchor sequence, starting at the initial point,
     from one distance call per geometry on the stacked anchors."""
 
-    def distances(fn, z_star, start, attr):  # one geometry's stack at a time
-        anchors = np.array([start] + [getattr(it, attr) for it in log.iterates], dtype=float)
+    def distances(fn, z_star, attr):  # one geometry's stack at a time
+        anchors = np.array([fn.start()] + [getattr(it, attr) for it in log.iterates], dtype=float)
         return bregman_distance(fn, z_star, anchors)
 
-    primal = distances(geometry.primal, x_star, log.x0, "x_next")
-    return (primal + distances(geometry.dual, y_star, log.y0, "y_next")).tolist()
+    primal = distances(geometry.primal, x_star, "x_next")
+    return (primal + distances(geometry.dual, y_star, "y_next")).tolist()
 
 
 @dataclass
@@ -88,46 +87,35 @@ def fejer_check(
 
 @dataclass
 class RateEstimate:
-    distances: list[float]
     ratios: list[float]
     superlinear: bool
 
 
-def rate_fit(
-    log: IterateLog,
-    x_star,
-    y_star,
-    geometry: BregmanGeometry,
-    distances: list[float] | None = None,
-) -> RateEstimate:
-    """Contraction factors q_k = d_{k+1}/d_k of the distance to the solution.
+def rate_fit(distances: list[float]) -> RateEstimate:
+    """Contraction factors q_k = d_{k+1}/d_k of the distance to the solution,
+    from a run's D(z*, z_k) series as `fejer_check` returns it.
 
     Superlinear verdict: the last five ratios decrease strictly and the final
     one is below 0.1.  The series truncates where distances reach rounding
     noise (an exact solve drives them to zero and the ratio degenerates).
-    ``distances`` is the D(z*, z_k) series of the same run and solution
-    when the caller has it, as `fejer_check` returns it; `fejer_check`
-    computes it otherwise.
     """
-    if len(log.iterates) < 6:
+    iterations = len(distances) - 1  # the series starts at the run's start
+    if iterations < 6:
         raise InsufficientTraceError(
-            f"rate fit needs at least 6 iterations, the run has {len(log.iterates)}"
+            f"rate fit needs at least 6 iterations, the run has {iterations}"
         )
-    d = distances
-    if d is None:
-        d = fejer_check(log, x_star, y_star, geometry).distances
     ratios = []
-    for k in range(len(d) - 1):
-        if d[k] <= _DISTANCE_FLOOR or d[k + 1] <= _DISTANCE_FLOOR:
+    for prev, cur in zip(distances, distances[1:]):
+        if prev <= _DISTANCE_FLOOR or cur <= _DISTANCE_FLOOR:
             break
-        ratios.append(d[k + 1] / d[k])
+        ratios.append(cur / prev)
     tail = ratios[-5:]
     superlinear = bool(
         len(tail) == 5
         and all(tail[i + 1] < tail[i] for i in range(4))
         and tail[-1] < 0.1
     )
-    return RateEstimate(distances=d, ratios=ratios, superlinear=superlinear)
+    return RateEstimate(ratios=ratios, superlinear=superlinear)
 
 
 @dataclass
@@ -149,9 +137,8 @@ def ergodic_gap_check(
     n, m = problem.n, problem.m
     xs = np.array([x for x, _ in test_points], dtype=float).reshape(-1, n)
     ys = np.array([y for _, y in test_points], dtype=float).reshape(-1, m)
-    rhs = bregman_distance(geometry.primal, xs, log.x0) + bregman_distance(
-        geometry.dual, ys, log.y0
-    )
+    psi, phi = geometry.primal, geometry.dual
+    rhs = bregman_distance(psi, xs, psi.start()) + bregman_distance(phi, ys, phi.start())
     excess = np.empty((len(log.iterates), len(test_points)))
     averages = _ergodic_averages(log, lambda it: np.concatenate([it.s, it.y_next]), n + m)
     with np.errstate(invalid="ignore"):
@@ -262,8 +249,8 @@ def conic_feasibility_check(
     x_star = np.asarray(x_star, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
     radius = 2.0 * float(np.linalg.norm(y_star)) + 1.0
-    d_primal = bregman_distance(geometry.primal, x_star, log.x0)
-    d_dual_max = _max_divergence_on_cap(geometry, log.y0, radius)
+    d_primal = bregman_distance(geometry.primal, x_star, geometry.primal.start())
+    d_dual_max = _max_divergence_on_cap(geometry, geometry.dual.start(), radius)
     f_star = problem.f.value(x_star)
 
     obj, feas, bounds = (np.empty(len(log.iterates)) for _ in range(3))
@@ -285,8 +272,8 @@ def summability_check(
 ) -> tuple[float, float]:
     """Partial sums of the progress proxy against the telescoped distance
     budget D(z*, z0) / (1 - max rho); returns (sum, budget)."""
-    d0 = bregman_distance(geometry.primal, np.asarray(x_star, float), log.x0)
-    d0 += bregman_distance(geometry.dual, np.asarray(y_star, float), log.y0)
+    d0 = bregman_distance(geometry.primal, np.asarray(x_star, float), geometry.primal.start())
+    d0 += bregman_distance(geometry.dual, np.asarray(y_star, float), geometry.dual.start())
     rho_max = max((r.rho for r in log.records), default=0.0)
     total = sum((r.b_value for r in log.records), 0.0)
     return total, d0 / (1.0 - rho_max)

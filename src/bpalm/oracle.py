@@ -1,20 +1,19 @@
-"""Independent reference solvers and brute-force evaluators.
+"""Independent reference solvers and the golden problems.
 
-Everything here exists to anchor tests: direct KKT solves, active-set
-enumeration, grid-refined conjugacy suprema, and a registry of golden
-problems with hand-derived or enumeration-verified saddle points.  None of it
-is on the solver path.
+Everything here exists to anchor tests: direct KKT solves, active-set and
+bound-assignment enumeration, and a registry of golden problems with
+hand-derived or enumeration-verified saddle points.  None of it is on the
+solver path.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ScaleError, SingularSystemError, UnsupportedError
+from .exceptions import ScaleError, SingularSystemError
 from .problem import (
     AffineMap,
     NonsmoothTerm,
@@ -28,7 +27,6 @@ __all__ = [
     "solve_equality_qp",
     "solve_inequality_qp_bruteforce",
     "solve_box_qp_bruteforce",
-    "penalty_bruteforce",
     "golden_suite",
 ]
 
@@ -172,99 +170,6 @@ def _box_projected_gradient(W, c, l, u) -> np.ndarray:
     return x
 
 
-def _phi_value_rows(kind: str, pts: np.ndarray) -> np.ndarray:
-    """Distance-generator values for a batch of points (rows), vectorized.
-
-    Uses scipy's dilogarithm for the Spence geometry, keeping the oracle
-    independent of the library's own series evaluation.
-    """
-    if kind == "energy":
-        return 0.5 * np.sum(pts * pts, axis=1)
-    if kind == "von_neumann":
-        terms = np.where(pts > 0.0, pts * np.log(np.where(pts > 0.0, pts, 1.0)), 0.0)
-        return np.sum(terms - pts, axis=1)
-    if kind == "spence":
-        from scipy.special import spence as scipy_spence
-
-        # phi(t) = t^2/2 + Li2(exp(-t)) - pi^2/6 with Li2(z) = spence(1 - z)
-        vals = 0.5 * pts * pts + scipy_spence(1.0 - np.exp(-pts)) - (math.pi**2 / 6.0)
-        return np.sum(vals, axis=1)
-    raise UnsupportedError(f"no brute-force support for dual geometry {kind!r}")
-
-
-def penalty_bruteforce(
-    g_variant: str,
-    phi_kind: str,
-    sigma: float,
-    u,
-    grid: int = 400,
-    rounds: int = 3,
-) -> float:
-    """sup over eta of <u, eta> - phi(eta) - sigma g*(eta) by grid refinement.
-
-    The conjugates g* in the catalog are indicators, so the supremum runs over
-    their domains directly (and the epi-scaling by sigma drops out).  Limited
-    to m <= 2; three zoom rounds around the incumbent give far better than the
-    1e-4 conjugacy tolerance.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    m = u.size
-    if m > 2:
-        raise ScaleError("brute-force conjugacy limited to m <= 2")
-
-    def sweep(lo: np.ndarray, hi: np.ndarray) -> float:
-        best_val = -math.inf
-        best = 0.5 * (lo + hi)
-        for _ in range(rounds):
-            axes = [np.linspace(lo[i], hi[i], grid) for i in range(m)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.ravel() for g in mesh], axis=1)
-            vals = pts @ u - _phi_value_rows(phi_kind, pts)
-            idx = int(np.argmax(vals))
-            if vals[idx] > best_val:
-                best_val = float(vals[idx])
-                best = pts[idx]
-            span = (hi - lo) / grid * 5.0
-            lo = np.maximum(lo, best - span)
-            hi = np.minimum(hi, best + span)
-        return best_val
-
-    if g_variant == "vecmax":
-        # g* is the simplex indicator: parametrize the simplex directly
-        if m == 1:
-            return float(u[0]) - float(_phi_value_rows(phi_kind, np.ones((1, 1)))[0])
-        lo_t, hi_t = 0.0, 1.0
-        best_t, best_val = 0.0, -math.inf
-        for _ in range(rounds):
-            ts = np.linspace(lo_t, hi_t, grid)
-            pts = np.stack([ts, 1.0 - ts], axis=1)
-            vals = pts @ u - _phi_value_rows(phi_kind, pts)
-            idx = int(np.argmax(vals))
-            if vals[idx] > best_val:
-                best_val, best_t = float(vals[idx]), float(ts[idx])
-            span = (hi_t - lo_t) / grid * 5.0
-            lo_t, hi_t = max(0.0, best_t - span), min(1.0, best_t + span)
-        return best_val
-
-    if g_variant == "zero":
-        lo = -np.abs(u) * 2.0 - 2.0
-        hi = np.abs(u) * 2.0 + 2.0
-    elif g_variant == "orthant":
-        lo = np.zeros(m)
-        if phi_kind == "energy":
-            hi = np.maximum(u, 0.0) + 2.0
-        elif phi_kind == "von_neumann":
-            hi = np.exp(np.minimum(u, 30.0)) * 1.5 + 2.0
-        else:  # spence
-            hi = np.logaddexp(0.0, u) + 2.0
-    elif g_variant == "one_norm":
-        lo = -np.ones(m)
-        hi = np.ones(m)
-    else:
-        raise UnsupportedError(f"unknown nonsmooth variant {g_variant!r}")
-    return sweep(lo, hi)
-
-
 @dataclass(frozen=True)
 class GoldenProblem:
     """A problem with a verified saddle point and a solve-family tag."""
@@ -394,7 +299,7 @@ def _vecmax_golden() -> GoldenProblem:
     b = np.array([1.0, 0.0])
     ps = ProblemSpec(
         f=SmoothObjective.quadratic(np.eye(2), np.zeros(2)),
-        g=NonsmoothTerm.vecmax(),
+        g=NonsmoothTerm("vecmax"),
         map=AffineMap.from_dense(A, b),
     )
     return GoldenProblem(
@@ -412,7 +317,7 @@ def _one_norm_golden() -> GoldenProblem:
     # the kink with an interior multiplier
     ps = ProblemSpec(
         f=SmoothObjective.quadratic(np.eye(2), np.array([-2.0, -0.3])),
-        g=NonsmoothTerm.one_norm(),
+        g=NonsmoothTerm("one_norm"),
         map=AffineMap.from_dense(np.eye(2), np.zeros(2)),
     )
     return GoldenProblem(

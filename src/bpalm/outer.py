@@ -180,8 +180,6 @@ class Iterate:
 
 @dataclass
 class SolveTrace:
-    x0: np.ndarray
-    y0: np.ndarray
     records: list[OuterRecord] = field(default_factory=list)
 
 
@@ -313,8 +311,6 @@ def outer_iteration(
 def run(
     cfg: SolverConfig,
     problem: ProblemSpec,
-    x0=None,
-    y0=None,
     on_iteration: Callable[[OuterRecord, Iterate], object] | None = None,
 ) -> SolveReport:
     """Drive outer iterations until the progress proxy and the KKT residuals
@@ -322,6 +318,10 @@ def run(
     _DIVERGENCE_NORM (diverged), no step size is admissible or the Newton cap
     is spent without acceptance (inner_failure), or max_outer is reached
     (max_iter).
+
+    The run starts at the geometry's interior points ``primal.start()`` and
+    ``dual.start()``, the one start a replay of the run can assume; a caller
+    that needs another drives `outer_iteration` from its own `IterateState`.
 
     Where the run has a spectral system, the loop solves the problem in W's
     eigenbasis, and only the report's x and the iterate's reads map back.
@@ -331,16 +331,11 @@ def run(
     and the iterate, whose arrays nothing else keeps."""
     penalty = penalty_for(problem.g, cfg.geometry.dual)
     _validate(cfg, problem)
-    # one read-only copy each, shared by the trace and the first anchor
-    x0 = _frozen(cfg.geometry.primal.start() if x0 is None else x0)
-    y0 = _frozen(cfg.geometry.dual.start() if y0 is None else y0)
-    if not cfg.geometry.primal.in_interior(x0):
-        raise DomainError("x0 must be interior to the primal geometry")
-    if not cfg.geometry.dual.in_interior(y0):
-        raise DomainError("y0 must be interior to the dual geometry")
+    x0 = _frozen(cfg.geometry.primal.start())
+    y0 = _frozen(cfg.geometry.dual.start())
 
     started = time.perf_counter()
-    trace = SolveTrace(x0=x0, y0=y0)
+    trace = SolveTrace()
     # built here, per call: W's eigendecomposition is part of the solve
     system = SpectralSystem.for_run(problem, cfg.geometry)
     solved, start = problem, x0

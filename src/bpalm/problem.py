@@ -300,14 +300,6 @@ class NonsmoothTerm:
     def nonneg_orthant_indicator(cls) -> "NonsmoothTerm":
         return cls("orthant")
 
-    @classmethod
-    def vecmax(cls) -> "NonsmoothTerm":
-        return cls("vecmax")
-
-    @classmethod
-    def one_norm(cls) -> "NonsmoothTerm":
-        return cls("one_norm")
-
     def conj_value(self, y: np.ndarray) -> float:
         """g*(y), an indicator: one value per row for y of shape (..., m)."""
         y = np.asarray(y, dtype=float)

@@ -15,12 +15,13 @@ import pytest
 import bpalm.diagnostics as dg
 from bpalm.cli import main as cli_main
 from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
-from bpalm.oracle import golden_suite, penalty_bruteforce, solve_equality_qp
+from bpalm.oracle import golden_suite, solve_equality_qp
 from bpalm.outer import RhoSchedule, SolveStatus, SolverConfig, run
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
 from test_cli import write_document
 from test_diagnostics import anchors, logged_run
+from test_penalty import penalty_bruteforce
 
 DUALS = {"energy": energy, "von_neumann": von_neumann, "spence": spence}
 
@@ -258,7 +259,7 @@ def test_criterion_07_superlinear_tail():
         max_outer=8,
     )
     _, log = logged_run(cfg, ps)
-    est = dg.rate_fit(log, x_star, y_star, cfg.geometry)
+    est = dg.rate_fit(dg.fejer_check(log, x_star, y_star, cfg.geometry).distances)
     tail = est.ratios[-5:]
     ok = (
         est.superlinear
@@ -310,7 +311,8 @@ def test_criterion_09_exponential_multiplier_identity(suite_runs):
         # vecmax problems share the dual geometry but update through softmax
         if gp.family != "ineq" or cfg.geometry.dual.kind != "von_neumann":
             continue
-        for rec, iterate, (_, y_anchor) in zip(log.records, log.iterates, anchors(log)):
+        anchor_seq = anchors(log, cfg.geometry)
+        for rec, iterate, (_, y_anchor) in zip(log.records, log.iterates, anchor_seq):
             expected = y_anchor * np.exp(rec.sigma * gp.problem.map.residual(iterate.s))
             gap = float(np.max(np.abs(iterate.y_next - expected)))
             assert gap <= 1e-12, f"{gp.name} k={rec.k}: {gap:.2e}"

@@ -18,6 +18,7 @@ from scipy.linalg import LinAlgError
 from bpalm import cli, newton
 from bpalm.cli import main, parse_problem
 from bpalm.exceptions import DimensionError, ParseError
+from bpalm.legendre import BregmanGeometry, energy, spence
 from bpalm.newton import REGIMES
 
 
@@ -411,22 +412,20 @@ class TestMain:
     def test_rate_fit_reuses_the_fejer_distances(self, ineq_doc, capsys, monkeypatch):
         import bpalm.diagnostics as dg
 
-        monkeypatch.setenv("BPALM_WALL_TIME_MS", "0")
-        series = []
-        distance_series = dg._distance_series
+        series, logs = [], []
+        distance_series, iterate_log = dg._distance_series, dg.IterateLog
         monkeypatch.setattr(
             dg, "_distance_series", lambda *a: series.append(a) or distance_series(*a)
         )
-        argv = ["--problem", ineq_doc, "--dual", "spence", "--report", "json", "--diagnose"]
-        main(argv)
-        shared = capsys.readouterr().out
+        monkeypatch.setattr(dg, "IterateLog", lambda: logs.append(iterate_log()) or logs[-1])
+        main(["--problem", ineq_doc, "--dual", "spence", "--report", "json", "--diagnose"])
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
         assert len(series) == 1
-        # the report is byte-identical to one whose rate fit builds its own series
-        rate_fit = dg.rate_fit
-        monkeypatch.setattr(dg, "rate_fit", lambda *a, distances: rate_fit(*a))
-        main(argv)
-        assert capsys.readouterr().out == shared
-        assert len(series) == 3
+        # the final ratio is the rate fit of the run's Fejer series
+        [log] = logs
+        _, (gx, gy) = parse_problem(ineq_doc)
+        fejer = dg.fejer_check(log, gx, gy, BregmanGeometry(energy(1), spence(1)))
+        assert diag["final_ratio"] == dg.rate_fit(fejer.distances).ratios[-1]
 
     def test_diagnose_reports_summability(self, ineq_doc, capsys):
         rc = main(["--problem", ineq_doc, "--report", "json", "--diagnose"])
@@ -568,6 +567,24 @@ _OVERSIZED_NAMED = {
     "objective": {"named": {"name": "sumexp", "n": 2000000}},
     "constraint": {"type": "eq", "m": 1, "A": [], "b": [0.0]},
 }
+# one dimension past the cap each: at the parser's cap the n x n W of the
+# first, or the m x n A of the second, would take 128 MiB before any entry is read
+_PAST_THE_CAP = {
+    "quadratic_n": {
+        "objective": {"quadratic": {"n": 4097, "W": [], "c": [0.0] * 4097}},
+        "constraint": {"type": "eq", "m": 1, "A": [], "b": [0.0]},
+    },
+    "constraint_m": {
+        "objective": {"named": {"name": "sumexp", "n": 4096}},
+        "constraint": {"type": "eq", "m": 4097, "A": [], "b": [0.0] * 4097},
+    },
+}
+# min |x|^2/2 - 2 x_0 + x_1 s.t. x_0 + x_1 = 1: under the energy dual no
+# step-size bound shrinks sigma
+_EQUALITY_2D = {
+    "objective": {"quadratic": {"n": 2, "W": [[0, 0, 1.0], [1, 1, 1.0]], "c": [-2.0, 1.0]}},
+    "constraint": {"type": "eq", "m": 1, "A": [[0, 0, 1.0], [0, 1, 1.0]], "b": [1.0]},
+}
 # min -x_1^2/2 s.t. x_0 = 0 is unbounded, and its start is stationary
 _INDEFINITE = {
     "objective": {"quadratic": {"n": 2, "W": [[0, 0, 1.0], [1, 1, -1.0]], "c": [0.0, 0.0]}},
@@ -608,6 +625,20 @@ class TestBadNumbers:
     def test_rejected_documents_exit_two(self, doc, tmp_path, capsys):
         _assert_one_error_line(doc, tmp_path, capsys)
 
+    @pytest.mark.parametrize("doc", list(_PAST_THE_CAP.values()), ids=list(_PAST_THE_CAP))
+    def test_dimensions_past_the_cap_exit_two(self, doc, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                parse_problem(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        _assert_one_error_line(doc, tmp_path, capsys)
+
     @pytest.mark.parametrize(
         "option",
         [
@@ -621,6 +652,11 @@ class TestBadNumbers:
     )
     def test_bad_solver_options_exit_two(self, option, tmp_path, capsys):
         _assert_one_error_line(_ineq_document(), tmp_path, capsys, option)
+
+    @pytest.mark.parametrize("option", ["--sigma0=1e200", "--sigma-growth=1e300"])
+    def test_sigma_beyond_the_float_range_exits_two(self, option, tmp_path, capsys):
+        # the energy acceptance test squares sigma, which overflows from ~1e154
+        _assert_one_error_line(_EQUALITY_2D, tmp_path, capsys, option)
 
     def test_infinite_bounds_still_accepted(self, tmp_path):
         path = tmp_path / "bounds.json"

@@ -29,16 +29,16 @@ def eq_qp():
 
 
 def logged_run(cfg, problem):
-    """run from the geometry's default start, with an IterateLog observing;
-    returns the report and the log."""
-    log = dg.IterateLog(cfg.geometry.primal.start(), cfg.geometry.dual.start())
+    """run with an IterateLog observing; returns the report and the log."""
+    log = dg.IterateLog()
     return run(cfg, problem, on_iteration=log), log
 
 
-def anchors(log):
-    """Each logged outer iteration's anchor (x_k, y_k): the start, then each
-    iterate's successor."""
-    return [(log.x0, log.y0)] + [(it.x_next, it.y_next) for it in log.iterates[:-1]]
+def anchors(log, geometry):
+    """Each logged outer iteration's anchor (x_k, y_k): the geometry's start,
+    then each iterate's successor."""
+    start = (geometry.primal.start(), geometry.dual.start())
+    return [start] + [(it.x_next, it.y_next) for it in log.iterates[:-1]]
 
 
 def solve_eq(tol=1e-9, max_outer=100, **kw):
@@ -96,7 +96,7 @@ class TestRateFit:
             sigma_growth=2.0,
             rho_schedule=RhoSchedule(0.5, 0.5),
         )
-        est = dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
+        est = dg.rate_fit(dg.fejer_check(log, [1.0], [-1.0], cfg.geometry).distances)
         assert est.superlinear
         tail = est.ratios[-5:]
         assert all(b < a for a, b in zip(tail, tail[1:]))
@@ -109,7 +109,7 @@ class TestRateFit:
             sigma_growth=1.0,
             rho_schedule=RhoSchedule(0.5),
         )
-        est = dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
+        est = dg.rate_fit(dg.fejer_check(log, [1.0], [-1.0], cfg.geometry).distances)
         assert not est.superlinear
         # contraction factors hover around a constant level
         assert max(est.ratios[2:]) > 0.05
@@ -121,13 +121,14 @@ class TestRateFit:
             sigma_growth=2.0,
             rho_schedule=RhoSchedule(0.5, 0.5),
         )
-        est = dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
-        assert len(est.ratios) <= len(est.distances) - 1
+        distances = dg.fejer_check(log, [1.0], [-1.0], cfg.geometry).distances
+        est = dg.rate_fit(distances)
+        assert len(est.ratios) <= len(distances) - 1
 
     def test_insufficient_trace(self):
         cfg, log = solve_eq(max_outer=4, tol=1e-300)
         with pytest.raises(InsufficientTraceError):
-            dg.rate_fit(log, [1.0], [-1.0], cfg.geometry)
+            dg.rate_fit(dg.fejer_check(log, [1.0], [-1.0], cfg.geometry).distances)
 
 
 class TestErgodicGap:
@@ -267,14 +268,13 @@ def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):
 
     def count(log):
         calls.clear()
-        dg.fejer_check(log, gp.x_star, gp.y_star, geo)
-        dg.rate_fit(log, gp.x_star, gp.y_star, geo)
+        dg.rate_fit(dg.fejer_check(log, gp.x_star, gp.y_star, geo).distances)
         points = [(gp.x_star, gp.y_star), (np.zeros(ps.n), geo.dual.start())]
         dg.ergodic_gap_check(log, ps, geo, points)
         dg.conic_feasibility_check(log, ps, geo, gp.x_star, gp.y_star)
         return len(calls)
 
-    short = dg.IterateLog(log.x0, log.y0, log.records[:10], log.iterates[:10])
+    short = dg.IterateLog(log.records[:10], log.iterates[:10])
     assert count(log) == count(short) > 0
 
 
@@ -292,13 +292,14 @@ def test_ergodic_checks_match_running_sums(block, monkeypatch):
     geo = BregmanGeometry(energy(ps.n), von_neumann(ps.m))
     _, log = logged_run(SolverConfig(geometry=geo, max_outer=300), ps)
     points = [(gp.x_star, gp.y_star), (np.zeros(ps.n), 2.0 * np.ones(ps.m))]
+    x0, y0 = geo.primal.start(), geo.dual.start()
     rhs = [
-        bregman_distance(geo.primal, x, log.x0) + bregman_distance(geo.dual, y, log.y0)
+        bregman_distance(geo.primal, x, x0) + bregman_distance(geo.dual, y, y0)
         for x, y in points
     ]
     weight, sx, sy, excess, conic = 0.0, np.zeros(ps.n), np.zeros(ps.m), [], []
-    bound_num = bregman_distance(geo.primal, gp.x_star, log.x0) + dg._max_divergence_on_cap(
-        geo, log.y0, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
+    bound_num = bregman_distance(geo.primal, gp.x_star, x0) + dg._max_divergence_on_cap(
+        geo, y0, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
     )
     for rec, iterate in zip(log.records, log.iterates):
         weight += rec.sigma
@@ -324,7 +325,7 @@ def dual_perturbations(cfg, log):
     psi = cfg.geometry.primal
     return [
         it.grad - (psi.grad(it.s) - psi.grad(x)) / rec.sigma
-        for rec, it, (x, _) in zip(log.records, log.iterates, anchors(log))
+        for rec, it, (x, _) in zip(log.records, log.iterates, anchors(log, cfg.geometry))
     ]
 
 

@@ -393,7 +393,8 @@ class TestDeferredDecrement:
         geometry = cfg.geometry
         penalty = penalty_for(ps.g, geometry.dual)
         solved = system.problem  # the problem in W's eigenbasis, which the run solved
-        for rec, iterate, (x, y) in zip(log.records, log.iterates, solver_anchors(log, system)):
+        points = zip(log.records, log.iterates, solver_anchors(log, geometry, system))
+        for rec, iterate, (x, y) in points:
             anchor = evaluate_anchor(solved, geometry, x, y)
             ctx = make_context(solved, penalty, geometry, anchor, rec.sigma, rec.rho, system)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
@@ -409,11 +410,12 @@ class TestDeferredDecrement:
         assert inner.decrement() == newton_decrement(ctx, inner.point.s, 1.0)
 
 
-def solver_anchors(log, system):
+def solver_anchors(log, geometry, system):
     """Each logged outer iteration's anchor (x_k, y_k) in the coordinates the
     run solved in: W's eigenbasis where it had a spectral system."""
-    x0 = log.x0 if system is None else system.Q.T @ log.x0
-    return [(x0, log.y0)] + [(it._x_next, it.y_next) for it in log.iterates[:-1]]
+    x0 = geometry.primal.start()
+    x0 = x0 if system is None else system.Q.T @ x0
+    return [(x0, geometry.dual.start())] + [(it._x_next, it.y_next) for it in log.iterates[:-1]]
 
 
 def spectral_system(W, A):
@@ -461,7 +463,7 @@ def dispatch_case(case):
     if case == "named_objective":
         ps = ProblemSpec(SmoothObjective.named("logistic", 4), orthant, AffineMap.from_dense(A, b))
     elif case == "logsumexp_plus_one":
-        ps = ProblemSpec(quad, NonsmoothTerm.vecmax(), AffineMap.from_dense(A, b))
+        ps = ProblemSpec(quad, NonsmoothTerm("vecmax"), AffineMap.from_dense(A, b))
     elif case == "m_not_below_n":
         ps = ProblemSpec(quad, orthant, AffineMap.from_dense(rng.normal(size=(4, 4)), np.ones(4)))
         geo = BregmanGeometry(energy(4), von_neumann(4))
@@ -554,7 +556,7 @@ class TestDecrementReads:
         # problem the run solved, bit for bit
         penalty = penalty_for(ps.g, cfg.geometry.dual)
         solved = ps if system is None else system.problem
-        points = zip(records, log.iterates, solver_anchors(log, system), rows)
+        points = zip(records, log.iterates, solver_anchors(log, cfg.geometry, system), rows)
         for rec, iterate, (x, y), row in points:
             anchor = evaluate_anchor(solved, cfg.geometry, x, y)
             ctx = make_context(solved, penalty, cfg.geometry, anchor, rec.sigma, rec.rho, system)

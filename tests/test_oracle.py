@@ -6,12 +6,12 @@ import pytest
 from bpalm.exceptions import ScaleError, SingularSystemError
 from bpalm.oracle import (
     golden_suite,
-    penalty_bruteforce,
     solve_box_qp_bruteforce,
     solve_equality_qp,
     solve_inequality_qp_bruteforce,
 )
 from bpalm.problem import kkt_residuals
+from test_penalty import penalty_bruteforce
 
 
 class TestEqualityOracle:

@@ -156,7 +156,7 @@ class TestSelectSigma:
         # the solver's own arrays, in W's eigenbasis: the run has a spectral system
         system = solves[0][1].system
         assert system is not None
-        x_anchors = solver_anchors(log, system)
+        x_anchors = solver_anchors(log, cfg.geometry, system)
         assert len(solves) == len(records)
         assert any(rec.sigma_clipped for rec in records)
         for (tried, ctx), rec, (x_anchor, _) in zip(solves, records, x_anchors):
@@ -223,17 +223,14 @@ class TestOuterIteration:
         for ps, spectral in ((ineq_qp(), False), (_small_inequality_qp(3), True)):
             evaluated.clear()
             cfg = vn_cfg(ps, max_outer=5, tol_b=0.0, tol_kkt=0.0)
-            report, log = logged_run(cfg, ps)
+            _, log = logged_run(cfg, ps)
             assert len(log.iterates) == len(evaluated) == 5
             assert all(rec.accepted for rec in log.records)
-            start = report.trace
+            x0 = cfg.geometry.primal.start()
             Q = log.iterates[0].basis
             assert (Q is not None) == spectral
-            if Q is None:
-                assert evaluated[0].x is start.x0
-            else:
-                assert np.array_equal(evaluated[0].x, Q.T @ start.x0)
-            assert evaluated[0].y is start.y0
+            assert np.array_equal(evaluated[0].x, x0 if Q is None else Q.T @ x0)
+            assert np.array_equal(evaluated[0].y, cfg.geometry.dual.start())
             for prev, anchor in zip(log.iterates, evaluated[1:]):
                 assert anchor.x is prev._x_next and anchor.y is prev.y_next
             for iterate in log.iterates:
@@ -274,7 +271,8 @@ class TestObserver:
         _, log = logged_run(cfg, ps)
         assert log.records
         penalty = penalty_for(ps.g, cfg.geometry.dual)
-        for rec, iterate, (x, y) in zip(log.records, log.iterates, anchors(log)):
+        points = zip(log.records, log.iterates, anchors(log, cfg.geometry))
+        for rec, iterate, (x, y) in points:
             anchor = evaluate_anchor(ps, cfg.geometry, x, y)
             ctx = make_context(ps, penalty, cfg.geometry, anchor, rec.sigma, rec.rho)
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
@@ -315,11 +313,7 @@ class TestEigenbasisRun:
 
     def test_observer_reads_caller_coordinates(self):
         ps = _small_inequality_qp(3)
-        cfg = vn_cfg(ps)
-        x0 = np.linspace(-1.0, 1.0, ps.n)
-        log = dg.IterateLog(x0, cfg.geometry.dual.start())
-        report = run(cfg, ps, x0=x0, on_iteration=log)
-        assert np.array_equal(report.trace.x0, x0)
+        report, log = logged_run(vn_cfg(ps), ps)
         last = log.iterates[-1]
         assert last.basis is not None
         assert np.array_equal(last.s, report.x)
@@ -423,8 +417,10 @@ class TestRun:
 
     def test_exponential_multiplier_identity(self):
         ps = ineq_qp()
-        _, log = logged_run(vn_cfg(ps), ps)
-        for rec, iterate, (_, y_anchor) in zip(log.records, log.iterates, anchors(log)):
+        cfg = vn_cfg(ps)
+        _, log = logged_run(cfg, ps)
+        points = zip(log.records, log.iterates, anchors(log, cfg.geometry))
+        for rec, iterate, (_, y_anchor) in points:
             expected = y_anchor * np.exp(rec.sigma * ps.map.residual(iterate.s))
             np.testing.assert_allclose(iterate.y_next, expected, atol=1e-12)
 
@@ -520,9 +516,10 @@ class TestRun:
         assert instances.kkt_residual(inst, rep.x, rep.y) <= 1e-8
         assert instances.reference_distance(inst, rep.x) <= 1e-6
 
-    def test_invalid_start_raises(self):
+    def test_sigma_beyond_the_float_range_raises(self):
+        # the energy acceptance test squares sigma, which overflows from ~1e154
         with pytest.raises(DomainError):
-            run(vn_cfg(ineq_qp()), ineq_qp(), y0=[0.0])
+            run(eq_cfg(sigma0=1e200), eq_qp())
 
     def test_geometry_dimension_mismatch(self):
         cfg = SolverConfig(geometry=BregmanGeometry(energy(2), energy(1)), regime="qsc")

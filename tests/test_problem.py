@@ -288,10 +288,10 @@ class TestNonsmoothTerm:
         orth = NonsmoothTerm.nonneg_orthant_indicator()
         assert orth.conj_value(np.array([1.0, 0.0])) == 0.0
         assert orth.conj_value(np.array([-1.0])) == math.inf
-        vmax = NonsmoothTerm.vecmax()
+        vmax = NonsmoothTerm("vecmax")
         assert vmax.conj_value(np.array([0.5, 0.5])) == 0.0
         assert vmax.conj_value(np.array([0.5, 0.2])) == math.inf
-        one = NonsmoothTerm.one_norm()
+        one = NonsmoothTerm("one_norm")
         assert one.conj_value(np.array([1.0, -1.0])) == 0.0
         assert one.conj_value(np.array([1.5])) == math.inf
 
@@ -317,7 +317,7 @@ class TestLagrangian:
     def test_outside_simplex(self):
         ps = ProblemSpec(
             f=SmoothObjective.quadratic(np.eye(1), [0.0]),
-            g=NonsmoothTerm.vecmax(),
+            g=NonsmoothTerm("vecmax"),
             map=AffineMap.from_dense([[1.0], [1.0]], [0.0, 0.0]),
         )
         assert lagrangian(ps, [0.0], [0.5, 0.1]) == -math.inf

@@ -1,6 +1,6 @@
 """Every public name the package declares resolves: each module's __all__,
-and each name the top-level package re-exports; and every public name has a
-caller outside the tests."""
+and each name the top-level package re-exports; and every public name, and
+every public class's constructor, has a caller outside the tests."""
 
 import ast
 import importlib
@@ -57,26 +57,65 @@ def _module_bindings(tree: ast.Module, name: str) -> int:
     return count
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    # a use is an identifier token in the package's code or in the benchmark
-    # harness's scripts; strings, comments, the name's own definition and the
-    # package's re-exports are not uses
-    repo = Path(__file__).resolve().parents[1]
-    package = repo / "src" / "bpalm"
-    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+REPO = Path(__file__).resolve().parents[1]
+# the package's modules but its re-exports and the test oracle, which ROADMAP
+# item 9 keeps in the package
+SOURCES = [
+    path for path in sorted((REPO / "src" / "bpalm").glob("*.py"))
+    if path.name not in ("__init__.py", "oracle.py")
+]
+
+
+def _uses() -> Counter:
+    """Identifier tokens in the package's code and in the benchmark harness's
+    scripts: strings and comments are not uses."""
     tokens = Counter()
-    for path in sources + sorted((repo / "perfbench").glob("*.py")):
+    for path in SOURCES + sorted((REPO / "perfbench").glob("*.py")):
         with tokenize.open(path) as fh:
             tokens.update(
                 tok.string for tok in tokenize.generate_tokens(fh.readline)
                 if tok.type == tokenize.NAME
             )
+    return tokens
+
+
+def _public(path: Path) -> list[str]:
+    return getattr(importlib.import_module(f"bpalm.{path.stem}"), "__all__", [])
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the name's own definition is not a use
+    tokens = _uses()
     unused = []
-    for path in sources:
-        if path.stem == "oracle":  # the test oracle, which ROADMAP item 9 keeps in the package
-            continue
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for name in getattr(importlib.import_module(f"bpalm.{path.stem}"), "__all__", []):
+        for name in _public(path):
             if tokens[name] <= _module_bindings(tree, name):
                 unused.append(f"{path.stem}.{name}")
     assert unused == [], f"public names only tests call: {unused}"
+
+
+def test_every_public_constructor_has_a_caller_outside_the_tests():
+    # each classmethod or staticmethod of a public class; a definition of a
+    # function of the same name, in any class, is not a use
+    tokens = _uses()
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES]
+    definitions = Counter(
+        node.name for _, tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+    unused = []
+    for path, tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in _public(path)):
+                continue
+            for node in cls.body:
+                decorators = {d.id for d in getattr(node, "decorator_list", [])
+                              if isinstance(d, ast.Name)}
+                if (
+                    decorators & {"classmethod", "staticmethod"}
+                    and not node.name.startswith("_")
+                    and tokens[node.name] <= definitions[node.name]
+                ):
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert unused == [], f"public constructors only tests call: {unused}"
