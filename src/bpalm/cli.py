@@ -280,11 +280,14 @@ def _write_trace(
         fh.write("\n".join(lines) + "\n")
 
 
-def _wall_time_ms(report: SolveReport) -> int:
+def _pinned_wall_time_ms() -> int | None:
+    """The report's wall time pinned by the environment, or None; read before a solve."""
     pinned = os.environ.get(_WALL_TIME_ENV)
-    if pinned is not None:
+    if pinned is None:
+        return None
+    if pinned.isascii() and pinned.isdigit() and len(pinned) <= 18:  # below 2^63
         return int(pinned)
-    return int(round(report.wall_seconds * 1000.0))
+    raise BpalmError(f"{_WALL_TIME_ENV} must be a non-negative integer, got {pinned[:40]!r}")
 
 
 def _diagnostics_payload(log, problem, geometry, golden) -> tuple[dict, list[float]]:
@@ -311,7 +314,7 @@ def _diagnostics_payload(log, problem, geometry, golden) -> tuple[dict, list[flo
     return payload, fejer.distances[1:]
 
 
-def _report_payload(report: SolveReport, diag: dict | None) -> dict:
+def _report_payload(report: SolveReport, diag: dict | None, pinned_ms: int | None) -> dict:
     payload = {
         "status": report.status.value,
         "iterations": report.outer_iterations,
@@ -320,7 +323,7 @@ def _report_payload(report: SolveReport, diag: dict | None) -> dict:
         "primal_res": report.residuals.primal_res,
         "compl_res": report.residuals.compl_res,
         "sigma_final": report.sigma_final,
-        "wall_time_ms": _wall_time_ms(report),
+        "wall_time_ms": round(report.wall_seconds * 1000.0) if pinned_ms is None else pinned_ms,
         "x": [float(v) for v in report.x],
         "y": [float(v) for v in report.y],
     }
@@ -358,6 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        pinned_ms = _pinned_wall_time_ms()
         problem, golden = parse_problem(args.problem, regime=args.regime)
     except BpalmError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -402,7 +406,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _print_report(_report_payload(report, diag), args.report)
+    _print_report(_report_payload(report, diag, pinned_ms), args.report)
     if report.status == SolveStatus.OPTIMAL:
         return 0
     if report.status == SolveStatus.MAX_ITER:

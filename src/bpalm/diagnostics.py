@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, InsufficientTraceError, ScaleError
+from .exceptions import DomainError, InsufficientTraceError, UnsupportedError
 from .legendre import BLOCK_COORDS, INTERIOR_FLOOR, BregmanGeometry, bregman_distance
 from .outer import Iterate, OuterRecord
 from .problem import ProblemSpec, lagrangian
@@ -245,7 +245,7 @@ def conic_feasibility_check(
     (D(x*, x0) + max D(y, y0)) / sum sigma with the max over the dual cone
     intersected with the ball of radius 2||y*|| + 1."""
     if problem.g.variant != "orthant":
-        raise ScaleError("conic feasibility check covers orthant constraints")
+        raise UnsupportedError("conic feasibility check covers orthant constraints")
     x_star = np.asarray(x_star, dtype=float)
     y_star = np.asarray(y_star, dtype=float)
     radius = 2.0 * float(np.linalg.norm(y_star)) + 1.0

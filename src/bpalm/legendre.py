@@ -1,8 +1,10 @@
 """Legendre distance-generating functions and the Bregman-distance calculus.
 
 Every geometry in the catalog is separable, so gradients and Hessians are
-computed coordinate-wise and Hessians are diagonal.  Values are extended-real:
-``+inf`` outside the domain, never a large finite sentinel.
+computed coordinate-wise and Hessians are diagonal.  The solver reads a
+geometry only through these, the conjugate gradient and the Bregman distance,
+which is extended-real: ``+inf`` outside the domain, never a large finite
+sentinel.
 """
 
 from __future__ import annotations
@@ -146,10 +148,10 @@ def all_rows(mask: np.ndarray):
 class LegendreFunction:
     """Base class for the catalog; subclasses fill in the scalar calculus.
 
-    The public surface is ``value``, ``grad``, ``conj_grad``, ``conj_value``,
-    ``hess_diag``, ``start`` and the domain predicates.  ``grad`` and
+    The public surface is ``grad``, ``conj_grad``, ``hess_diag``,
+    ``distance``, ``start`` and the domain predicates.  ``grad`` and
     ``conj_grad`` are mutually inverse bijections between the domain
-    interiors; ``hess_diag`` of conjugate pairs are reciprocal.
+    interiors, so the conjugate's Hessian at grad(z) is 1 / hess_diag(z).
     """
 
     kind: str = "abstract"
@@ -178,28 +180,14 @@ class LegendreFunction:
         return np.ones(self.dim) if self.nonnegative else np.zeros(self.dim)
 
     # -- calculus -----------------------------------------------------------
-    def value(self, z) -> float:
-        raise NotImplementedError
-
     def grad(self, z) -> np.ndarray:
         raise NotImplementedError
 
     def conj_grad(self, t) -> np.ndarray:
         raise NotImplementedError
 
-    def conj_value(self, t) -> float:
-        """Conjugate value via the Fenchel identity at the maximizer."""
-        t = _as_vector(t, self.dim)
-        z = self.conj_grad(t)
-        return float(t @ z) - self.value(z)
-
     def hess_diag(self, z) -> np.ndarray:
         raise NotImplementedError
-
-    def conj_hess_diag(self, t) -> np.ndarray:
-        """Hessian diagonal of the conjugate; the default composes through
-        the inverse gradient map (conjugate pairs have reciprocal Hessians)."""
-        return 1.0 / self.hess_diag(self.conj_grad(t))
 
     # SC constant on the domain interior; None when no global constant exists.
     sc_modulus: float | None = None
@@ -238,26 +226,14 @@ class Energy(LegendreFunction):
 
     in_interior = in_domain
 
-    def value(self, z) -> float:
-        z = _as_vector(z, self.dim)
-        return 0.5 * float(z @ z)
-
     def grad(self, z) -> np.ndarray:
         return _as_vector(z, self.dim).copy()
 
     def conj_grad(self, t) -> np.ndarray:
         return _as_vector(t, self.dim).copy()
 
-    def conj_value(self, t) -> float:
-        t = _as_vector(t, self.dim)
-        return 0.5 * float(t @ t)
-
     def hess_diag(self, z) -> np.ndarray:
         _as_vector(z, self.dim)
-        return np.ones(self.dim)
-
-    def conj_hess_diag(self, t) -> np.ndarray:
-        _as_vector(t, self.dim)
         return np.ones(self.dim)
 
     def distance(self, z1, z2):
@@ -283,29 +259,14 @@ class VonNeumann(_Orthant):
 
     kind = "von_neumann"
 
-    def value(self, z) -> float:
-        z = _as_vector(z, self.dim)
-        if not self.in_domain(z):
-            return math.inf
-        pos = z > 0.0
-        out = -float(z.sum())
-        out += float(np.sum(z[pos] * np.log(z[pos])))  # 0 ln 0 := 0
-        return out
-
     def grad(self, z) -> np.ndarray:
         return np.log(self._require_interior(z))
 
     def conj_grad(self, t) -> np.ndarray:
         return np.exp(_as_vector(t, self.dim))
 
-    def conj_value(self, t) -> float:
-        return float(np.sum(np.exp(_as_vector(t, self.dim))))
-
     def hess_diag(self, z) -> np.ndarray:
         return 1.0 / self._require_interior(z)
-
-    def conj_hess_diag(self, t) -> np.ndarray:
-        return np.exp(_as_vector(t, self.dim))
 
     def distance(self, z1, z2):
         return np.sum(_kl_terms(z1, z2), axis=-1)
@@ -323,29 +284,15 @@ class Burg(_Orthant):
     def conj_in_interior(self, t) -> bool:
         return bool(np.all(_as_vector(t, self.dim) < -BOUNDARY_MARGIN))
 
-    def value(self, z) -> float:
-        z = _as_vector(z, self.dim)
-        if not self.in_domain(z):
-            return math.inf
-        return -float(np.sum(np.log(z)))
-
     def grad(self, z) -> np.ndarray:
         return -1.0 / self._require_interior(z)
 
     def conj_grad(self, t) -> np.ndarray:
         return -1.0 / self._require_conj_interior(t)
 
-    def conj_value(self, t) -> float:
-        t = self._require_conj_interior(t)
-        return float(np.sum(-1.0 - np.log(-t)))
-
     def hess_diag(self, z) -> np.ndarray:
         z = self._require_interior(z)
         return 1.0 / (z * z)
-
-    def conj_hess_diag(self, t) -> np.ndarray:
-        t = self._require_conj_interior(t)
-        return 1.0 / (t * t)
 
     def distance(self, z1, z2):
         return np.sum(_excess_log((z1 - z2) / z2), axis=-1)
@@ -395,10 +342,10 @@ class Spence(_Orthant):
     """phi(t) = integral of ln(exp(tau) - 1) on [0, t], with dom phi = [0, inf).
 
     The derivative pair is phi'(t) = ln(exp(t) - 1) and its inverse the
-    softplus map t* -> ln(1 + exp(t*)).  Values use phi*(t*) = -Li2(-exp(t*))
-    and phi(t) = t^2/2 + t ln q - Li2(q) with q = 1 - exp(-t), where Li2(q) is
-    the Bernoulli series in its own variable -ln(1 - q) = t up to ln 2, and
-    pi^2/6 + t ln q - Li2(exp(-t)) above (`_spence_q`), never from a rounded q.
+    softplus map t* -> ln(1 + exp(t*)).  With q = 1 - exp(-t), the distance's
+    far branch reads Li2(q) as the Bernoulli series in its own variable
+    -ln(1 - q) = t up to ln 2, and as pi^2/6 + t ln q - Li2(exp(-t)) above
+    (`_spence_q`), never from a rounded q.
 
     The distance is chosen per coordinate, for D(a, b) with d = a - b:
 
@@ -422,14 +369,6 @@ class Spence(_Orthant):
 
     kind = "spence"
 
-    def value(self, z) -> float:
-        z = _as_vector(z, self.dim)
-        if not self.in_domain(z):
-            return math.inf
-        t = z[z > 0.0]  # phi(0) = 0
-        q, li = _spence_q(t)
-        return float(np.sum(0.5 * t * t + t * np.log(q) - li))
-
     def grad(self, z) -> np.ndarray:
         z = self._require_interior(z)
         small = z < 30.0
@@ -441,15 +380,9 @@ class Spence(_Orthant):
     def conj_grad(self, t) -> np.ndarray:
         return softplus(_as_vector(t, self.dim))
 
-    def conj_value(self, t) -> float:
-        return float(np.sum(softplus_antiderivative(_as_vector(t, self.dim))))
-
     def hess_diag(self, z) -> np.ndarray:
         z = self._require_interior(z)
         return 1.0 / (-np.expm1(-z))
-
-    def conj_hess_diag(self, t) -> np.ndarray:
-        return sigmoid(_as_vector(t, self.dim))
 
     def distance(self, z1, z2):
         shape = z1.shape[:-1]
@@ -511,14 +444,6 @@ class BoxBarrier(LegendreFunction):
 
     def start(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
-
-    def value(self, z) -> float:
-        z = _as_vector(z, self.dim)
-        if not self.in_domain(z):
-            return math.inf
-        return 0.5 * float(z @ z) - float(
-            np.sum(np.log(self.upper - z)) + np.sum(np.log(z - self.lower))
-        )
 
     def grad(self, z) -> np.ndarray:
         z = self._require_interior(z)

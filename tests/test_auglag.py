@@ -22,6 +22,7 @@ from bpalm.legendre import (
 )
 from bpalm.penalty import penalty_for
 from bpalm.problem import AffineMap, NonsmoothTerm, ProblemSpec, SmoothObjective
+from test_penalty import _phi_value_rows, conj_value, phi_value
 
 
 def eq_qp_context(sigma=1.0, rho=0.0, x=(0.0,), y=(0.0,)):
@@ -286,17 +287,18 @@ class TestMarginalization:
             r = float(ctx.problem.map.residual(s)[0])
             # L(s, eta) - D_phi(eta, y)/sigma over the conjugate domain eta >= 0
             phi_y = float(phi.grad(ctx.y_anchor)[0])
-            phi_vals = np.array([phi.value([e]) for e in etas[:: 1000]])
+            phi_anchor = phi_value(phi, ctx.y_anchor)
             etas_c = etas[::1000]
-            dvals = phi_vals - phi.value(ctx.y_anchor) - phi_y * (etas_c - ctx.y_anchor[0])
+            phi_vals = _phi_value_rows(dual_kind, etas_c[:, None])
+            dvals = phi_vals - phi_anchor - phi_y * (etas_c - ctx.y_anchor[0])
             obj = ctx.problem.f.value(s) + r * etas_c - dvals / ctx.sigma
             coarse_best = etas_c[int(np.argmax(obj))]
             fine = np.linspace(max(coarse_best - 0.2, 1e-12), coarse_best + 0.2, 20001)
-            phi_vals = np.array([phi.value([e]) for e in fine])
-            dvals = phi_vals - phi.value(ctx.y_anchor) - phi_y * (fine - ctx.y_anchor[0])
+            phi_vals = _phi_value_rows(dual_kind, fine[:, None])
+            dvals = phi_vals - phi_anchor - phi_y * (fine - ctx.y_anchor[0])
             obj = ctx.problem.f.value(s) + r * fine - dvals / ctx.sigma
             sup = float(np.max(obj))
-            offset = phi.conj_value(phi.grad(ctx.y_anchor)) / ctx.sigma
+            offset = conj_value(phi, phi.grad(ctx.y_anchor)) / ctx.sigma
             j_no_prox = marginal_value(ctx, s) - 0.5 * (s_val - ctx.x_anchor[0]) ** 2 / ctx.sigma
             assert j_no_prox == pytest.approx(sup + offset, abs=1e-4)
 

@@ -169,6 +169,10 @@ def _refuse_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _refuse_solve(*args, **kwargs):
+    raise AssertionError("the solve ran")
+
+
 class TestMain:
     def test_golden_eq_exit_zero(self, eq_doc, capsys):
         rc = main(["--problem", eq_doc, "--report", "json"])
@@ -657,6 +661,15 @@ class TestBadNumbers:
     def test_sigma_beyond_the_float_range_exits_two(self, option, tmp_path, capsys):
         # the energy acceptance test squares sigma, which overflows from ~1e154
         _assert_one_error_line(_EQUALITY_2D, tmp_path, capsys, option)
+
+    @pytest.mark.parametrize(
+        "pinned", ["1.5", "-1", "ten", "", pytest.param("9" * 5000, id="5000_digits")]
+    )
+    def test_bad_pinned_wall_time_exits_two(self, pinned, tmp_path, capsys, monkeypatch):
+        # the pin is read before the solve, not when the report is printed
+        monkeypatch.setenv("BPALM_WALL_TIME_MS", pinned)
+        monkeypatch.setattr(cli, "run", _refuse_solve)
+        _assert_one_error_line(_ineq_document(), tmp_path, capsys)
 
     def test_infinite_bounds_still_accepted(self, tmp_path):
         path = tmp_path / "bounds.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bpalm import diagnostics as dg
-from bpalm.exceptions import DomainError, InsufficientTraceError
+from bpalm.exceptions import DomainError, InsufficientTraceError, UnsupportedError
 from bpalm.legendre import (
     BregmanGeometry,
     box_barrier,
@@ -160,6 +160,11 @@ class TestErgodicGap:
         assert res.max_excess <= 1e-8
         # the bounds and gaps decay together
         assert res.bounds[-1] < res.bounds[0]
+
+    def test_conic_feasibility_refuses_a_non_orthant_constraint(self):
+        cfg, log = solve_eq()
+        with pytest.raises(UnsupportedError):
+            dg.conic_feasibility_check(log, eq_qp(), cfg.geometry, [1.0], [-1.0])
 
 
 def cap_search_per_start(phi, y0, radius):

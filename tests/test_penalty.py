@@ -26,8 +26,9 @@ def all_penalties(m=2):
 PENALTY_IDS = [form for form, _ in all_penalties()]
 
 
-def _phi_value_rows(kind: str, pts: np.ndarray) -> np.ndarray:
-    """Distance-generator values for a batch of points (rows), vectorized.
+def _phi_value_rows(kind: str, pts: np.ndarray, box=None) -> np.ndarray:
+    """Distance-generator values for a batch of points (rows), vectorized;
+    ``box`` holds the box barrier's (lower, upper) bounds.
 
     Uses scipy's dilogarithm for the Spence geometry, keeping the reference
     independent of the library's own series evaluation.
@@ -43,7 +44,24 @@ def _phi_value_rows(kind: str, pts: np.ndarray) -> np.ndarray:
         # phi(t) = t^2/2 + Li2(exp(-t)) - pi^2/6 with Li2(z) = spence(1 - z)
         vals = 0.5 * pts * pts + scipy_spence(1.0 - np.exp(-pts)) - (math.pi**2 / 6.0)
         return np.sum(vals, axis=1)
-    raise UnsupportedError(f"no brute-force support for dual geometry {kind!r}")
+    if kind == "burg":
+        return -np.sum(np.log(pts), axis=1)
+    if kind == "box_barrier":
+        lower, upper = box
+        return np.sum(0.5 * pts * pts - np.log(upper - pts) - np.log(pts - lower), axis=1)
+    raise UnsupportedError(f"no reference values for geometry {kind!r}")
+
+
+def phi_value(fn, z) -> float:
+    """phi(z) at one interior point of the geometry fn, from the closed forms."""
+    box = (fn.lower, fn.upper) if fn.kind == "box_barrier" else None
+    return float(_phi_value_rows(fn.kind, np.reshape(z, (1, fn.dim)), box)[0])
+
+
+def conj_value(fn, t) -> float:
+    """phi*(t) = <t, z> - phi(z) at z = conj_grad(t), the conjugate's maximizer."""
+    z = fn.conj_grad(t)
+    return float(np.dot(t, z)) - phi_value(fn, z)
 
 
 def penalty_bruteforce(

@@ -1,6 +1,7 @@
 """Every public name the package declares resolves: each module's __all__,
-and each name the top-level package re-exports; and every public name, and
-every public class's constructor, has a caller outside the tests."""
+and each name the top-level package re-exports; and every public name, every
+public class's constructor and every public method has a caller outside the
+tests."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bpalm
+from test_benchmark_names import TRACER
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bpalm.__path__))
 
@@ -95,27 +97,58 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused == [], f"public names only tests call: {unused}"
 
 
-def test_every_public_constructor_has_a_caller_outside_the_tests():
-    # each classmethod or staticmethod of a public class; a definition of a
-    # function of the same name, in any class, is not a use
-    tokens = _uses()
+def _methods():
+    """(module, class, method node) for each method in a class body of the
+    package, and how many function definitions of each name it holds; a
+    definition of a function of the same name, in any class, is not a use."""
     trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES]
     definitions = Counter(
         node.name for _, tree in trees for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     )
+    methods = [
+        (path, cls, node)
+        for path, tree in trees
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return methods, definitions
+
+
+def test_every_public_constructor_has_a_caller_outside_the_tests():
+    # each classmethod or staticmethod of a public class
+    tokens = _uses()
+    methods, definitions = _methods()
     unused = []
-    for path, tree in trees:
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and cls.name in _public(path)):
-                continue
-            for node in cls.body:
-                decorators = {d.id for d in getattr(node, "decorator_list", [])
-                              if isinstance(d, ast.Name)}
-                if (
-                    decorators & {"classmethod", "staticmethod"}
-                    and not node.name.startswith("_")
-                    and tokens[node.name] <= definitions[node.name]
-                ):
-                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    for path, cls, node in methods:
+        decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+        if (
+            cls.name in _public(path)
+            and decorators & {"classmethod", "staticmethod"}
+            and not node.name.startswith("_")
+            and tokens[node.name] <= definitions[node.name]
+        ):
+            unused.append(f"{path.stem}.{cls.name}.{node.name}")
     assert unused == [], f"public constructors only tests call: {unused}"
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    """Each public method in the body of a class without a leading
+    underscore has a caller token in the package or the benchmark harness's
+    scripts; the methods perfbench/tracer.py's METHODS wraps count as used.
+
+    Calls are matched by name alone, so a name that several classes share,
+    such as ``value``, always reads as used once any of them is called.
+    """
+    tokens = _uses()
+    traced = {entry[2] for entry in TRACER.METHODS}
+    methods, definitions = _methods()
+    unused = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, cls, node in methods
+        if not cls.name.startswith("_")
+        and not node.name.startswith("_")
+        and node.name not in traced
+        and tokens[node.name] <= definitions[node.name]
+    ]
+    assert unused == [], f"public methods only tests call: {unused}"
