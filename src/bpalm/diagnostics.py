@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, InsufficientTraceError, UnsupportedError
-from .legendre import BLOCK_COORDS, INTERIOR_FLOOR, BregmanGeometry, bregman_distance
+from .legendre import BLOCK_COORDS, BregmanGeometry, bregman_distance
 from .outer import Iterate, OuterRecord
 from .problem import ProblemSpec, lagrangian
 
@@ -53,18 +53,31 @@ class IterateLog:
         self.iterates.append(iterate)
 
 
+def _stacked_reads(iterates: list[Iterate], raw: str, out: np.ndarray) -> None:
+    """out[i] = iterates[i].s or .x_next, for raw "_s" or "_x_next", from the
+    solver's arrays: where the run solved in W's eigenbasis, one stacked
+    product with Q per block of at most BLOCK_COORDS coordinates maps them
+    back, each row bit for bit the iterate's own mapped read."""
+    basis = iterates[0].basis if iterates else None
+    step = max(1, BLOCK_COORDS // out.shape[1])
+    for lo in range(0, len(iterates), step):
+        z = np.array([getattr(it, raw) for it in iterates[lo : lo + step]])
+        out[lo : lo + step] = z if basis is None else np.matmul(basis, z[..., None])[..., 0]
+
+
 def _distance_series(
     log: IterateLog, x_star, y_star, geometry: BregmanGeometry
 ) -> list[float]:
     """D(z*, z_k) along the anchor sequence, starting at the initial point,
-    from one distance call per geometry on the stacked anchors."""
-
-    def distances(fn, z_star, attr):  # one geometry's stack at a time
-        anchors = np.array([fn.start()] + [getattr(it, attr) for it in log.iterates], dtype=float)
-        return bregman_distance(fn, z_star, anchors)
-
-    primal = distances(geometry.primal, x_star, "x_next")
-    return (primal + distances(geometry.dual, y_star, "y_next")).tolist()
+    from one distance call per geometry on the stacked anchors, the dual's
+    (under Spence, the larger temporaries) before the primal stack exists."""
+    psi, phi = geometry.primal, geometry.dual
+    y_anchors = np.array([phi.start()] + [it.y_next for it in log.iterates], dtype=float)
+    dual = bregman_distance(phi, y_star, y_anchors)
+    x_anchors = np.empty((len(log.iterates) + 1, psi.dim))
+    x_anchors[0] = psi.start()
+    _stacked_reads(log.iterates, "_x_next", x_anchors[1:])
+    return (bregman_distance(psi, x_star, x_anchors) + dual).tolist()
 
 
 @dataclass
@@ -140,7 +153,7 @@ def ergodic_gap_check(
     psi, phi = geometry.primal, geometry.dual
     rhs = bregman_distance(psi, xs, psi.start()) + bregman_distance(phi, ys, phi.start())
     excess = np.empty((len(log.iterates), len(test_points)))
-    averages = _ergodic_averages(log, lambda it: np.concatenate([it.s, it.y_next]), n + m)
+    averages = _ergodic_averages(log, n, m)
     with np.errstate(invalid="ignore"):
         for rows, weight, bars in averages:
             s_bar, y_bar = bars[:, :n], bars[:, n:]
@@ -155,81 +168,53 @@ def ergodic_gap_check(
     return ErgodicGapResult(max_violation=float(excess[k, j]), worst_k=int(k), worst_point=int(j))
 
 
-def _ergodic_averages(log: IterateLog, vector, dim: int):
+def _ergodic_averages(log: IterateLog, n: int, m: int = 0):
     """Per block of consecutive iterations: its rows, the weights
-    sum_{i<=k} sigma_i and the sigma-weighted averages of ``vector(iterate)``,
-    per prefix k.
+    sum_{i<=k} sigma_i and the sigma-weighted averages of s, followed by those
+    of y_next when m > 0, per prefix k.
 
     np.cumsum adds in k order and each block starts from the sum the last
     one ended with, so every prefix is bit for bit the running sum; blocks of at
     most BLOCK_COORDS coordinates bound the memory.
     """
-    sigmas = [r.sigma for r in log.records]
+    sigmas = np.array([r.sigma for r in log.records])
     weight = np.cumsum(sigmas)
-    carried = np.zeros(dim)
-    step = max(1, BLOCK_COORDS // dim)
+    carried = np.zeros(n + m)
+    step = max(1, BLOCK_COORDS // (n + m))
     for lo in range(0, len(sigmas), step):
         rows = slice(lo, lo + step)
-        pairs = zip(sigmas[rows], log.iterates[rows])
-        prefix = np.array([sigma * vector(it) for sigma, it in pairs])
+        block = log.iterates[rows]
+        prefix = np.empty((len(block), n + m))
+        _stacked_reads(block, "_s", prefix[:, :n])
+        if m:
+            prefix[:, n:] = [it.y_next for it in block]
+        prefix *= sigmas[rows, None]
         prefix[0] += carried
         np.cumsum(prefix, axis=0, out=prefix)
         carried = prefix[-1].copy()
         yield rows, weight[rows], prefix / weight[rows, None]
 
 
-def _max_divergence_on_cap(
-    geometry: BregmanGeometry, y0: np.ndarray, radius: float
-) -> float:
-    """Lower bound on max D(y, y0) over {y >= 0, ||y|| <= radius}.
-
-    The maximum of a convex function over the cap sits on the sphere part or
-    at the origin; candidate directions (vertices, uniform mixtures, the
-    anchor direction) are polished together, as the rows of one array, by a
-    short projected ascent.  Any feasible point gives a valid lower bound,
-    which makes the feasibility check conservative.
-    """
-    phi = geometry.dual
-    m = y0.size
-    norm0 = np.linalg.norm(y0)
-    starts = [radius * np.eye(m), np.full((1, m), radius / math.sqrt(m))]
-    if norm0 > 0:
-        starts.append(radius * y0[None, :] / norm0)
-    # uniform mixtures of the first k + 1 vertices, k = 1 .. m - 1
-    mix_levels = radius / np.sqrt(np.arange(2, m + 1))
-    starts.append(np.tril(np.ones((m, m)))[1:] * mix_levels[:, None])
-    y = np.vstack(starts)
-
-    best = np.max(bregman_distance(phi, np.vstack([np.zeros(m), y]), y0))
-    grad0 = phi.grad(y0) if phi.nonnegative else None
-    start = y.copy()
-    live = np.arange(len(y))  # the ascent maps rows alone: a row it fixes stays fixed
-    for _ in range(60):
-        z = y[live]
-        if phi.nonnegative:
-            # separable: one function of dimension k*m takes all k gradients
-            grad = type(phi)(z.size).grad(np.maximum(z, INTERIOR_FLOOR).ravel())
-            grad = grad.reshape(z.shape) - grad0
-        else:
-            grad = z - y0
-        step = 0.1 * radius / (1.0 + np.linalg.norm(grad, axis=1))
-        z_next = np.maximum(z + step[:, None] * grad, 0.0)
-        norm = np.linalg.norm(z_next, axis=1)
-        pos = norm > 0
-        z_next[pos] *= (radius / norm[pos])[:, None]
-        y[live] = z_next
-        live = live[(z_next != z).any(axis=1)]
-        if not live.size:
-            break
-    moved = y[(y != start).any(axis=1)]  # a row at its start has its distance in best
-    return float(max(best, np.max(bregman_distance(phi, moved, y0), initial=-np.inf)))
+def _max_divergence_on_cap(geometry: BregmanGeometry, radius: float) -> float:
+    """max D(y, y0) over the cap {y >= 0, ||y|| <= radius}, y0 the dual start,
+    from the origin, the vertices radius * e_i and the rows radius / sqrt(k) on
+    the first k coordinates.  With s_i = y_i**2 the cap is the simplex
+    {s >= 0, sum s <= radius**2} and D(y, y0) = sum g(s_i).  Spence: g is convex,
+    since g'(s) = (phi'(sqrt s) - phi'(1)) / (2 sqrt s) increases, so the maximum
+    is the origin or a vertex.  Energy: y0 = 0, so D = radius**2 / 2 on the sphere.
+    Von Neumann: g is convex below s = e**2 and concave above it, so a maximizer
+    has equal coordinates above e and at most one in (0, e); a grid over such
+    points (m <= 40, radius <= 100) found none above the rows.  The value is a
+    lower bound in any case, so the feasibility check stays conservative."""
+    phi, m = geometry.dual, geometry.dual.dim
+    levels = radius / np.sqrt(np.arange(2, m + 1))
+    rows = [np.zeros((1, m)), radius * np.eye(m), np.tril(np.ones((m, m)))[1:] * levels[:, None]]
+    return float(np.max(bregman_distance(phi, np.vstack(rows), phi.start())))
 
 
 @dataclass
 class ConicFeasibilityResult:
     max_excess: float
-    objective_gaps: list[float]
-    feasibility_gaps: list[float]
     bounds: list[float]
 
 
@@ -246,25 +231,19 @@ def conic_feasibility_check(
     intersected with the ball of radius 2||y*|| + 1."""
     if problem.g.variant != "orthant":
         raise UnsupportedError("conic feasibility check covers orthant constraints")
-    x_star = np.asarray(x_star, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
     radius = 2.0 * float(np.linalg.norm(y_star)) + 1.0
     d_primal = bregman_distance(geometry.primal, x_star, geometry.primal.start())
-    d_dual_max = _max_divergence_on_cap(geometry, geometry.dual.start(), radius)
+    d_dual_max = _max_divergence_on_cap(geometry, radius)
     f_star = problem.f.value(x_star)
 
     obj, feas, bounds = (np.empty(len(log.iterates)) for _ in range(3))
-    for rows, weight, s_bar in _ergodic_averages(log, lambda it: it.s, problem.n):
+    for rows, weight, s_bar in _ergodic_averages(log, problem.n):
         obj[rows] = np.abs(problem.f.value(s_bar) - f_star)
         excess = np.maximum(problem.map.residual(s_bar), 0.0)
         feas[rows] = np.sqrt(np.vecdot(excess, excess))  # np.linalg.norm's sum per row
         bounds[rows] = (d_primal + d_dual_max) / weight
-    return ConicFeasibilityResult(
-        max_excess=float(np.max(np.maximum(obj, feas) - bounds, initial=-math.inf)),
-        objective_gaps=obj.tolist(),
-        feasibility_gaps=feas.tolist(),
-        bounds=bounds.tolist(),
-    )
+    max_excess = float(np.max(np.maximum(obj, feas) - bounds, initial=-math.inf))
+    return ConicFeasibilityResult(max_excess=max_excess, bounds=bounds.tolist())
 
 
 def summability_check(

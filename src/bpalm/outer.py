@@ -144,7 +144,8 @@ class Iterate:
     The iterate keeps the solver's own arrays, shared, not copied, which the
     deferred decrement reads too.  Where the run solves in W's eigenbasis
     (``basis`` is Q), each read of s, x_next or grad maps the solver's array
-    back to the caller's coordinates, and nothing keeps the result."""
+    back to the caller's coordinates, and nothing keeps the result; the
+    diagnostics map blocks of ``_s`` and ``_x_next`` with one product each."""
 
     _s: np.ndarray
     _x_next: np.ndarray

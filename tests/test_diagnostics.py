@@ -183,11 +183,12 @@ def cap_search_per_start(phi, y0, radius):
         mix[: k + 1] = radius / np.sqrt(k + 1)
         candidates.append(mix)
     best = max(bregman_distance(phi, c, y0) for c in candidates)
+    grad0 = phi.grad(y0) if phi.nonnegative else None
     for start in candidates[1:]:
         y = start.copy()
         for _ in range(60):
             if phi.nonnegative:
-                grad = phi.grad(np.maximum(y, 1e-148)) - phi.grad(y0)
+                grad = phi.grad(np.maximum(y, 1e-148)) - grad0
             else:
                 grad = y - y0
             y = np.maximum(y + 0.1 * radius / (1.0 + np.linalg.norm(grad)) * grad, 0.0)
@@ -199,63 +200,45 @@ def cap_search_per_start(phi, y0, radius):
 
 
 @pytest.mark.parametrize("factory", [spence, von_neumann, energy], ids=lambda cls: cls.kind)
-@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("m", [1, 2, 5, 100])
 def test_batched_cap_search_matches_per_start_loop(factory, m):
-    rng = np.random.default_rng(m)
-    y0 = rng.uniform(0.05, 2.0, m)
+    # the rows the ascent starts from already hold its maximum at the dual start
     geo = BregmanGeometry(energy(2), factory(m))
-    got = dg._max_divergence_on_cap(geo, y0, 3.0)
-    assert got == pytest.approx(cap_search_per_start(geo.dual, y0, 3.0), rel=1e-12)
+    for radius in [0.5, 1.07, 3.0, 2.0 * math.sqrt(m) + 1.0, 60.0]:
+        got = dg._max_divergence_on_cap(geo, radius)
+        want = cap_search_per_start(geo.dual, geo.dual.start(), radius)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got >= want - 8 * np.spacing(want)  # the ascent gains only rounding
 
 
-def cap_search_all_rows(phi, y0, radius):
-    """The cap search iterating every start for all 60 steps, as a reference
-    for the search that drops the rows the ascent has fixed."""
-    m = y0.size
-    starts = [radius * np.eye(m), np.full((1, m), radius / np.sqrt(m))]
-    if np.linalg.norm(y0) > 0:
-        starts.append(radius * y0[None, :] / np.linalg.norm(y0))
-    starts.append(np.tril(np.ones((m, m)))[1:] * (radius / np.sqrt(np.arange(2, m + 1)))[:, None])
-    y = np.vstack(starts)
-    best = np.max(bregman_distance(phi, np.vstack([np.zeros(m), y]), y0))
-    for _ in range(60):
-        if phi.nonnegative:
-            wide = type(phi)(y.size)
-            grad = wide.grad(np.maximum(y, 1e-148).ravel()).reshape(y.shape) - phi.grad(y0)
-        else:
-            grad = y - y0
-        step = 0.1 * radius / (1.0 + np.linalg.norm(grad, axis=1))
-        y = np.maximum(y + step[:, None] * grad, 0.0)
-        norm = np.linalg.norm(y, axis=1)
-        pos = norm > 0
-        y[pos] *= (radius / norm[pos])[:, None]
-    return float(max(best, np.max(bregman_distance(phi, y, y0)))), y
+def random_cap_points(rng, m, radius, count):
+    """Points of {y >= 0, ||y|| <= radius}, a fifth or more of them on the
+    sphere: half of them uniform directions, half equal levels on a random
+    support with one odd coordinate, the shape a von Neumann maximizer can
+    take."""
+    half = count // 2
+    spread = np.abs(rng.standard_normal((half, m)))
+    norms = np.minimum(rng.uniform(0.0, 1.25, half) ** (1.0 / m), 1.0)
+    spread *= (radius * norms / np.linalg.norm(spread, axis=1))[:, None]
+    support = np.arange(m) < rng.integers(1, m + 1, count - half)[:, None]
+    levels = support * rng.uniform(0.0, 1.0, (count - half, 1))
+    levels[np.arange(count - half), rng.integers(0, m, count - half)] = rng.uniform(0.0, 4.0, count - half)
+    norms = np.minimum(rng.uniform(0.5, 1.25, count - half), 1.0)
+    levels *= (radius * norms / np.linalg.norm(levels, axis=1))[:, None]
+    return np.vstack([spread, levels])
 
 
 @pytest.mark.parametrize("factory", [spence, von_neumann, energy], ids=lambda cls: cls.kind)
-@pytest.mark.parametrize("m", [1, 5, 100])
-def test_cap_search_equals_the_all_rows_loop(factory, m, monkeypatch):
-    stacks = []  # the points each distance call of the search is given
-
-    def recording(fn, z1, z2):
-        stacks.append(np.array(z1))
-        return bregman_distance(fn, z1, z2)
-
-    monkeypatch.setattr(dg, "bregman_distance", recording)
-    rng = np.random.default_rng(100 + m)
-    for y0, radius in [
-        (np.ones(m), 3.0),  # the CLI's start, where most rows are fixed from the first step
-        (rng.uniform(0.05, 2.0, m), 2.0 * math.sqrt(m) + 1.0),
-        (np.exp(rng.uniform(-30.0, 3.0, m)), 0.5),
-    ]:
+def test_no_cap_point_exceeds_the_cap_maximum(factory):
+    rng = np.random.default_rng(2718)
+    for m, radius in [(2, 60.0), (5, 1.07), (8, 7.0), (30, 20.0)]:
         geo = BregmanGeometry(energy(2), factory(m))
-        stacks.clear()
-        got = dg._max_divergence_on_cap(geo, y0, radius)
-        want, polished = cap_search_all_rows(geo.dual, y0, radius)
-        assert got == want
-        # the final distances are taken on the polished rows the ascent moved
-        moved = (polished != stacks[0][1:]).any(axis=1)
-        assert stacks[-1].tobytes() == polished[moved].tobytes()
+        best = dg._max_divergence_on_cap(geo, radius)
+        points = random_cap_points(rng, m, radius, 10_000)
+        assert np.all(np.linalg.norm(points, axis=1) <= radius * (1 + 1e-15))
+        distances = bregman_distance(geo.dual, points, geo.dual.start())
+        # a point on the sphere carries its normalization's rounding (up to 5 ulps)
+        assert np.max(distances) <= best + 8 * np.spacing(best)
 
 
 def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):
@@ -285,9 +268,10 @@ def test_distance_calls_do_not_grow_with_the_trace(monkeypatch):
 
 @pytest.mark.parametrize("block", [None, 20], ids=["one_block", "carried_blocks"])
 def test_ergodic_checks_match_running_sums(block, monkeypatch):
-    # the prefix-sum averages and row-wise Lagrangians reproduce the
-    # record-by-record definition exactly, also when the sums are carried
-    # from one block of records to the next
+    # the prefix-sum averages and row-wise Lagrangians, and the Fejér series,
+    # reproduce the record-by-record definition exactly, also when the sums
+    # are carried and the eigenbasis reads mapped from one block of records
+    # to the next
     from bpalm.problem import lagrangian
 
     if block is not None:
@@ -304,7 +288,7 @@ def test_ergodic_checks_match_running_sums(block, monkeypatch):
     ]
     weight, sx, sy, excess, conic = 0.0, np.zeros(ps.n), np.zeros(ps.m), [], []
     bound_num = bregman_distance(geo.primal, gp.x_star, x0) + dg._max_divergence_on_cap(
-        geo, y0, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
+        geo, 2.0 * float(np.linalg.norm(gp.y_star)) + 1.0
     )
     for rec, iterate in zip(log.records, log.iterates):
         weight += rec.sigma
@@ -322,6 +306,13 @@ def test_ergodic_checks_match_running_sums(block, monkeypatch):
     k, j = np.unravel_index(np.argmax(excess), (len(excess), 2))
     assert (gap.max_violation, gap.worst_k, gap.worst_point) == (excess[k][j], k, j)
     assert dg.conic_feasibility_check(log, ps, geo, gp.x_star, gp.y_star).max_excess == max(conic)
+    assert log.iterates[0].basis is not None  # the run solved in W's eigenbasis
+    last = log.iterates[-1]
+    fejer = [
+        bregman_distance(geo.primal, gp.x_star, x) + bregman_distance(geo.dual, gp.y_star, y)
+        for x, y in anchors(log, geo) + [(last.x_next, last.y_next)]
+    ]
+    assert dg.fejer_check(log, gp.x_star, gp.y_star, geo).distances == fejer
 
 
 def dual_perturbations(cfg, log):

@@ -1,7 +1,7 @@
 """Every public name the package declares resolves: each module's __all__,
-and each name the top-level package re-exports; and every public name, every
+and each name the top-level package re-exports; every public name, every
 public class's constructor and every public method has a caller outside the
-tests."""
+tests; and every dataclass field is read."""
 
 import ast
 import importlib
@@ -152,3 +152,43 @@ def test_every_public_method_has_a_caller_outside_the_tests():
         and tokens[node.name] <= definitions[node.name]
     ]
     assert unused == [], f"public methods only tests call: {unused}"
+
+
+def _reads() -> set[str]:
+    """Every attribute name read and every string constant in the package's
+    code, the tests and the benchmark harness's scripts."""
+    paths = SOURCES + sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    reads = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return reads
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass in the package is read somewhere, as an
+    attribute or by its name as a string (``getattr``, a CSV column); passing
+    it to the constructor is not a read.  A field of that name read on any
+    object counts."""
+    reads = _reads()
+    unread = [
+        f"{path.stem}.{cls.name}.{node.target.id}"
+        for path in SOURCES
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in reads
+    ]
+    assert unread == [], f"dataclass fields nothing reads: {unread}"
