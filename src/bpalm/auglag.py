@@ -50,7 +50,7 @@ class AcceptanceCheck:
     lhs: float
     rhs: float
     b_value: float
-    x_plus: np.ndarray | None  # None when the extragradient leaves the domain
+    x_plus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,7 @@ class SubproblemContext:
 
     def extragradient(self, point: PointEvaluation, grad: np.ndarray) -> np.ndarray:
         """x_plus(s) = grad_psi*(grad_psi(s) - sigma grad(s))."""
-        psi = self.geometry.primal
-        target = point.grad_psi - self.sigma * grad
-        if not psi.conj_in_interior(target):
-            raise DomainError("corrected point leaves int dom of the conjugate")
-        return psi.conj_grad(target)
+        return self.geometry.primal.conj_grad(point.grad_psi - self.sigma * grad)
 
     def acceptance_check(
         self, point: PointEvaluation, grad: np.ndarray, exact: bool = True
@@ -177,17 +173,14 @@ class SubproblemContext:
             lhs = 0.5 * self.sigma**2 * float(grad @ grad)
             x_plus = s - self.sigma * grad
         else:
-            try:
-                x_plus = self.extragradient(point, grad)
-                lhs = bregman_distance(psi, s, x_plus)
-            except DomainError:
-                x_plus, lhs = None, math.inf
+            x_plus = self.extragradient(point, grad)
+            lhs = bregman_distance(psi, s, x_plus)
         primal = _distance(psi, s, self.x_anchor)
         if not exact and self._bound_rejects(lhs, primal, point.y_plus):
             return AcceptanceCheck(False, lhs, math.nan, math.nan, x_plus)
         b_value = primal + _distance(self.geometry.dual, point.y_plus, self.y_anchor)
         rhs = self.rho * b_value
-        return AcceptanceCheck(x_plus is not None and lhs <= rhs, lhs, rhs, b_value, x_plus)
+        return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
 
     def _bound_rejects(self, lhs: float, primal: float, y_plus: np.ndarray) -> bool:
         d = y_plus - self.y_anchor

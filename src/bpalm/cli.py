@@ -189,9 +189,13 @@ def parse_problem(path: str, regime: str = "qsc"):
             )
 
     if box is not None:
-        f = SmoothObjective.quadratic(f.W, f.c, box=box) if f.variant == "quadratic" else None
-        if f is None:
+        if f.variant != "quadratic":
             raise ParseError("the sc regime requires a quadratic objective")
+        # W is checked and its moduli known: only the box is new
+        f = SmoothObjective(
+            "quadratic", n=n, W=f.W, c=f.c, qsc_modulus=f.qsc_modulus,
+            lipschitz_modulus=f.lipschitz_modulus, sc_modulus=f.sc_modulus, box=box,
+        )
 
     problem = ProblemSpec(
         f=f,
@@ -297,7 +301,7 @@ def _diagnostics_payload(log, problem, geometry, golden) -> tuple[dict, list[flo
     fejer = diagnostics.fejer_check(log, gx, gy, geometry)
     payload["fejer_monotone"] = fejer.monotone
     payload["fejer_violations"] = fejer.violations
-    total, budget = diagnostics.summability_check(log, gx, gy, geometry)
+    total, budget = diagnostics.summability_check(log, fejer.distances)
     payload["summability_sum"], payload["summability_budget"] = total, budget
     try:
         rate = diagnostics.rate_fit(fejer.distances)

@@ -246,13 +246,11 @@ def conic_feasibility_check(
     return ConicFeasibilityResult(max_excess=max_excess, bounds=bounds.tolist())
 
 
-def summability_check(
-    log: IterateLog, x_star, y_star, geometry: BregmanGeometry
-) -> tuple[float, float]:
+def summability_check(log: IterateLog, distances: list[float]) -> tuple[float, float]:
     """Partial sums of the progress proxy against the telescoped distance
-    budget D(z*, z0) / (1 - max rho); returns (sum, budget)."""
-    d0 = bregman_distance(geometry.primal, np.asarray(x_star, float), geometry.primal.start())
-    d0 += bregman_distance(geometry.dual, np.asarray(y_star, float), geometry.dual.start())
+    budget D(z*, z0) / (1 - max rho), with D(z*, z0) the first entry of the
+    run's D(z*, z_k) series as `fejer_check` returns it; returns (sum, budget)."""
+    d0 = distances[0]
     rho_max = max((r.rho for r in log.records), default=0.0)
     total = sum((r.b_value for r in log.records), 0.0)
     return total, d0 / (1.0 - rho_max)

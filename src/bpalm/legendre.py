@@ -149,9 +149,9 @@ class LegendreFunction:
     """Base class for the catalog; subclasses fill in the scalar calculus.
 
     The public surface is ``grad``, ``conj_grad``, ``hess_diag``,
-    ``distance``, ``start`` and the domain predicates.  ``grad`` and
-    ``conj_grad`` are mutually inverse bijections between the domain
-    interiors, so the conjugate's Hessian at grad(z) is 1 / hess_diag(z).
+    ``distance``, ``start`` and the domain predicates.  ``grad`` maps the
+    domain interior onto all of R^n and ``conj_grad`` is its inverse, so the
+    conjugate's Hessian at grad(z) is 1 / hess_diag(z).
     """
 
     kind: str = "abstract"
@@ -168,12 +168,6 @@ class LegendreFunction:
 
     def in_interior(self, z) -> bool:
         raise NotImplementedError
-
-    def conj_in_interior(self, t) -> bool:
-        """Membership of t in int dom of the convex conjugate, the whole
-        space unless a subclass narrows it."""
-        _as_vector(t, self.dim)
-        return True
 
     def start(self) -> np.ndarray:
         """Default interior point: all-ones on the orthant, else zeros."""
@@ -204,12 +198,6 @@ class LegendreFunction:
         if not self.in_interior(z):
             raise DomainError(f"{self.kind}: point not in the domain interior")
         return z
-
-    def _require_conj_interior(self, t) -> np.ndarray:
-        t = _as_vector(t, self.dim)
-        if not self.conj_in_interior(t):
-            raise DomainError(f"{self.kind}: point not in int dom of conjugate")
-        return t
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -270,32 +258,6 @@ class VonNeumann(_Orthant):
 
     def distance(self, z1, z2):
         return np.sum(_kl_terms(z1, z2), axis=-1)
-
-
-class Burg(_Orthant):
-    """phi(t) = -ln t on (0, inf); D_phi is the Itakura-Saito divergence."""
-
-    kind = "burg"
-    sc_modulus = 1.0
-
-    def in_domain(self, z) -> bool:
-        return all_rows(_as_vector(z, self.dim, True) > 0.0)
-
-    def conj_in_interior(self, t) -> bool:
-        return bool(np.all(_as_vector(t, self.dim) < -BOUNDARY_MARGIN))
-
-    def grad(self, z) -> np.ndarray:
-        return -1.0 / self._require_interior(z)
-
-    def conj_grad(self, t) -> np.ndarray:
-        return -1.0 / self._require_conj_interior(t)
-
-    def hess_diag(self, z) -> np.ndarray:
-        z = self._require_interior(z)
-        return 1.0 / (z * z)
-
-    def distance(self, z1, z2):
-        return np.sum(_excess_log((z1 - z2) / z2), axis=-1)
 
 
 # 20-point Gauss-Legendre rule on [0, 1] for the near branch of the Spence
@@ -510,7 +472,7 @@ class BoxBarrier(LegendreFunction):
 
 
 # the catalog's constructor names are the classes themselves
-energy, von_neumann, burg, spence = Energy, VonNeumann, Burg, Spence
+energy, von_neumann, spence = Energy, VonNeumann, Spence
 box_barrier = BoxBarrier
 
 

@@ -80,7 +80,7 @@ class InnerSolve:
     trace: NewtonTrace
     accepted: bool
     grad: np.ndarray
-    x_plus: np.ndarray | None
+    x_plus: np.ndarray
     b_value: float
     decrement: Callable[[], float]
 
@@ -275,7 +275,6 @@ def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = N
     test and the Newton system.
     """
     scale = modulus if modulus and modulus > 0.0 else 1.0
-    cap = max(cap, 0)
     point, g = ctx.start, ctx.start_grad
     trace = NewtonTrace()
 

@@ -95,17 +95,14 @@ class SolverConfig:
     newton_cap: int = 50
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them; a negative newton_cap
-        # acts as 0
+        # comparisons written so that NaN fails them
         if not 0.0 < self.sigma0 < math.inf:
             raise DomainError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if not 1.0 <= self.sigma_growth < math.inf:
             raise DomainError(f"sigma growth must be finite and >= 1, got {self.sigma_growth}")
-        for name in ("tol_b", "tol_kkt"):
-            if not getattr(self, name) >= 0.0:
+        for name in ("tol_b", "tol_kkt", "max_outer", "newton_cap"):
+            if not getattr(self, name) >= 0:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.max_outer < 0:
-            raise DomainError(f"max_outer must be nonnegative, got {self.max_outer}")
         if self.regime not in REGIMES:
             raise InvalidRegimeError(f"unknown regime {self.regime!r}")
 
@@ -207,16 +204,15 @@ def _validate(cfg: SolverConfig, problem: ProblemSpec) -> None:
         raise DimensionError(
             f"dual geometry dimension {phi.dim} != constraint dimension {problem.m}"
         )
-    if psi.kind == "box_barrier":
-        if problem.f.box is None:
-            raise DomainError("box-barrier geometry requires a box-constrained objective")
-        lo, hi = problem.f.box
-        if not (np.allclose(lo, psi.lower) and np.allclose(hi, psi.upper)):
-            raise DomainError("objective box and barrier box must coincide")
-    elif problem.f.box is not None:
+    # the primal geometry lives on f's own domain: all of R^n, or f's box
+    box = problem.f.box
+    if psi.kind != ("energy" if box is None else "box_barrier"):
         raise DomainError(
-            "box-constrained objectives need the box-barrier primal geometry"
+            "the primal geometry must be energy for an unboxed objective, or the box "
+            f"barrier of the objective's box, not {psi.kind!r}"
         )
+    if box is not None and not (np.allclose(box[0], psi.lower) and np.allclose(box[1], psi.upper)):
+        raise DomainError("objective box and barrier box must coincide")
     REGIMES[cfg.regime].validate(problem, cfg.geometry)
 
 
@@ -275,7 +271,7 @@ def outer_iteration(
     y_next = at_s.y_plus
     if cfg.geometry.dual.nonnegative:
         y_next = np.maximum(y_next, INTERIOR_FLOOR)
-    x_next = inner.x_plus if inner.x_plus is not None else s
+    x_next = inner.x_plus
     # one read-only array each, shared by the iterate, the next state and the
     # next context's anchors
     for array in (s, x_next, y_next, inner.grad):

@@ -14,7 +14,6 @@ from bpalm.legendre import (
     BOUNDARY_MARGIN,
     BregmanGeometry,
     box_barrier,
-    burg,
     bregman_distance,
     energy,
     spence,
@@ -270,7 +269,6 @@ class TestStoppingRule:
         anchor = evaluate_anchor(ps, geo, [0.5], [0.0])
         ctx = make_context(ps, penalty_for(ps.g, geo.dual), geo, anchor, 5.0, 0.5)
         check = check_at(ctx, np.array([0.9]))
-        assert check.x_plus is not None
         assert 0.0 < check.x_plus[0] < 1.0
 
 
@@ -513,7 +511,7 @@ class TestTrustedDistance:
 
     @pytest.mark.parametrize(
         "fn",
-        [energy(5), von_neumann(5), burg(5), spence(5), box_barrier(-np.ones(5), 2.0 * np.ones(5))],
+        [energy(5), von_neumann(5), spence(5), box_barrier(-np.ones(5), 2.0 * np.ones(5))],
         ids=lambda f: f.kind,
     )
     def test_equals_bregman_distance_bit_for_bit(self, fn):

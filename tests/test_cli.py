@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-from bpalm import cli, newton
+from bpalm import cli, newton, problem as problem_module
 from bpalm.cli import main, parse_problem
 from bpalm.exceptions import DimensionError, ParseError
 from bpalm.legendre import BregmanGeometry, energy, spence
@@ -109,6 +109,32 @@ class TestParseProblem:
             parse_problem(str(path), regime="qsc")
         ps, _ = parse_problem(str(path), regime="sc")
         assert ps.f.box is not None
+
+    def test_sc_bounds_check_w_once(self, tmp_path, monkeypatch):
+        # the boxed objective keeps the unboxed one's checks and moduli: one
+        # symmetrization and eigenvalue pass over W per parse
+        path = tmp_path / "box.json"
+        W = [[0, 0, 2.0], [0, 1, 1.0], [1, 0, 1.0], [1, 1, 3.0]]
+        write_document(
+            str(path),
+            objective={"quadratic": {"n": 2, "W": W, "c": [0.5, -1.0]}},
+            constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0], [0, 1, 1.0]], "b": [0.5]},
+            bounds={"l": [-1.0, 0.0], "u": [1.0, 2.0]},
+        )
+        calls = []
+        eigvalsh = problem_module.eigvalsh
+        monkeypatch.setattr(
+            problem_module, "eigvalsh", lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw)
+        )
+        ps, _ = parse_problem(str(path), regime="sc")
+        assert len(calls) == 1
+        reference = problem_module.SmoothObjective.quadratic([[2.0, 1.0], [1.0, 3.0]], [0.5, -1.0])
+        np.testing.assert_array_equal(ps.f.W, reference.W)
+        np.testing.assert_array_equal(ps.f.c, reference.c)
+        for name in ("qsc_modulus", "lipschitz_modulus", "sc_modulus"):
+            assert getattr(ps.f, name) == getattr(reference, name)
+        np.testing.assert_array_equal(ps.f.box[0], [-1.0, 0.0])
+        np.testing.assert_array_equal(ps.f.box[1], [1.0, 2.0])
 
     def test_named_objective(self, tmp_path):
         path = tmp_path / "named.json"
@@ -652,6 +678,7 @@ class TestBadNumbers:
             "--tol=nan",
             "--tol=-1e-8",
             "--max-outer=-5",
+            "--newton-cap=-1",
         ],
     )
     def test_bad_solver_options_exit_two(self, option, tmp_path, capsys):

@@ -365,11 +365,13 @@ class TestDualAsymptotics:
 class TestSummability:
     def test_partial_sums_bounded(self):
         cfg, log = solve_eq()
-        total, budget = dg.summability_check(log, [1.0], [-1.0], cfg.geometry)
+        fejer = dg.fejer_check(log, [1.0], [-1.0], cfg.geometry)
+        total, budget = dg.summability_check(log, fejer.distances)
         assert total <= budget + 1e-6
 
     def test_budget_uses_max_rho(self):
         cfg, log = solve_eq(rho_schedule=RhoSchedule(0.25))
-        d0 = dg.summability_check(log, [1.0], [-1.0], cfg.geometry)[1]
+        fejer = dg.fejer_check(log, [1.0], [-1.0], cfg.geometry)
+        d0 = dg.summability_check(log, fejer.distances)[1]
         expected = (0.5 * 1.0**2 + 0.5 * (-1.0) ** 2) / (1 - 0.25)
         assert d0 == pytest.approx(expected)

@@ -20,7 +20,6 @@ def catalog(dim=3):
     return [
         lg.energy(dim),
         lg.von_neumann(dim),
-        lg.burg(dim),
         lg.spence(dim),
         lg.box_barrier(-np.ones(dim), 2.0 * np.ones(dim)),
     ]
@@ -103,7 +102,6 @@ class TestGradients:
     def test_examples(self):
         assert lg.von_neumann(1).grad([math.e]) == pytest.approx([1.0])
         assert lg.spence(1).grad([math.log(2)]) == pytest.approx([0.0], abs=1e-15)
-        assert lg.burg(1).grad([2.0]) == pytest.approx([-0.5])
         fn = lg.box_barrier([0.0], [1.0])
         assert fn.grad([0.5]) == pytest.approx([0.5])
 
@@ -117,7 +115,7 @@ class TestGradients:
 
     def test_essential_smoothness(self):
         # gradient norm grows without bound approaching the boundary
-        for fn in (lg.von_neumann(1), lg.burg(1), lg.spence(1)):
+        for fn in (lg.von_neumann(1), lg.spence(1)):
             norms = [np.linalg.norm(fn.grad([10.0**-k])) for k in (2, 6, 10, 100)]
             assert all(a < b for a, b in zip(norms, norms[1:]))
             assert norms[-1] > 100.0
@@ -153,11 +151,6 @@ class TestConjugates:
     def test_examples(self):
         assert lg.spence(1).conj_grad([0.0]) == pytest.approx([math.log(2)])
         assert lg.von_neumann(1).conj_grad([0.0]) == pytest.approx([1.0])
-        assert lg.burg(1).conj_grad([-0.5]) == pytest.approx([2.0])
-
-    def test_burg_conj_domain(self):
-        with pytest.raises(DomainError):
-            lg.burg(1).conj_grad([0.5])
 
     @pytest.mark.parametrize("fn", catalog(), ids=lambda f: f.kind)
     def test_round_trip(self, fn):
@@ -211,9 +204,6 @@ class TestBregmanDistance:
         assert lg.bregman_distance(lg.von_neumann(1), [1.0], [math.e]) == pytest.approx(
             math.e - 2.0
         )
-        assert lg.bregman_distance(lg.burg(1), [1.0], [2.0]) == pytest.approx(
-            math.log(2) - 0.5
-        )
 
     @pytest.mark.parametrize("fn", catalog(), ids=lambda f: f.kind)
     def test_nonnegative_zero_iff_equal(self, fn):
@@ -226,7 +216,7 @@ class TestBregmanDistance:
                 assert lg.bregman_distance(fn, z1, z2) > 0.0
 
     def test_extended_real_outside(self):
-        assert lg.bregman_distance(lg.burg(1), [-1.0], [1.0]) == math.inf
+        assert lg.bregman_distance(lg.von_neumann(1), [-1.0], [1.0]) == math.inf
         assert lg.bregman_distance(lg.von_neumann(1), [1.0], [0.0]) == math.inf
 
     @pytest.mark.parametrize("fn", catalog(), ids=lambda f: f.kind)
@@ -380,7 +370,7 @@ def test_dimension_errors():
 
 
 @pytest.mark.parametrize(
-    "factory", [lg.energy, lg.von_neumann, lg.burg, lg.spence], ids=lambda cls: cls.kind
+    "factory", [lg.energy, lg.von_neumann, lg.spence], ids=lambda cls: cls.kind
 )
 def test_nonnegative_means_negative_points_lie_outside(factory):
     fn = factory(2)
@@ -396,7 +386,7 @@ def test_start_is_interior(fn):
 
 def test_interior_floor_is_interior():
     assert lg.INTERIOR_FLOOR > lg.BOUNDARY_MARGIN
-    for fn in (lg.von_neumann(1), lg.burg(1), lg.spence(1)):
+    for fn in (lg.von_neumann(1), lg.spence(1)):
         assert fn.in_interior([lg.INTERIOR_FLOOR])
 
 

@@ -10,7 +10,7 @@ import bpalm.outer as outer
 from bpalm import diagnostics as dg
 from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
 from bpalm.exceptions import DomainError, InvalidRegimeError
-from bpalm.legendre import BregmanGeometry, box_barrier, burg, energy, spence, von_neumann
+from bpalm.legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.outer import (
     IterateState,
     RhoSchedule,
@@ -408,7 +408,7 @@ class TestRun:
         np.testing.assert_allclose(von_neumann(3).start(), np.ones(3))
         np.testing.assert_allclose(box_barrier([0.0], [2.0]).start(), [1.0])
 
-    @pytest.mark.parametrize("factory", [energy, von_neumann, burg, spence], ids=lambda cls: cls.kind)
+    @pytest.mark.parametrize("factory", [energy, von_neumann, spence], ids=lambda cls: cls.kind)
     def test_default_dual_start_follows_the_domain(self, factory):
         dual = factory(3)
         y0 = dual.start()
@@ -531,6 +531,21 @@ class TestRun:
         with pytest.raises(InvalidRegimeError):
             run(cfg, eq_qp())
 
+    @pytest.mark.parametrize("factory", [von_neumann, spence], ids=lambda cls: cls.kind)
+    def test_primal_outside_the_objective_domain_rejected(self, factory):
+        # min (x + 2)^2 / 2 s.t. x <= 5 has x* = -2, which an orthant primal
+        # never reaches: the run would spend max_outer at dual_res ~ 2
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic([[1.0]], [2.0]),
+            g=NonsmoothTerm.nonneg_orthant_indicator(),
+            map=AffineMap.from_dense([[1.0]], [5.0]),
+        )
+        cfg = SolverConfig(geometry=BregmanGeometry(factory(1), von_neumann(1)), max_outer=300)
+        log = dg.IterateLog()
+        with pytest.raises(DomainError):
+            run(cfg, ps, on_iteration=log)
+        assert log.records == []
+
     def test_box_mismatch_rejected(self):
         lo, hi = np.zeros(1), np.ones(1)
         ps = ProblemSpec(
@@ -570,12 +585,12 @@ def test_config_validation():
         {"tol_kkt": math.nan},
         {"tol_kkt": -1e-8},
         {"max_outer": -5},
+        {"newton_cap": -1},
     ):
         with pytest.raises(DomainError):
             SolverConfig(geometry=geometry, **bad)
-    # zero tolerances, zero iterations and a negative Newton cap (read as 0)
-    # stay accepted
-    SolverConfig(geometry=geometry, tol_b=0.0, tol_kkt=0.0, max_outer=0, newton_cap=-1)
+    # zero tolerances, zero iterations and a zero Newton cap stay accepted
+    SolverConfig(geometry=geometry, tol_b=0.0, tol_kkt=0.0, max_outer=0, newton_cap=0)
 
 
 def _small_inequality_qp(seed: int, n: int = 10, m: int = 5) -> ProblemSpec:

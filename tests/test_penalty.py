@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bpalm.exceptions import ScaleError, UnsupportedError
-from bpalm.legendre import burg, energy, spence, von_neumann
+from bpalm.legendre import box_barrier, energy, spence, von_neumann
 from bpalm.penalty import CLOSED_FORMS, penalty_for
 from bpalm.problem import NonsmoothTerm
 
@@ -44,8 +44,6 @@ def _phi_value_rows(kind: str, pts: np.ndarray, box=None) -> np.ndarray:
         # phi(t) = t^2/2 + Li2(exp(-t)) - pi^2/6 with Li2(z) = spence(1 - z)
         vals = 0.5 * pts * pts + scipy_spence(1.0 - np.exp(-pts)) - (math.pi**2 / 6.0)
         return np.sum(vals, axis=1)
-    if kind == "burg":
-        return -np.sum(np.log(pts), axis=1)
     if kind == "box_barrier":
         lower, upper = box
         return np.sum(0.5 * pts * pts - np.log(upper - pts) - np.log(pts - lower), axis=1)
@@ -311,4 +309,4 @@ def test_unsupported_pairing():
     with pytest.raises(UnsupportedError):
         penalty_for(NonsmoothTerm("one_norm"), von_neumann(2))
     with pytest.raises(UnsupportedError):
-        penalty_for(NonsmoothTerm.zero_indicator(), burg(2))
+        penalty_for(NonsmoothTerm.zero_indicator(), box_barrier(-np.ones(2), np.ones(2)))

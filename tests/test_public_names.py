@@ -1,7 +1,8 @@
 """Every public name the package declares resolves: each module's __all__,
 and each name the top-level package re-exports; every public name, every
 public class's constructor and every public method has a caller outside the
-tests; and every dataclass field is read."""
+tests; every dataclass field is read; and every Legendre geometry is one a
+run can use."""
 
 import ast
 import importlib
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import bpalm
+from bpalm import legendre
+from bpalm.penalty import CLOSED_FORMS
 from test_benchmark_names import TRACER
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bpalm.__path__))
@@ -192,3 +195,21 @@ def test_every_dataclass_field_is_read():
         and node.target.id not in reads
     ]
     assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
+# the primal geometries outer._validate accepts: energy for an unboxed
+# objective, the box barrier of a boxed one's box
+RUN_PRIMALS = {"energy", "box_barrier"}
+
+
+def test_every_geometry_is_usable_by_a_run():
+    """Each public Legendre geometry is a primal a run accepts or the dual
+    of some closed-form penalty; any other could only be reached by tests."""
+    duals = {kind for _, kind in CLOSED_FORMS}
+    classes = {
+        obj for name, obj in vars(legendre).items()
+        if isinstance(obj, type) and issubclass(obj, legendre.LegendreFunction)
+        and obj is not legendre.LegendreFunction and not name.startswith("_")
+    }
+    unusable = sorted(cls.__name__ for cls in classes if cls.kind not in RUN_PRIMALS | duals)
+    assert unusable == [], f"geometries no run can use: {unusable}"
