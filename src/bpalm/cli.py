@@ -21,6 +21,8 @@ are appended to an inequality constraint block.  Unknown fields are rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import math
 import os
@@ -128,13 +130,34 @@ def _parse_bounds(doc: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_problem(path: str, regime: str = "qsc"):
     """Parse a problem file into (ProblemSpec, golden solution or None).
 
     Box bounds are routed into the barrier geometry when the sc regime is
     selected; otherwise they are folded into the inequality block, which
     requires an 'ineq' constraint type.
+
+    The decoded document is tens of thousands of acyclic triplet lists, which
+    refcounting frees; the cyclic collector would walk them over and over, so
+    it is paused until `_parse_document` has returned and the document is gone.
     """
+    with _gc_paused():
+        return _parse_document(path, regime)
+
+
+def _parse_document(path: str, regime: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -354,11 +354,10 @@ def _sc_bound(m_f: float, m_psi: float, sigma: float) -> float:
 
 
 def _sc_modulus(ctx: SubproblemContext) -> float | None:
-    m_psi = ctx.geometry.primal.sc_modulus
     m_f = ctx.problem.f.sc_modulus
-    if m_psi is None or m_f is None:
+    if m_f is None:
         return None
-    m = _sc_bound(m_f, m_psi, ctx.sigma)
+    m = _sc_bound(m_f, ctx.geometry.primal.sc_modulus, ctx.sigma)
     return m if m > 0.0 else None
 
 
@@ -412,12 +411,11 @@ def _lipschitz_count(ctx: SubproblemContext, b_value: float) -> int | None:
 
 def _sc_count(ctx: SubproblemContext, b_value: float) -> int | None:
     m_k = _sc_modulus(ctx)
-    m_psi = ctx.geometry.primal.sc_modulus
     # the curvature bound c_sigma is known for quadratic objectives only
-    if m_k is None or not m_psi or ctx.problem.f.variant != "quadratic":
+    if m_k is None or ctx.problem.f.variant != "quadratic":
         return None
     c_sigma = ctx.sigma * ctx.problem.map.op_norm_bound**2 + ctx.problem.f.lipschitz_modulus
-    return sc_steps(ctx.rho, m_k, b_value, ctx.sigma, m_psi, c_sigma)
+    return sc_steps(ctx.rho, m_k, b_value, ctx.sigma, ctx.geometry.primal.sc_modulus, c_sigma)
 
 
 def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:

@@ -62,21 +62,24 @@ def spectral_norm_bound(M: np.ndarray) -> float:
 
 def canonicalize_triplets(triplets, rows: int, cols: int) -> np.ndarray:
     """Dense matrix from (i, j, value) triplets with int indices and int or
-    float values, never booleans; duplicates are summed."""
-    M = np.zeros((rows, cols))
+    float values, never booleans; duplicates are summed in file order."""
+    M = np.zeros(rows * cols)
+    flat = memoryview(M)  # its stores skip numpy's scalar indexing
     try:
         for entry in triplets:
             i, j, v = entry
-            if not (type(i) is int and type(j) is int and type(v) in (int, float)):
+            typed = type(i) is int and type(j) is int and type(v) in (int, float)
+            if typed and 0 <= i < rows and 0 <= j < cols:
+                flat[i * cols + j] += float(v)
+            elif not typed:
                 raise ParseError(f"bad triplet {entry!r}: int indices and a number required")
-            if not (0 <= i < rows and 0 <= j < cols):
+            else:  # checked before indexing, so that j = -1 cannot wrap a row
                 raise DimensionError(
                     f"triplet index ({i}, {j}) out of range for {rows}x{cols}"
                 )
-            M[i, j] += float(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"triplets must be [i, j, value] lists: {exc}") from exc
-    return M
+    return M.reshape(rows, cols)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the batch front end: parsing, reports, traces, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -590,6 +591,60 @@ def _assert_error_exit(capsys, *argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """parse_problem pauses the cyclic collector while the decoded document
+    is alive and leaves it as it found it, on success and on every error."""
+
+    _CONTENTS = {
+        "valid": json.dumps(_ineq_document()),
+        "invalid_json": "{",
+        "bad_triplet": json.dumps(_ineq_document(A=[[0, 0, "x"]])),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("content", sorted(_CONTENTS))
+    def test_state_restored(self, content, enabled, tmp_path, gc_state):
+        path = tmp_path / "doc.json"
+        path.write_text(self._CONTENTS[content])
+        (gc.enable if enabled else gc.disable)()
+        if content == "valid":
+            parse_problem(str(path))
+        else:
+            with pytest.raises(ParseError):
+                parse_problem(str(path))
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_while_parsing(self, tmp_path, gc_state):
+        # 3,000 triplet lists would pass gen0's threshold several times over
+        n = 60
+        triplets = [[k % n, k % n, 1.0] for k in range(3000)]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_ineq_document(
+            n=n, W=triplets, c=[0.0] * n, m=1, A=[[0, 0, 1.0]], b=[1.0])))
+        gc.enable()
+        gc.collect()  # so that no collection is due on entry
+        generations = []
+
+        def on_collection(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(on_collection)
+        try:
+            parse_problem(str(path))
+        finally:
+            gc.callbacks.remove(on_collection)
+        assert generations == []
 
 
 # n far beyond what any array in the document backs (a 29 TiB Hessian)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpalm.exceptions import DimensionError, DomainError, UnsupportedError
+from bpalm.exceptions import DimensionError, DomainError, ParseError, UnsupportedError
 from bpalm.oracle import golden_suite
 from bpalm.problem import (
     AffineMap,
@@ -160,6 +160,99 @@ class TestAffineMap:
     def test_residual(self):
         amap = AffineMap.from_dense([[1.0, 2.0]], [3.0])
         assert amap.residual(np.array([1.0, 1.0])) == pytest.approx([0.0])
+
+
+def _summed_in_file_order(triplets, rows, cols) -> np.ndarray:
+    """Each float(v) added into a zeroed float64 matrix, in file order."""
+    M = np.zeros((rows, cols))
+    for i, j, v in triplets:
+        M[i, j] += float(v)
+    return M
+
+
+def _seeded_triplets(seed, rows, cols, count) -> list:
+    """Triplets with repeated positions and int, float, -0.0 and beyond-2^53
+    int values, as JSON decodes them (Python ints and floats)."""
+    rng = np.random.default_rng(seed)
+    values = [
+        lambda: float(rng.normal()),
+        lambda: int(rng.integers(-5, 6)),
+        lambda: -0.0,
+        lambda: 2**53 + int(rng.integers(1, 2**10)),
+        lambda: float(rng.choice([1e16, -1e16, 1.0, 0.1, 3.0])),
+    ]
+    return [
+        [int(rng.integers(rows)), int(rng.integers(cols)), values[rng.integers(len(values))]()]
+        for _ in range(count)
+    ]
+
+
+class TestCanonicalizeTriplets:
+    """`canonicalize_triplets` against a test-side loop, bit for bit, and the
+    error of the first bad entry."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_summing_in_file_order(self, seed):
+        rows, cols = 3, 4
+        triplets = _seeded_triplets(seed, rows, cols, 200)
+        M = canonicalize_triplets(triplets, rows, cols)
+        assert M.tobytes() == _summed_in_file_order(triplets, rows, cols).tobytes()
+
+    def test_order_dependent_sums_keep_file_order(self):
+        # 1e16 + 1 rounds back to 1e16; cancelling first keeps the 1
+        forward = [[0, 1, 1e16], [0, 1, 1.0], [0, 1, -1e16]]
+        backward = [[0, 1, 1e16], [0, 1, -1e16], [0, 1, 1.0]]
+        assert canonicalize_triplets(forward, 1, 2)[0, 1] == 0.0
+        assert canonicalize_triplets(backward, 1, 2)[0, 1] == 1.0
+        for triplets in (forward, backward):
+            got = canonicalize_triplets(triplets, 1, 2)
+            assert got.tobytes() == _summed_in_file_order(triplets, 1, 2).tobytes()
+
+    def test_signed_zero_and_large_ints(self):
+        M = canonicalize_triplets([[0, 0, -0.0]] + [[1, 1, 2**53 + 1]] * 3, 2, 2)
+        assert math.copysign(1.0, M[0, 0]) == 1.0  # 0.0 + -0.0 is +0.0
+        # each int rounds to 2^53 before the sum; the exact sum would round up
+        assert M[1, 1] == 3.0 * 2.0**53 != float(3 * (2**53 + 1))
+
+    def test_result_layout(self):
+        M = canonicalize_triplets([[1, 2, 1]], 2, 3)
+        assert M.shape == (2, 3) and M.dtype == np.float64
+        assert M.flags.c_contiguous and M.flags.writeable
+        assert M[1, 2] == 1.0 and np.count_nonzero(M) == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[0, 0, True], [True, 0, 1.0], [0, False, 1.0], ["0", 0, 1.0], [0, 0, "1"], [0, 0, None],
+         [0.0, 0, 1.0], [9, 9, "x"]],
+        ids=["bool_value", "bool_row", "bool_col", "string_row", "string_value", "none_value",
+             "float_index", "bad_type_before_range"],
+    )
+    def test_bad_types_raise_parse_error(self, entry):
+        with pytest.raises(ParseError, match="int indices and a number required"):
+            canonicalize_triplets([entry], 2, 3)
+
+    @pytest.mark.parametrize(
+        "entry", [[-1, 0, 1.0], [0, -1, 1.0], [1, 3, 1.0], [2, 0, 1.0]],
+        ids=["row_minus_one", "col_minus_one", "col_equals_cols", "row_equals_rows"],
+    )
+    def test_out_of_range_raises_dimension_error(self, entry):
+        # j = -1 or j = cols would land in a neighbouring row of a flat index
+        with pytest.raises(DimensionError, match=r"out of range for 2x3"):
+            canonicalize_triplets([[0, 0, 1.0], entry], 2, 3)
+
+    @pytest.mark.parametrize(
+        "entry", [[0, 0], [0, 0, 1.0, 2.0], 5, None, [0, 0, 10**400]],
+        ids=["too_short", "too_long", "number", "none", "int_beyond_double"],
+    )
+    def test_malformed_entries_raise_parse_error(self, entry):
+        with pytest.raises(ParseError, match=r"triplets must be \[i, j, value\] lists"):
+            canonicalize_triplets([[0, 0, 1.0], entry], 2, 3)
+
+    def test_first_bad_entry_decides(self):
+        with pytest.raises(DimensionError):
+            canonicalize_triplets([[5, 0, 1.0], [0, 0, "x"]], 2, 3)
+        with pytest.raises(ParseError):
+            canonicalize_triplets([[0, 0, "x"], [5, 0, 1.0]], 2, 3)
 
 
 class TestSmoothObjective:
