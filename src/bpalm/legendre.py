@@ -373,17 +373,27 @@ class Spence(_Orthant):
 class BoxBarrier(LegendreFunction):
     """phi(z) = ||z||^2/2 - sum ln(u - z) - sum ln(z - l) on the open box (l, u).
 
-    Legendre and self-concordant with constant 1; the conjugate gradient has
-    no closed form and is computed by a safeguarded per-coordinate Newton
-    bisection on the strictly increasing map phi'.
+    Legendre and self-concordant with constant 1.  conj_grad solves phi'(x) = t
+    in the nearer bound's variable: with h = (u - l)/2 and tau = t - (l + u)/2,
+    x = u - h e if tau >= 0 and l + h e otherwise, where e in (0, 1] is the
+    root of G(e) = h (1 - e) + 1/(h e) - 1/(h (2 - e)) - |tau|, convex and
+    decreasing.  Dropping the far bound's (negative) term leaves the
+    quadratic h e^2 + (|tau| - h) e - 1/h = 0, whose root, taken without
+    cancellation and capped at 1, bounds e from above; so Newton's first step
+    lands in (0, e] and later steps climb to e monotonically.  The start's
+    relative error is at most 1/sqrt(2) (as h -> 0 with h |tau| = 1), from
+    which six steps leave one below 1e-26 in exact arithmetic (five leave
+    1e-13), so every coordinate takes the same six.  The steps are
+    formed from e G and e^2 G', which stay finite where e underflows: a
+    target far beyond the box's scale gives the bound itself.
     """
 
     kind = "box_barrier"
     sc_modulus = 1.0
 
     def __init__(self, lower, upper):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        lower = np.atleast_1d(np.array(lower, dtype=float))
+        upper = np.atleast_1d(np.array(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DimensionError("box bounds must be 1-D vectors of equal length")
         if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
@@ -417,58 +427,26 @@ class BoxBarrier(LegendreFunction):
 
     def conj_grad(self, t) -> np.ndarray:
         t = _as_vector(t, self.dim)
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            out[i] = self._invert_scalar(float(t[i]), self.lower[i], self.upper[i])
-        return out
+        lo, hi = self.lower, self.upper
+        h = 0.5 * (hi - lo)
+        ih = 1.0 / h
+        tau = t - 0.5 * (lo + hi)
+        a = np.abs(tau)
+        # the one-sided root is 1/(h w) for k > 0 and w/h otherwise: no cancellation
+        k = 0.5 * (a - h)
+        w = np.abs(k) + np.hypot(k, 1.0)
+        e = np.where(k > 0.0, np.minimum(ih / w, 1.0), np.minimum(w, h) / h)
+        for _ in range(6):
+            q = e / (2.0 - e)
+            eg = h * e * (1.0 - e) + ih - ih * q - a * e
+            e = e + e * eg / (h * e * e + ih + ih * q * q)
+        return np.where(tau >= 0.0, hi - h * e, lo + h * e)
 
     def distance(self, z1, z2):
         delta = z1 - z2
         upper_part = _excess_log(-delta / (self.upper - z2))
         lower_part = _excess_log(delta / (z2 - self.lower))
         return 0.5 * np.vecdot(delta, delta) + np.sum(upper_part + lower_part, axis=-1)
-
-    @staticmethod
-    def _invert_scalar(target: float, lo: float, hi: float) -> float:
-        """Solve x + 1/(hi-x) - 1/(x-lo) = target for x in (lo, hi).
-
-        Safeguarded Newton with a shrinking bracket; the residual tolerance is
-        relative to the target since the map's scale is unbounded near the
-        bounds.
-        """
-
-        def phi_prime(x):
-            return x + 1.0 / (hi - x) - 1.0 / (x - lo)
-
-        a, b = lo, hi
-        width = hi - lo
-        # asymptotic inverse near the bounds: x ~ hi - 1/t resp. lo + 1/(-t);
-        # a near-root start keeps the Newton phase short for extreme targets
-        x = 0.5 * (lo + hi)
-        up = target - hi + 1.0 / width
-        dn = lo + 1.0 / width - target
-        if up > 4.0 / width:
-            x = hi - 1.0 / up
-        elif dn > 4.0 / width:
-            x = lo + 1.0 / dn
-        tol = 1e-12 * (1.0 + abs(target))
-        for _ in range(120):
-            fx = phi_prime(x) - target
-            if abs(fx) <= tol:
-                return x
-            if fx > 0.0:
-                b = x
-            else:
-                a = x
-            h = 1.0 + 1.0 / (hi - x) ** 2 + 1.0 / (x - lo) ** 2
-            step = x - fx / h
-            x_new = step if a < step < b else 0.5 * (a + b)
-            if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)) or b - a <= 1e-17 * max(
-                1.0, abs(x)
-            ):
-                return x_new
-            x = x_new
-        return x
 
 
 # the catalog's constructor names are the classes themselves

@@ -211,7 +211,7 @@ def _validate(cfg: SolverConfig, problem: ProblemSpec) -> None:
             "the primal geometry must be energy for an unboxed objective, or the box "
             f"barrier of the objective's box, not {psi.kind!r}"
         )
-    if box is not None and not (np.allclose(box[0], psi.lower) and np.allclose(box[1], psi.upper)):
+    if box is not None and not np.array_equal(box, (psi.lower, psi.upper)):
         raise DomainError("objective box and barrier box must coincide")
     REGIMES[cfg.regime].validate(problem, cfg.geometry)
 

@@ -402,3 +402,80 @@ def test_box_conj_grad_extreme_targets():
         x = fn.conj_grad([t])[0]
         assert 0.0 < x < 1.0
         assert fn.grad([x])[0] == pytest.approx(t, rel=5e-8, abs=1e-9)
+
+
+def box_conj_grad_reference(t: float, lo: float, hi: float) -> mpmath.mpf:
+    """The root of x + 1/(hi - x) - 1/(x - lo) = t by bisection at 80 digits,
+    in the distance d to the nearer bound: geometric while the bracket spans
+    more than a factor 2, then halving to a relative width of 2^-80."""
+    with mpmath.workdps(80):
+        t, lo, hi = mpmath.mpf(t), mpmath.mpf(lo), mpmath.mpf(hi)
+        half = (hi - lo) / 2
+        upper = t >= (lo + hi) / 2
+
+        def excess(d):  # phi'(x) - t signed to fall as d grows
+            if upper:
+                return hi - d + 1 / d - 1 / (2 * half - d) - t
+            return 1 / d - 1 / (2 * half - d) - lo - d + t
+
+        a, b = half * mpmath.mpf(10) ** -40, half
+        assert excess(a) > 0 >= excess(b)
+        while b - a > a * mpmath.mpf(2) ** -80:
+            mid = mpmath.sqrt(a * b) if b > 2 * a else (a + b) / 2
+            if excess(mid) > 0:
+                a = mid
+            else:
+                b = mid
+        d = (a + b) / 2
+        return hi - d if upper else lo + d
+
+
+def test_box_conj_grad_accuracy():
+    # |x - x*| in units of eps * max(|x*|, distance of x* to its nearer
+    # bound): the rounding of x itself, or of the gap to the bound near one
+    rng = np.random.default_rng(20)
+    n = 640
+    width = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    centre = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2.0, 4.0, n)
+    tau = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 12.0, n)
+    lo, hi = centre - width / 2, centre + width / 2
+    t = centre + tau
+    x = lg.box_barrier(lo, hi).conj_grad(t)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for i in range(n):
+        ref = box_conj_grad_reference(t[i], lo[i], hi[i])
+        scale = max(abs(ref), min(ref - lo[i], hi[i] - ref))
+        worst = max(worst, float(abs(x[i] - ref) / scale) / eps)
+    assert worst <= 8.0, f"conj_grad off by {worst:.1f} eps"
+
+
+def test_box_conj_grad_beyond_the_box_scale():
+    # far targets round to the bound itself, with no division by zero,
+    # overflow or NaN on the way
+    fn = lg.box_barrier([-1.0, -1.0, 1.0, 1.0], [2.0, 2.0, 3.0, 3.0])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for big in (1e200, 1e300):
+            x = fn.conj_grad([big, -big, big, -big])
+            assert x.tolist() == [2.0, -1.0, 3.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-5e199, 5e199), (1e199, 1.1e200), (0.0, 1e-140), (-1e-140, 0.0), (1e-130, 1.01e-130)]
+)
+def test_box_conj_grad_extreme_widths(lo, hi):
+    fn = lg.box_barrier([lo], [hi])
+    targets = (-1e300, -1e150, -1.0, 0.0, 0.5 * (lo + hi), 1.0, 1e150, 1e300)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for t in targets:
+            x = fn.conj_grad([t])[0]
+            assert np.isfinite(x) and lo <= x <= hi, (t, x)
+
+
+def test_box_barrier_copies_its_bounds():
+    lo, hi = np.zeros(3), np.ones(3)
+    fn = lg.box_barrier(lo, hi)
+    lo[0], hi[0] = -1.0, 2.0
+    assert lo.flags.writeable and hi.flags.writeable
+    assert fn.lower.tolist() == [0.0, 0.0, 0.0] and fn.upper.tolist() == [1.0, 1.0, 1.0]
+    assert not fn.lower.flags.writeable and not fn.upper.flags.writeable

@@ -559,6 +559,21 @@ class TestRun:
         with pytest.raises(DomainError):
             run(cfg, ps)
 
+    def test_nearly_equal_boxes_rejected_before_the_first_iteration(self):
+        # a barrier box a hair wider than f's would let x reach points where
+        # f is undefined, mid-run; the boxes must be the same numbers
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(np.eye(2), [-2.0, 0.5], box=(np.zeros(2), np.ones(2))),
+            g=NonsmoothTerm.zero_indicator(),
+            map=AffineMap.from_dense([[1.0, 1.0]], [1.5]),
+        )
+        barrier = box_barrier(np.zeros(2), np.full(2, 1.0 + 5e-6))
+        cfg = SolverConfig(geometry=BregmanGeometry(barrier, energy(1)), regime="sc")
+        calls = []
+        with pytest.raises(DomainError, match="objective box and barrier box must coincide"):
+            run(cfg, ps, on_iteration=lambda record, iterate: calls.append(record.k))
+        assert calls == []
+
     def test_report_fields(self):
         rep = run(eq_cfg(), eq_qp())
         assert rep.total_newton_steps == sum(

@@ -40,7 +40,7 @@ RECORDED = {
 CLI_REPORT_SHA256 = "3da0551f21c9a3949c01b0d692470be77eb5ec4c22f4c4da690f6360a2d4ea59"
 CLI_TRACE_SHA256 = "99715b927d0479dd1b14132f4a0660940324e3ec98196ee5c4162802e5406121"
 LIBRARY_SHA256 = "e5baa77d14ef391cf1870d2001eeb7072bb829ef322b037d46d298bc4d765a65"
-SC_BOX_SHA256 = "2be92a66e47dbc94550acaa3b522e8c39ced522971bcba8bc5f9e941a41b485c"
+SC_BOX_SHA256 = "56ed5dbb90a109fe075ce35fd8df4528aa62bbff94f2b263a734cefaeead8eb0"
 
 
 def _blas_kernels() -> str:
