@@ -23,8 +23,6 @@ __all__ = [
     "IterateLog",
     "FejerResult",
     "RateEstimate",
-    "ErgodicGapResult",
-    "ConicFeasibilityResult",
     "fejer_check",
     "rate_fit",
     "ergodic_gap_check",
@@ -131,22 +129,14 @@ def rate_fit(distances: list[float]) -> RateEstimate:
     return RateEstimate(ratios=ratios, superlinear=superlinear)
 
 
-@dataclass
-class ErgodicGapResult:
-    max_violation: float
-    worst_k: int
-    worst_point: int
-
-
 def ergodic_gap_check(
     log: IterateLog,
     problem: ProblemSpec,
     geometry: BregmanGeometry,
     test_points: list[tuple[np.ndarray, np.ndarray]],
-) -> ErgodicGapResult:
+) -> float:
     """Verify L(s_bar_K, y) - L(x, y_bar_K) <= (D(x, x0) + D(y, y0)) / sum sigma
-    at every prefix K and every test point; returns the worst signed excess,
-    the first in (K, point) order among equals."""
+    at every prefix K and every test point; returns the worst signed excess."""
     n, m = problem.n, problem.m
     xs = np.array([x for x, _ in test_points], dtype=float).reshape(-1, n)
     ys = np.array([y for _, y in test_points], dtype=float).reshape(-1, m)
@@ -162,10 +152,7 @@ def ergodic_gap_check(
                 excess[rows, j] = lhs - rhs[j] / weight
     # NaN where both Lagrangians are infinite: the bound is vacuous there
     excess[np.isnan(excess)] = -math.inf
-    if excess.size == 0 or excess.max() == -math.inf:
-        return ErgodicGapResult(max_violation=-math.inf, worst_k=-1, worst_point=-1)
-    k, j = np.unravel_index(np.argmax(excess), excess.shape)
-    return ErgodicGapResult(max_violation=float(excess[k, j]), worst_k=int(k), worst_point=int(j))
+    return float(np.max(excess, initial=-math.inf))
 
 
 def _ergodic_averages(log: IterateLog, n: int, m: int = 0):
@@ -212,23 +199,18 @@ def _max_divergence_on_cap(geometry: BregmanGeometry, radius: float) -> float:
     return float(np.max(bregman_distance(phi, np.vstack(rows), phi.start())))
 
 
-@dataclass
-class ConicFeasibilityResult:
-    max_excess: float
-    bounds: list[float]
-
-
 def conic_feasibility_check(
     log: IterateLog,
     problem: ProblemSpec,
     geometry: BregmanGeometry,
     x_star,
     y_star,
-) -> ConicFeasibilityResult:
+) -> float:
     """Ergodic objective and feasibility decay for conic (orthant) constraints:
     max{|f(s_bar) - f(x*)|, dist(As_bar - b, nonpositive orthant)} against
     (D(x*, x0) + max D(y, y0)) / sum sigma with the max over the dual cone
-    intersected with the ball of radius 2||y*|| + 1."""
+    intersected with the ball of radius 2||y*|| + 1; returns the worst signed
+    excess over the prefixes."""
     if problem.g.variant != "orthant":
         raise UnsupportedError("conic feasibility check covers orthant constraints")
     radius = 2.0 * float(np.linalg.norm(y_star)) + 1.0
@@ -242,8 +224,7 @@ def conic_feasibility_check(
         excess = np.maximum(problem.map.residual(s_bar), 0.0)
         feas[rows] = np.sqrt(np.vecdot(excess, excess))  # np.linalg.norm's sum per row
         bounds[rows] = (d_primal + d_dual_max) / weight
-    max_excess = float(np.max(np.maximum(obj, feas) - bounds, initial=-math.inf))
-    return ConicFeasibilityResult(max_excess=max_excess, bounds=bounds.tolist())
+    return float(np.max(np.maximum(obj, feas) - bounds, initial=-math.inf))
 
 
 def summability_check(log: IterateLog, distances: list[float]) -> tuple[float, float]:

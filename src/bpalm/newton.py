@@ -174,14 +174,15 @@ class SpectralSystem:
         self.B = affine.A @ self.Q
         for array in (self.Q, self.lam, self.B):
             array.flags.writeable = False
+        lam, qc = self.lam, self.Q.T @ f.c
         rotated = SmoothObjective(
-            "quadratic",
+            lambda x: 0.5 * np.vecdot(x, lam * x) + np.vecdot(qc, x),
+            lambda x: lam * x + qc,
+            lambda x: np.diag(lam),
+            f.qsc_modulus,
+            f.lipschitz_modulus,
+            f.sc_modulus,
             n=f.n,
-            W=self.lam,
-            c=self.Q.T @ f.c,
-            qsc_modulus=f.qsc_modulus,
-            lipschitz_modulus=f.lipschitz_modulus,
-            sc_modulus=f.sc_modulus,
         )
         self.problem = ProblemSpec(
             rotated, problem.g, AffineMap(self.B, affine.b, affine.op_norm_bound)
@@ -196,7 +197,7 @@ class SpectralSystem:
         non-quadratic objective, a non-energy primal geometry, m >= n, or a
         penalty whose Hessian is not diagonal."""
         if (
-            problem.f.variant != "quadratic"
+            problem.f.W is None
             or geometry.primal.kind != "energy"
             or problem.m >= problem.n
             or not penalty_for(problem.g, geometry.dual).diagonal
@@ -411,8 +412,7 @@ def _lipschitz_count(ctx: SubproblemContext, b_value: float) -> int | None:
 
 def _sc_count(ctx: SubproblemContext, b_value: float) -> int | None:
     m_k = _sc_modulus(ctx)
-    # the curvature bound c_sigma is known for quadratic objectives only
-    if m_k is None or ctx.problem.f.variant != "quadratic":
+    if m_k is None:  # None off quadratics, whose Lipschitz modulus bounds the curvature
         return None
     c_sigma = ctx.sigma * ctx.problem.map.op_norm_bound**2 + ctx.problem.f.lipschitz_modulus
     return sc_steps(ctx.rho, m_k, b_value, ctx.sigma, ctx.geometry.primal.sc_modulus, c_sigma)

@@ -118,8 +118,9 @@ class AffineMap:
         return np.matmul(self.A, np.asarray(x)[..., None])[..., 0] - self.b
 
 
-# smooth convex test objectives with known moduli:
-# name -> (value per row, gradient, Hessian, qsc modulus, Lipschitz modulus or None)
+# smooth convex test objectives with known moduli, in `SmoothObjective`'s
+# argument order: name -> (value per row, gradient, Hessian, qsc modulus,
+# Lipschitz modulus or None)
 _NAMED = {
     "sumexp": (
         lambda x: np.sum(np.exp(x), axis=-1), np.exp, lambda x: np.diag(np.exp(x)), 1.0, None
@@ -136,41 +137,38 @@ _NAMED = {
 
 
 class SmoothObjective:
-    """Smooth convex part of the composite objective.
-
-    Either a (possibly box-constrained) convex quadratic or a named objective
-    from `_NAMED`.  A quadratic's ``W`` may be a vector, the diagonal of a
-    diagonal W, as in the objective `run` solves in W's eigenbasis.  Carries
-    the generalized self-concordance moduli the path-following rules
-    consume: ``qsc_modulus`` always, ``lipschitz_modulus`` and
-    ``sc_modulus`` when available.
+    """Smooth convex part of the composite objective: its value (per row of a
+    stack of points), gradient and Hessian functions on R^n, and the
+    generalized self-concordance moduli the path-following rules consume:
+    ``qsc_modulus`` always, ``lipschitz_modulus`` and ``sc_modulus`` when
+    available.  A quadratic also keeps its read-only ``W`` and ``c``, and
+    ``box``, the read-only bounds of a box-constrained one; ``W`` is None for
+    any other objective.
     """
 
     def __init__(
         self,
-        variant: str,
+        value_fn,
+        grad_fn,
+        hess_fn,
+        qsc_modulus: float,
+        lipschitz_modulus: float | None,
+        sc_modulus: float | None = None,
         *,
         n: int,
         W: np.ndarray | None = None,
         c: np.ndarray | None = None,
-        value_fn=None,
-        grad_fn=None,
-        hess_fn=None,
-        qsc_modulus: float = 0.0,
-        lipschitz_modulus: float | None = None,
-        sc_modulus: float | None = None,
         box: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        self.variant = variant
-        self.n = int(n)
-        self.W = W
-        self.c = c
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self._hess_fn = hess_fn
-        self.qsc_modulus = float(qsc_modulus)
+        self.qsc_modulus = qsc_modulus
         self.lipschitz_modulus = lipschitz_modulus
         self.sc_modulus = sc_modulus
+        self.n = n
+        self.W = W
+        self.c = c
         self.box = box
 
     @classmethod
@@ -197,39 +195,33 @@ class SmoothObjective:
         if lam[0] < -n * _PSD_SLACK * max(norm, np.finfo(float).tiny):
             raise DomainError("quadratic objective requires positive semidefinite W")
         if box is not None:
-            lo = np.atleast_1d(np.asarray(box[0], dtype=float)).copy()
-            hi = np.atleast_1d(np.asarray(box[1], dtype=float)).copy()
-            if lo.size != c.size or hi.size != c.size:
+            box = tuple(np.atleast_1d(np.asarray(v, dtype=float)).copy() for v in box[:2])
+            if box[0].size != n or box[1].size != n:
                 raise DimensionError("box bounds must match the variable dimension")
-            box = (lo, hi)
-        W.flags.writeable = False
-        c.flags.writeable = False
+        for array in (W, c) + (box or ()):
+            array.flags.writeable = False
         return cls(
-            "quadratic",
-            n=c.size,
+            lambda x: 0.5 * np.vecdot(x, np.matmul(W, x[..., None])[..., 0]) + np.vecdot(c, x),
+            lambda x: W @ x + c,
+            lambda x: W,
+            0.0,
+            norm * _rounding_margin(n),
+            0.0,
+            n=n,
             W=W,
             c=c,
-            qsc_modulus=0.0,
-            lipschitz_modulus=norm * _rounding_margin(n),
-            sc_modulus=0.0,
             box=box,
         )
 
     @classmethod
     def named(cls, name: str, n: int) -> "SmoothObjective":
-        """The smooth convex test objective ``_NAMED[name]`` on R^n."""
+        """The smooth convex test objective ``_NAMED[name]`` on R^n, n a
+        positive int."""
         if name not in _NAMED:
             raise UnsupportedError(f"unknown named objective {name!r}")
-        value_fn, grad_fn, hess_fn, qsc, lipschitz = _NAMED[name]
-        return cls(
-            "callback",
-            n=n,
-            value_fn=value_fn,
-            grad_fn=grad_fn,
-            hess_fn=hess_fn,
-            qsc_modulus=qsc,
-            lipschitz_modulus=lipschitz,
-        )
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DimensionError(f"named objective: dimension must be a positive int, got {n!r}")
+        return cls(*_NAMED[name], n=int(n))
 
     # The gradient of a box-constrained quadratic extends continuously to the
     # closed box, so domain checks accept the closure; golden solutions sit on
@@ -248,27 +240,18 @@ class SmoothObjective:
     def value(self, x: np.ndarray) -> float:
         """f(x), one value per row for points x of shape (..., n)."""
         x = np.asarray(x, dtype=float)
-        if self.variant == "quadratic":
-            wx = self.W * x if self.W.ndim == 1 else np.matmul(self.W, x[..., None])[..., 0]
-            out = 0.5 * np.vecdot(x, wx) + np.vecdot(self.c, x)
-        else:
-            out = self._value_fn(x)
-        out = np.where(self.in_domain(x), out, math.inf)
+        out = np.where(self.in_domain(x), self._value_fn(x), math.inf)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        if self.variant == "quadratic":
-            return (self.W * x if self.W.ndim == 1 else self.W @ x) + self.c
-        return np.asarray(self._grad_fn(x), dtype=float)
+        return self._grad_fn(x)
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        if self.variant == "quadratic":
-            return np.diag(self.W) if self.W.ndim == 1 else self.W
-        return np.asarray(self._hess_fn(x), dtype=float)
+        return self._hess_fn(x)
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -283,16 +266,42 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
+# g's catalog: variant -> (membership test, per row within _DOMAIN_TOL, of the
+# set C whose indicator is g*; the (primal, complementarity) residuals of a
+# multiplier y at r = Ax - b)
+_G_CATALOG = {
+    "zero": (  # C = R^m
+        lambda y: np.ones(y.shape[:-1], dtype=bool),
+        lambda y, r: (float(np.linalg.norm(r)), 0.0),
+    ),
+    "orthant": (
+        lambda y: all_rows(y >= -_DOMAIN_TOL),
+        lambda y, r: (float(np.linalg.norm(np.maximum(r, 0.0))), abs(float(y @ r))),
+    ),
+    "vecmax": (  # C the probability simplex; the primal residual adds the gap max r - <y, r>
+        lambda y: all_rows(y >= -_DOMAIN_TOL) & (np.abs(y.sum(axis=-1) - 1.0) <= _DOMAIN_TOL),
+        lambda y, r: (
+            float(np.linalg.norm(y - project_simplex(y)))
+            + max(float(np.max(r)) - float(y @ r), 0.0),
+            0.0,
+        ),
+    ),
+    "one_norm": (  # C the l-infinity unit ball
+        lambda y: all_rows(np.abs(y) <= 1.0 + _DOMAIN_TOL),
+        lambda y, r: (float(np.linalg.norm(y - np.clip(y + r, -1.0, 1.0))), 0.0),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class NonsmoothTerm:
-    """Catalog entry for g; the variant pins g and its conjugate exactly."""
+    """Catalog entry for g: the variant, a key of `_G_CATALOG`, pins g and its
+    conjugate exactly."""
 
-    variant: str  # zero | orthant | vecmax | one_norm
-
-    _VARIANTS = ("zero", "orthant", "vecmax", "one_norm")
+    variant: str
 
     def __post_init__(self):
-        if self.variant not in self._VARIANTS:
+        if self.variant not in _G_CATALOG:
             raise UnsupportedError(f"unknown nonsmooth variant {self.variant!r}")
 
     @classmethod
@@ -305,15 +314,7 @@ class NonsmoothTerm:
 
     def conj_value(self, y: np.ndarray) -> float:
         """g*(y), an indicator: one value per row for y of shape (..., m)."""
-        y = np.asarray(y, dtype=float)
-        if self.variant == "zero":
-            inside = np.ones(y.shape[:-1], dtype=bool)
-        elif self.variant == "orthant":
-            inside = all_rows(y >= -_DOMAIN_TOL)
-        elif self.variant == "vecmax":
-            inside = all_rows(y >= -_DOMAIN_TOL) & (np.abs(y.sum(axis=-1) - 1.0) <= _DOMAIN_TOL)
-        else:
-            inside = all_rows(np.abs(y) <= 1.0 + _DOMAIN_TOL)
+        inside = _G_CATALOG[self.variant][0](np.asarray(y, dtype=float))
         out = np.where(inside, 0.0, math.inf)
         return float(out) if out.ndim == 0 else out
 
@@ -357,6 +358,11 @@ def lagrangian(ps: ProblemSpec, x, y) -> float:
     (..., m) broadcast row by row and give one value per row."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape[-1:] != (ps.n,) or y.shape[-1:] != (ps.m,):
+        raise DimensionError(
+            f"points of shape {x.shape} and multipliers of shape {y.shape}, expected "
+            f"rows of length {ps.n} and {ps.m}"
+        )
     fx = ps.f.value(x)
     gstar = ps.g.conj_value(y)
     with np.errstate(invalid="ignore"):  # inf - inf in rows the masks replace
@@ -374,6 +380,8 @@ def kkt_residuals(ps: ProblemSpec, x, y, *, grad_f=None, residual=None) -> KKTRe
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.size != ps.n:
+        raise DimensionError(f"point length {x.size}, expected {ps.n}")
     if y.size != ps.m:
         raise DimensionError(f"multiplier length {y.size}, expected {ps.m}")
     if grad_f is None:
@@ -386,18 +394,5 @@ def kkt_residuals(ps: ProblemSpec, x, y, *, grad_f=None, residual=None) -> KKTRe
         dual = float(np.linalg.norm(stat))
 
     r = ps.map.residual(x) if residual is None else residual
-    if ps.g.variant == "zero":
-        primal = float(np.linalg.norm(r))
-        compl = 0.0
-    elif ps.g.variant == "orthant":
-        primal = float(np.linalg.norm(np.maximum(r, 0.0)))
-        compl = abs(float(y @ r))
-    elif ps.g.variant == "vecmax":
-        simplex_dist = float(np.linalg.norm(y - project_simplex(y)))
-        gap = max(float(np.max(r)) - float(y @ r), 0.0)
-        primal = simplex_dist + gap
-        compl = 0.0
-    else:  # one_norm
-        primal = float(np.linalg.norm(y - np.clip(y + r, -1.0, 1.0)))
-        compl = 0.0
+    primal, compl = _G_CATALOG[ps.g.variant][1](y, r)
     return KKTResiduals(dual_res=dual, primal_res=primal, compl_res=compl)

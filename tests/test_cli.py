@@ -145,7 +145,13 @@ class TestParseProblem:
             constraint={"type": "ineq", "m": 1, "A": [[0, 0, -1.0]], "b": [-1.0]},
         )
         ps, golden = parse_problem(str(path))
-        assert ps.f.variant == "callback"
+        assert ps.f.W is None
+        value, grad, hess, qsc, lipschitz = problem_module._NAMED["logistic"]
+        x = np.array([0.75])
+        assert ps.f.value(x) == value(x)
+        np.testing.assert_array_equal(ps.f.grad(x), grad(x))
+        np.testing.assert_array_equal(ps.f.hess(x), hess(x))
+        assert (ps.f.qsc_modulus, ps.f.lipschitz_modulus) == (qsc, lipschitz)
         assert golden is None
 
     def test_named_objective_at_the_dimension_cap(self, tmp_path):
@@ -409,6 +415,7 @@ class TestMain:
         diag = out["diagnostics"]
         assert diag["fejer_monotone"] is True
         assert diag["ergodic_max_violation"] <= 1e-8
+        assert "conic_max_excess" not in diag  # the conic check covers the orthant only
 
     def test_diagnose_json_with_superlinear_verdict(self, tmp_path, capsys):
         # the rate fit reaches its final ratio test on this run, whose numpy

@@ -139,16 +139,15 @@ class TestErgodicGap:
             (np.array([0.0]), np.array([0.0])),
             (np.array([2.0]), np.array([1.0])),
         ]
-        res = dg.ergodic_gap_check(log, eq_qp(), cfg.geometry, pts)
-        assert res.max_violation <= 1e-8
+        assert dg.ergodic_gap_check(log, eq_qp(), cfg.geometry, pts) <= 1e-8
 
     def test_saddle_point_gap_nonnegative_first_prefix(self):
         # with the saddle as test point the one-step inequality already holds
         cfg, log = solve_eq(max_outer=1, tol=1e-300)
-        res = dg.ergodic_gap_check(
+        gap = dg.ergodic_gap_check(
             log, eq_qp(), cfg.geometry, [(np.array([1.0]), np.array([-1.0]))]
         )
-        assert res.max_violation <= 1e-8
+        assert gap <= 1e-8
 
     def test_conic_feasibility_on_inequality_run(self):
         gp = [g for g in golden_suite() if g.family == "ineq"][2]
@@ -156,10 +155,7 @@ class TestErgodicGap:
         cfg = SolverConfig(geometry=geo, regime="qsc", tol_b=1e-9, tol_kkt=1e-9, max_outer=300)
         rep, log = logged_run(cfg, gp.problem)
         assert rep.status == SolveStatus.OPTIMAL
-        res = dg.conic_feasibility_check(log, gp.problem, geo, gp.x_star, gp.y_star)
-        assert res.max_excess <= 1e-8
-        # the bounds and gaps decay together
-        assert res.bounds[-1] < res.bounds[0]
+        assert dg.conic_feasibility_check(log, gp.problem, geo, gp.x_star, gp.y_star) <= 1e-8
 
     def test_conic_feasibility_refuses_a_non_orthant_constraint(self):
         cfg, log = solve_eq()
@@ -302,10 +298,8 @@ def test_ergodic_checks_match_running_sums(block, monkeypatch):
         obj = abs(ps.f.value(s_bar) - ps.f.value(gp.x_star))
         feas = float(np.linalg.norm(np.maximum(ps.map.residual(s_bar), 0.0)))
         conic.append(max(obj, feas) - bound_num / weight)
-    gap = dg.ergodic_gap_check(log, ps, geo, points)
-    k, j = np.unravel_index(np.argmax(excess), (len(excess), 2))
-    assert (gap.max_violation, gap.worst_k, gap.worst_point) == (excess[k][j], k, j)
-    assert dg.conic_feasibility_check(log, ps, geo, gp.x_star, gp.y_star).max_excess == max(conic)
+    assert dg.ergodic_gap_check(log, ps, geo, points) == max(map(max, excess))
+    assert dg.conic_feasibility_check(log, ps, geo, gp.x_star, gp.y_star) == max(conic)
     assert log.iterates[0].basis is not None  # the run solved in W's eigenbasis
     last = log.iterates[-1]
     fejer = [

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpalm.exceptions import DimensionError, DomainError, ParseError, UnsupportedError
+from bpalm import cli
+from bpalm.exceptions import BpalmError, DimensionError, DomainError, ParseError, UnsupportedError
+from bpalm.newton import SpectralSystem
 from bpalm.oracle import golden_suite
 from bpalm.problem import (
     AffineMap,
@@ -23,7 +25,8 @@ from bpalm.problem import (
     project_simplex,
     spectral_norm_bound,
 )
-from bpalm.problem import _NAMED
+from bpalm.penalty import CLOSED_FORMS
+from bpalm.problem import _G_CATALOG, _NAMED
 
 
 def _load_benchmark_instances():
@@ -342,14 +345,21 @@ class TestSmoothObjective:
             f.grad(np.array([2.0]))
 
     def test_diagonal_quadratic_is_the_diagonal_matrix(self):
-        # W given as its diagonal, as in the eigenbasis objective run solves
-        lam, c = np.array([0.0, 0.5, 3.0]), np.array([1.0, -2.0, 0.25])
-        diagonal = SmoothObjective("quadratic", n=3, W=lam, c=c)
-        dense = SmoothObjective.quadratic(np.diag(lam), c)
+        # the objective run solves in W's eigenbasis, x'diag(lam)x/2 + (Q'c)'x,
+        # is bit for bit the dense quadratic of diag(lam) and Q'c
+        W = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
+        ps = ProblemSpec(
+            f=SmoothObjective.quadratic(W, [1.0, -2.0, 0.25]),
+            g=NonsmoothTerm.zero_indicator(),
+            map=AffineMap.from_dense([[1.0, 1.0, 1.0]], [0.5]),
+        )
+        system = SpectralSystem(ps)
+        rotated = system.problem.f
+        dense = SmoothObjective.quadratic(np.diag(system.lam), system.Q.T @ ps.f.c)
         x = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -3.0]])
-        np.testing.assert_array_equal(diagonal.value(x), dense.value(x))
-        np.testing.assert_array_equal(diagonal.grad(x[0]), dense.grad(x[0]))
-        np.testing.assert_array_equal(diagonal.hess(x[0]), dense.hess(x[0]))
+        np.testing.assert_array_equal(rotated.value(x), dense.value(x))
+        np.testing.assert_array_equal(rotated.grad(x[0]), dense.grad(x[0]))
+        np.testing.assert_array_equal(rotated.hess(x[0]), dense.hess(x[0]))
 
     @pytest.mark.parametrize("name", sorted(_NAMED))
     def test_named_derivatives(self, name):
@@ -374,6 +384,20 @@ class TestSmoothObjective:
         with pytest.raises(UnsupportedError):
             SmoothObjective.named("rosenbrock", 2)
 
+    @pytest.mark.parametrize(
+        "n, error", [(0, DimensionError), (-3, DimensionError), (2.5, BpalmError), (True, BpalmError)]
+    )
+    def test_named_requires_a_positive_int_dimension(self, n, error):
+        with pytest.raises(error):
+            SmoothObjective.named("logistic", n)
+
+    def test_box_is_read_only(self):
+        f = SmoothObjective.quadratic(np.eye(2), [0.0, 0.0], box=([0.0, 0.0], [1.0, 1.0]))
+        for bound in f.box:
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.5
+        assert f.in_domain(np.array([0.75, 0.5]))
+
 
 class TestNonsmoothTerm:
     def test_conjugates(self):
@@ -391,6 +415,14 @@ class TestNonsmoothTerm:
     def test_unknown_variant(self):
         with pytest.raises(UnsupportedError):
             NonsmoothTerm("quadratic_cone")
+
+    def test_catalogs_name_the_same_variants(self):
+        # a g variant added to one table and not the others fails here
+        assert set(cli._CONSTRAINT_TYPES.values()) == set(_G_CATALOG)
+        for variant in _G_CATALOG:
+            assert (variant, cli._DEFAULT_DUAL[variant]) in CLOSED_FORMS
+        assert set(cli._DEFAULT_DUAL) == set(_G_CATALOG)
+        assert {variant for variant, _ in CLOSED_FORMS} <= set(_G_CATALOG)
 
 
 def test_project_simplex():
@@ -485,6 +517,27 @@ class TestKKTResiduals:
     def test_wrong_multiplier_length(self):
         with pytest.raises(DimensionError):
             kkt_residuals(simple_eq_qp(), [1.0], [1.0, 2.0])
+
+    def test_wrong_point_length(self):
+        with pytest.raises(DimensionError, match="point length 3, expected 2"):
+            kkt_residuals(_two_variable_qp(), [1.0, 2.0, 3.0], [0.0])
+
+
+def _two_variable_qp():
+    return ProblemSpec(
+        f=SmoothObjective.quadratic(np.eye(2), np.zeros(2)),
+        g=NonsmoothTerm.zero_indicator(),
+        map=AffineMap.from_dense([[1.0, 1.0]], [1.0]),
+    )
+
+
+@pytest.mark.parametrize(
+    "x, y", [([1.0, 2.0, 3.0], [0.0]), ([[1.0, 2.0, 3.0]], [0.0]), ([1.0, 2.0], [0.0, 1.0])],
+    ids=["point", "stacked_points", "multiplier"],
+)
+def test_lagrangian_refuses_wrong_lengths(x, y):
+    with pytest.raises(DimensionError):
+        lagrangian(_two_variable_qp(), x, y)
 
 
 def test_problem_dimension_check():
