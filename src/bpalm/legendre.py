@@ -67,8 +67,9 @@ def _li2_series(u: np.ndarray) -> np.ndarray:
     for |u| <= ln 2 ('t Hooft and Veltman, Nucl. Phys. B 153, 1979)."""
     v = u * u
     poly = np.full_like(u, _LI2_COEFFS[0])
-    for c in _LI2_COEFFS[1:]:
-        poly = poly * v + c
+    for c in _LI2_COEFFS[1:]:  # Horner's rule in place
+        np.multiply(poly, v, out=poly)
+        np.add(poly, c, out=poly)
     return u - 0.25 * v + u * v * poly
 
 
@@ -158,8 +159,8 @@ class LegendreFunction:
     nonnegative: bool = False
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise DimensionError(f"dimension must be positive, got {dim}")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise DimensionError(f"dimension must be a positive int, got {dim!r}")
         self.dim = int(dim)
 
     # -- domain: points of shape (..., dim), one answer per row -------------
@@ -275,7 +276,10 @@ def _spence_q(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q = 1 - exp(-t) and Li2(q) for t >= 0: the series in u = -ln(1 - q) = t
     up to ln 2, and above, Li2(q) = pi^2/6 + t ln q - Li2(exp(-t)) with
     ln q = -u for u = -log1p(-exp(-t)), the series variable of Li2(exp(-t))."""
-    far = t > LN2  # the clip keeps the branch np.where drops finite
+    far = t > LN2
+    if not far.any():  # the series in t alone
+        return -np.expm1(-t), _li2_series(t)
+    # the clip keeps the branch np.where drops finite
     u = np.where(far, -np.log1p(-np.exp(-np.maximum(t, LN2))), t)
     li = _li2_series(u)
     return -np.expm1(-t), np.where(far, PI2_6 - t * u - li, li)
@@ -283,21 +287,26 @@ def _spence_q(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _spence_sums(a, b, d, near, count):
     """Per row of a, b (d = a - b) with ``count`` near coordinates each, the
-    near-branch integrals and the far-branch terms of the Spence distance."""
-    rows = len(a)
-    dn, bn = d[near].reshape(rows, count), b[near].reshape(rows, count)
+    near-branch integrals and, unless every coordinate is near, the far-branch
+    terms of the Spence distance (with none, they would add +0.0)."""
+    rows, dim = a.shape
+    dn, bn = d, b  # all near: no gathers
+    if count < dim:
+        dn, bn = d[near].reshape(rows, count), b[near].reshape(rows, count)
     s = dn[..., None] * _GL_NODES
     # -expm1(-s)/expm1(b) without overflow: -s <= b/2, and the clip only acts
     # where exp(-b) is already 0
     r = -np.expm1(np.minimum(-s, 700.0)) * (np.exp(-bn) / -np.expm1(-bn))[..., None]
+    near_sums = np.vecdot(dn, np.log1p(r) @ _GL_WEIGHTS)
+    if count == dim:
+        return (near_sums,)
     af, bf = a[~near], b[~near]
     k = af.size
     q, li = _spence_q(np.concatenate([af, bf]))
     qa, qb = q[:k], q[k:]
     # a ln(q_a/q_b) -> 0 as a -> 0
     far = af * np.log(np.where(af > 0.0, qa, qb) / qb) + li[k:] - li[:k]
-    near_sums = np.vecdot(dn, np.log1p(r) @ _GL_WEIGHTS)
-    return near_sums, np.sum(far.reshape(rows, a.shape[-1] - count), axis=-1)
+    return near_sums, np.sum(far.reshape(rows, dim - count), axis=-1)
 
 
 class Spence(_Orthant):
@@ -326,7 +335,10 @@ class Spence(_Orthant):
     A stack of rows is sorted by each row's count of near coordinates, so
     rows with equal counts form (rows, count) blocks whose sums run in the
     same order as a one-point call: a row's distance does not depend on the
-    stack it came in.
+    stack it came in.  An all-near block skips the gathers, the far sums and
+    the dilogarithm, and `_spence_q` forms only the series when no argument
+    exceeds ln 2, as the gradient forms one expression when every coordinate
+    is below 30.
     """
 
     kind = "spence"
@@ -334,6 +346,8 @@ class Spence(_Orthant):
     def grad(self, z) -> np.ndarray:
         z = self._require_interior(z)
         small = z < 30.0
+        if small.all():
+            return np.log(np.expm1(z))
         out = np.empty_like(z)
         out[small] = np.log(np.expm1(z[small]))
         out[~small] = z[~small] + np.log1p(-np.exp(-z[~small]))

@@ -173,7 +173,8 @@ class SmoothObjective:
 
     @classmethod
     def quadratic(cls, W, c, *, box=None) -> "SmoothObjective":
-        """f(x) = x'Wx/2 + c'x, optionally plus the indicator of a closed box.
+        """f(x) = x'Wx/2 + c'x, optionally plus the indicator of a closed box:
+        two 1-D bounds of length n with l < u componentwise (infinite allowed).
         One eigenvalue pass over W gives the semidefiniteness test (see
         `_PSD_SLACK`) and the Lipschitz modulus: ||W||_2 with the rounding
         margin of `spectral_norm_bound`."""
@@ -195,9 +196,11 @@ class SmoothObjective:
         if lam[0] < -n * _PSD_SLACK * max(norm, np.finfo(float).tiny):
             raise DomainError("quadratic objective requires positive semidefinite W")
         if box is not None:
-            box = tuple(np.atleast_1d(np.asarray(v, dtype=float)).copy() for v in box[:2])
-            if box[0].size != n or box[1].size != n:
-                raise DimensionError("box bounds must match the variable dimension")
+            box = tuple(np.array(v, dtype=float) for v in box)
+            if len(box) != 2 or any(v.shape != (n,) for v in box):
+                raise DimensionError(f"box: expected two bounds, 1-D vectors of length {n}")
+            if not np.all(box[0] < box[1]):  # also refuses NaN
+                raise DomainError("box: bounds require l < u componentwise")
         for array in (W, c) + (box or ()):
             array.flags.writeable = False
         return cls(

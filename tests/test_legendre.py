@@ -282,6 +282,164 @@ class TestKLTerms:
                 assert lg._kl_terms(x, y).tobytes() == masked_kl_terms(x, y).tobytes()
 
 
+# The branchy kernels with every branch evaluated on every call, then
+# selected: the references for the kernels that skip the branches no
+# coordinate takes, which must agree with them bit for bit.
+
+
+def all_branch_li2_series(u):
+    v = u * u
+    poly = np.full_like(u, lg._LI2_COEFFS[0])
+    for c in lg._LI2_COEFFS[1:]:
+        poly = poly * v + c
+    return u - 0.25 * v + u * v * poly
+
+
+def all_branch_spence_q(t):
+    far = t > lg.LN2
+    u = np.where(far, -np.log1p(-np.exp(-np.maximum(t, lg.LN2))), t)
+    li = all_branch_li2_series(u)
+    return -np.expm1(-t), np.where(far, lg.PI2_6 - t * u - li, li)
+
+
+def all_branch_spence_sums(a, b, d, near, count):
+    rows = len(a)
+    dn, bn = d[near].reshape(rows, count), b[near].reshape(rows, count)
+    s = dn[..., None] * lg._GL_NODES
+    r = -np.expm1(np.minimum(-s, 700.0)) * (np.exp(-bn) / -np.expm1(-bn))[..., None]
+    af, bf = a[~near], b[~near]
+    k = af.size
+    q, li = all_branch_spence_q(np.concatenate([af, bf]))
+    qa, qb = q[:k], q[k:]
+    far = af * np.log(np.where(af > 0.0, qa, qb) / qb) + li[k:] - li[:k]
+    near_sums = np.vecdot(dn, np.log1p(r) @ lg._GL_WEIGHTS)
+    return near_sums, np.sum(far.reshape(rows, a.shape[-1] - count), axis=-1)
+
+
+def all_branch_spence_grad(z):
+    small = z < 30.0
+    out = np.empty_like(z)
+    out[small] = np.log(np.expm1(z[small]))
+    out[~small] = z[~small] + np.log1p(-np.exp(-z[~small]))
+    return out
+
+
+def all_branch_kl_terms(a, b):
+    zero = a <= 0.0
+    a = np.where(zero, b, a)
+    r = (a - b) / b
+    c = np.minimum(r, 1.0)
+    series = c * c * (0.5 + c * (-1.0 / 6.0 + c / 12.0))
+    raw = (a * (np.log(a) - np.log(b)) - a + b) / b
+    return np.where(zero, b, b * np.where(np.abs(r) < 1e-4, series, raw))
+
+
+def spence_rows(rng, dim):
+    """(a, b) rows of a Spence distance: all near, all far (with a = 0),
+    mixed, mixed with a = 0, and near rows with |a - b| = b/2 exactly."""
+    b = np.exp(rng.uniform(-5.0, 3.0, (10, dim)))
+    near = b * (1.0 + 0.4 * rng.uniform(-1.0, 1.0, (10, dim)))
+    far = b * rng.choice([0.0, 0.3, 3.0, 40.0], (10, dim))
+    mixed = np.where(rng.uniform(size=(10, dim)) < 0.5, near, far)
+    mixed[:5] = np.where(far[:5] == 0.0, near[:5], far[:5])  # far without a = 0
+    a = np.concatenate([near, far, mixed, 0.5 * b[:2], 1.5 * b[:2]])
+    return a, np.concatenate([b, b, b, b[:2], b[:2]])
+
+
+@pytest.fixture
+def warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from any branch
+        yield
+
+
+@pytest.mark.usefixtures("warnings_as_errors")
+class TestBranchSkips:
+    """Each kernel agrees bit for bit with its all-branch reference, one row
+    or stacked, whichever branches its coordinates take."""
+
+    def test_li2_series(self):
+        u = np.random.default_rng(50).uniform(-lg.LN2, lg.LN2, 600)
+        for x in (u, u.reshape(20, 30), u[:1], np.array(u[0])):
+            assert lg._li2_series(x).tobytes() == all_branch_li2_series(x).tobytes()
+
+    def test_spence_q(self):
+        ln2 = lg.LN2
+        edge = np.array([0.0, 1e-300, 1e-148, np.nextafter(ln2, 0.0), ln2, np.nextafter(ln2, 1.0)])
+        rng = np.random.default_rng(51)
+        below = np.concatenate([edge[:5], rng.uniform(0.0, ln2, 200)])
+        above = np.concatenate([edge[5:], rng.uniform(ln2, 50.0, 200), [100.0, 700.0, 800.0]])
+        mixed = rng.permutation(np.concatenate([below, above]))
+        for t in (below, above, mixed, mixed[1:].reshape(-1, 8), below[4:5], above[:1]):
+            got, want = lg._spence_q(t), all_branch_spence_q(t)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_spence_grad(self):
+        fn = lg.spence(40)
+        rng = np.random.default_rng(52)
+        below = np.concatenate([[1e-148, 1e-8, np.nextafter(30.0, 0.0)], rng.uniform(0.0, 30.0, 37)])
+        above = np.concatenate([[30.0, np.nextafter(30.0, 31.0), 800.0], rng.uniform(30.0, 60.0, 37)])
+        mixed = np.where(rng.uniform(size=40) < 0.5, below, above)
+        for z in (below, above, mixed):
+            assert fn.grad(z).tobytes() == all_branch_spence_grad(z).tobytes()
+
+    def test_spence_sums(self):
+        dim = 30
+        a, b = spence_rows(np.random.default_rng(53), dim)
+        d = a - b
+        near = np.abs(d) <= 0.5 * b
+        counts = near.sum(axis=1)
+        assert {0, dim} <= set(counts) and len(set(counts)) > 2
+        for i, count in enumerate(counts.tolist()):
+            row = slice(i, i + 1)
+            got = lg._spence_sums(a[row], b[row], d[row], near[row], count)
+            want = all_branch_spence_sums(a[row], b[row], d[row], near[row], count)
+            kept = want if count < dim else want[:1]
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in kept]
+            if count == dim:  # the far sums it drops would add +0.0
+                assert want[1] == 0.0 and not np.signbit(want[1])
+
+    def test_spence_distance(self, monkeypatch):
+        fn = lg.spence(30)
+        a, b = spence_rows(np.random.default_rng(54), fn.dim)
+        order = np.random.default_rng(55).permutation(len(a))
+        a, b = a[order], b[order]
+        got = [fn.distance(a, b)] + [fn.distance(x, y) for x, y in zip(a, b)]
+        got += [lg.bregman_distance(fn, a, b), lg.bregman_distance(fn, b, a)]
+        monkeypatch.setattr(lg, "_spence_sums", all_branch_spence_sums)
+        want = [fn.distance(a, b)] + [fn.distance(x, y) for x, y in zip(a, b)]
+        want += [lg.bregman_distance(fn, a, b), lg.bregman_distance(fn, b, a)]
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
+    def test_kl_terms(self):
+        rng = np.random.default_rng(56)
+        b = rng.uniform(0.1, 10.0, (6, 40))
+        series = b * (1.0 + rng.choice([0.0, 1e-8, 1e-5, -1e-5], (6, 40)))
+        raw = b * (1.0 + rng.choice([1e-3, 0.5, -0.5, 9.0], (6, 40)))
+        pick = rng.uniform(size=(6, 40)) < 0.5
+        a = np.concatenate([series, raw, np.where(pick, series, raw)])
+        zeros = a.copy()
+        zeros[:, ::7] = 0.0  # with all-series, all-raw and mixed rows around them
+        a, b = np.concatenate([a, zeros]), np.tile(b, (6, 1))
+        for x, y in [(a, b), *zip(a, b)]:
+            assert lg._kl_terms(x, y).tobytes() == all_branch_kl_terms(x, y).tobytes()
+
+
+def test_one_row_all_near_spence_distance_skips_the_dilogarithm(monkeypatch):
+    calls = []
+    spence_q = lg._spence_q
+    monkeypatch.setattr(lg, "_spence_q", lambda t: calls.append(t.size) or spence_q(t))
+    fn = lg.spence(100)
+    rng = np.random.default_rng(57)
+    b = np.exp(rng.uniform(-5.0, 3.0, 100))
+    a = b * (1.0 + 0.4 * rng.uniform(-1.0, 1.0, 100))
+    lg.bregman_distance(fn, a, b)
+    assert calls == []
+    a[0] = 0.0  # one far coordinate: its a and b values
+    lg.bregman_distance(fn, a, b)
+    assert calls == [2]
+
+
 def sample_points(fn, rng, k, spread=2.0):
     """k interior points of fn as the rows of a (k, dim) array."""
     return np.array([sample_interior(fn, rng, spread) for _ in range(k)])
@@ -367,6 +525,17 @@ def test_dimension_errors():
         lg.energy(2).grad([1.0])
     with pytest.raises(DimensionError):
         lg.energy(0)
+
+
+@pytest.mark.parametrize("factory", [lg.energy, lg.von_neumann, lg.spence], ids=lambda f: f.kind)
+def test_dimension_is_a_positive_int(factory):
+    # none of these is truncated to an int dimension, nor a bare TypeError
+    for dim in (2.5, True, False, np.float64(3.7), np.float64(3.0), "3", None, 0, -2, np.int64(0)):
+        with pytest.raises(DimensionError):
+            factory(dim)
+    for dim in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        fn = factory(dim)
+        assert fn.dim == 3 and type(fn.dim) is int
 
 
 @pytest.mark.parametrize(

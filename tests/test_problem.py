@@ -344,6 +344,32 @@ class TestSmoothObjective:
         with pytest.raises(DomainError):
             f.grad(np.array([2.0]))
 
+    # accepted, each box below would give an empty domain, a NaN residual
+    # or a silently dropped third bound
+    @pytest.mark.parametrize(
+        "box, error",
+        [
+            (([1.0], [0.0]), DomainError),  # l > u
+            (([0.5], [0.5]), DomainError),  # l = u
+            (([math.nan], [1.0]), DomainError),
+            (([0.0], [math.nan]), DomainError),
+            (([0.0], [1.0], [2.0]), DimensionError),  # a third bound
+            (([0.0],), DimensionError),
+            (([[0.0]], [[1.0]]), DimensionError),  # 2-D bounds
+            ((0.0, 1.0), DimensionError),  # scalar bounds
+            (([0.0, 0.0], [1.0]), DimensionError),
+        ],
+        ids=["l>u", "l=u", "nan_l", "nan_u", "three_bounds", "one_bound", "2d", "scalars", "lengths"],
+    )
+    def test_box_bounds_are_checked(self, box, error):
+        with pytest.raises(error):
+            SmoothObjective.quadratic(np.eye(1), [0.0], box=box)
+
+    def test_box_bounds_may_be_infinite(self):
+        f = SmoothObjective.quadratic(np.eye(2), [0.0, 0.0], box=([-math.inf, 0.0], [1.0, math.inf]))
+        assert f.in_domain(np.array([-1e300, 1e300]))
+        assert not f.in_domain(np.array([0.0, -1.0]))
+
     def test_diagonal_quadratic_is_the_diagonal_matrix(self):
         # the objective run solves in W's eigenbasis, x'diag(lam)x/2 + (Q'c)'x,
         # is bit for bit the dense quadratic of diag(lam) and Q'c
