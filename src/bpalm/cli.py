@@ -282,7 +282,8 @@ def _write_trace(
     records, iterates = log.records, log.iterates
     if distances is None and golden is not None:
         distances = diagnostics._distance_series(log, *golden, geometry)[1:]
-    # read in sigma order: the spectral system keeps G for the last sigma only
+    # read in sigma order: the spectral system keeps G for two sigmas only,
+    # and sigma returns to earlier values along a run
     order = sorted(range(len(records)), key=lambda i: records[i].sigma)
     decrements = dict(zip(order, [iterates[i].decrement for i in order]))
     lines = [",".join(_TRACE_COLUMNS)]

@@ -91,10 +91,14 @@ _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
-    """The upper Cholesky factor of a, in a copy whose lower triangle is a's."""
+    """The upper Cholesky factor of a, whose lower triangle is a's.
+
+    A Fortran-ordered a, potrf's own order, is factored in place and
+    returned, also when potrf fails partway, so the caller gives a up; any
+    other a is factored in a Fortran copy, as scipy's cho_factor does."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    c, info = _potrf(a, lower=False, clean=False)
+    c, info = _potrf(a, lower=False, clean=False, overwrite_a=True)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c
@@ -107,14 +111,18 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _potrs(c, b, lower=False)[0]
 
 
-def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """H^{-1} g through a Cholesky factorization, with a one-shot diagonal
-    lift on failure; the objective is strongly convex, so failures indicate
-    conditioning rather than modeling."""
+def _solve_spd(assemble: Callable[[], np.ndarray], g: np.ndarray) -> np.ndarray:
+    """H^{-1} g for H = assemble() through a Cholesky factorization, with a
+    one-shot diagonal lift on failure; the objective is strongly convex, so
+    failures indicate conditioning rather than modeling.
+
+    The factorization may overwrite the matrix it is given, so each call of
+    ``assemble`` returns a new one: the lift retry assembles H again."""
     try:
         try:
-            return cho_solve(cho_factor(H), g)
+            return cho_solve(cho_factor(assemble()), g)
         except LinAlgError:
+            H = assemble()
             lift = 1e-12 * (1.0 + float(np.trace(H)) / H.shape[0])
             logger.warning("SPD factorization failed; retrying with lift %.3e", lift)
             return cho_solve(cho_factor(H + lift * np.eye(H.shape[0])), g)
@@ -158,8 +166,10 @@ class SpectralSystem:
 
     where K = I + E G E and G = B diag(w) B^T.  K is m x m with eigenvalues
     at least 1 and holds no 1/(sigma d), so entries of d that underflow to 0
-    need no special case.  G depends on sigma only and is kept for the last
-    sigma seen.
+    need no special case.  G depends on sigma only.  The rule for sigma
+    moves between neighbouring powers of two, so (w, G) is kept for the two
+    most recently used sigmas; the older is dropped before a third is built,
+    so no more than two G's are ever held.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -187,7 +197,7 @@ class SpectralSystem:
         self.problem = ProblemSpec(
             rotated, problem.g, AffineMap(self.B, affine.b, affine.op_norm_bound)
         )
-        self._sigma = self._w = self._G = None
+        self._grams: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def for_run(
@@ -206,24 +216,39 @@ class SpectralSystem:
         return cls(problem)
 
     def _gram(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        if sigma != self._sigma:
+        grams = self._grams
+        if sigma in grams:
+            grams[sigma] = grams.pop(sigma)  # now the most recently used
+        else:
+            self.keep_last()
             w = 1.0 / (self.lam + 1.0 / sigma)
             root = self.B * np.sqrt(w)
-            self._w, self._G, self._sigma = w, root @ root.T, sigma
-        return self._w, self._G
+            grams[sigma] = w, root @ root.T
+        return grams[sigma]
+
+    def keep_last(self) -> None:
+        """Drop every kept (w, G) but the most recently used sigma's."""
+        grams = self._grams
+        while len(grams) > 1:
+            del grams[next(iter(grams))]
 
     def solve(self, sigma: float, d: np.ndarray, g: np.ndarray) -> np.ndarray:
         """H^{-1} g for H = diag(lam) + I/sigma + sigma B^T diag(d) B."""
         w, G = self._gram(sigma)
         e = np.sqrt(sigma * d)
-        # Kt.T is K bit for bit (root @ root.T is a syrk), in potrf's order
-        Kt = G * e[:, None]
-        Kt *= e
-        diagonal = np.einsum("ii->i", Kt)  # a strided view: no index arrays
-        diagonal += 1.0
         r = w * g
-        z = e * _solve_spd(Kt.T, e * (self.B @ r))
+        z = e * _solve_spd(partial(_constraint_matrix, G, e), e * (self.B @ r))
         return r - w * (self.B.T @ z)
+
+
+def _constraint_matrix(G: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """A new K = I + E G E, in potrf's Fortran order."""
+    # Kt.T is K bit for bit (root @ root.T is a syrk)
+    Kt = G * e[:, None]
+    Kt *= e
+    diagonal = np.einsum("ii->i", Kt)  # a strided view: no index arrays
+    diagonal += 1.0
+    return Kt.T
 
 
 def _newton_direction(
@@ -240,7 +265,7 @@ def _newton_direction(
     otherwise ``hess()`` assembles the n x n Hessian.
     """
     if system is None:
-        return -_solve_spd(hess(), g)
+        return -_solve_spd(hess, g)
     return -system.solve(sigma, penalty.hess_diag_or_none(u), g)
 
 

@@ -367,6 +367,8 @@ def run(
         if float(np.linalg.norm(state.y)) > _DIVERGENCE_NORM:
             status = SolveStatus.DIVERGED
             break
+    if system is not None:  # the iterates' deferred decrements keep the system
+        system.keep_last()
 
     if trace.records:
         last = trace.records[-1]

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -226,7 +227,7 @@ class TestFactorization:
     def test_singular_hessian_is_lifted(self, caplog):
         H = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD but singular
         with caplog.at_level(logging.WARNING):
-            step = -_solve_spd(H, np.array([1.0, 1.0]))
+            step = -_solve_spd(H.copy, np.array([1.0, 1.0]))
         # the second pivot is exactly 0; the lift 2e-12 I makes it positive
         [record] = caplog.records
         assert record.levelno == logging.WARNING
@@ -237,13 +238,13 @@ class TestFactorization:
 
     def test_indefinite_hessian_fails(self):
         with pytest.raises(FactorizationError):
-            _solve_spd(np.array([[-1.0]]), np.array([1.0]))
+            _solve_spd(np.array([[-1.0]]).copy, np.array([1.0]))
 
     # the last case fails the first factorization and meets NaN after the lift
     @pytest.mark.parametrize("hess, grad", [(math.inf, 1.0), (1.0, math.nan), (-1e-13, math.nan)])
     def test_non_finite_system_fails(self, hess, grad):
         with pytest.raises(FactorizationError, match="not finite"):
-            _solve_spd(np.array([[hess]]), np.array([grad]))
+            _solve_spd(np.array([[hess]]).copy, np.array([grad]))
 
 
 class TestCholeskyWrappers:
@@ -258,8 +259,9 @@ class TestCholeskyWrappers:
             H = root @ root.T / m + rng.uniform(0.0, 1.0) * np.eye(m)
             H[np.tril_indices(m, -1)] *= 1.0 + 1e-15  # not exactly symmetric, as K is
             g = rng.normal(size=m)
+            # a 1 x 1 H is Fortran-ordered too, and cho_factor overwrites it
+            reference = scipy.linalg.cho_factor(H.copy())
             c = bpalm.newton.cho_factor(H)
-            reference = scipy.linalg.cho_factor(H)
             assert c.tobytes() == reference[0].tobytes()
             x = bpalm.newton.cho_solve(c, g)
             assert x.tobytes() == scipy.linalg.cho_solve(reference, g).tobytes()
@@ -275,7 +277,7 @@ class TestCholeskyWrappers:
         factored = []
 
         def recording(a):
-            factored.append(a)
+            factored.append(a.copy(order="K"))  # cho_factor overwrites a
             return original(a)
 
         original = bpalm.newton.cho_factor
@@ -298,6 +300,8 @@ class TestCholeskyWrappers:
     def test_lift_retry_starts_from_the_unfactored_matrix(self, monkeypatch):
         # the second pivot of this singular K fails; the retry must factor
         # K + lift I, not what the failed factorization left behind
+        # (each call of the assembler gives a new Fortran K, which the
+        # failed factorization overwrites in place)
         K = np.asfortranarray([[1.0, 1.0], [1.0, 1.0]])
         original = bpalm.newton.cho_factor
         seen = []
@@ -307,10 +311,61 @@ class TestCholeskyWrappers:
             return original(a)
 
         monkeypatch.setattr(bpalm.newton, "cho_factor", recording)
-        _solve_spd(K, np.array([1.0, 1.0]))
+        _solve_spd(partial(np.copy, K, order="F"), np.array([1.0, 1.0]))
         assert len(seen) == 2
         assert np.array_equal(K, [[1.0, 1.0], [1.0, 1.0]])
         assert np.array_equal(seen[1], seen[0] + 2e-12 * np.eye(2))
+
+    @pytest.mark.parametrize("path", ["dense", "spectral"])
+    def test_lifted_solve_factors_the_reassembled_matrix(self, path, monkeypatch):
+        # the first factorization fails, having written over its matrix as a
+        # failed potrf does; the retry factors a newly assembled K + lift I
+        # (H + lift I on the dense path), and the step is bit for bit the one
+        # of factoring that sum in a copy
+        W, A, g = spectral_pieces(17)
+        sigma, d = 0.5, np.exp(np.random.default_rng(18).uniform(-3.0, 3.0, A.shape[0]))
+        original = bpalm.newton.cho_factor
+        seen = []
+
+        def failing_once(a):
+            seen.append(a.copy())
+            if len(seen) == 1:
+                a[...] = np.nan
+                raise LinAlgError("1-th leading minor of the array is not positive definite")
+            return original(a)
+
+        monkeypatch.setattr(bpalm.newton, "cho_factor", failing_once)
+        system = spectral_system(W, A)
+        if path == "dense":
+            step = -_solve_spd(partial(dense_hessian, W, A, sigma, d), g)
+        else:
+            step = -system.solve(sigma, d, g)
+        first, second = seen
+        lifted = first + 1e-12 * (1.0 + np.trace(first) / len(first)) * np.eye(len(first))
+        assert second.tobytes() == lifted.tobytes()
+        factor = scipy.linalg.cho_factor(lifted)
+        if path == "dense":
+            assert first.tobytes() == dense_hessian(W, A, sigma, d).tobytes()
+            reference = -scipy.linalg.cho_solve(factor, g)
+        else:
+            # test_spectral_system_factors_the_products_of_k pins first as K
+            w = system._gram(sigma)[0]
+            e = np.sqrt(sigma * d)
+            r = w * g
+            z = e * scipy.linalg.cho_solve(factor, e * (system.B @ r))
+            reference = -(r - w * (system.B.T @ z))
+        assert step.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 100, 150])
+    def test_fortran_matrix_is_factored_in_place(self, m):
+        rng = np.random.default_rng(m)
+        root = rng.normal(size=(m, m))
+        K = np.asfortranarray(root @ root.T / m + np.eye(m))
+        K[np.tril_indices(m, -1)] *= 1.0 + 1e-15  # not exactly symmetric
+        reference = scipy.linalg.cho_factor(K)[0]  # factored in a copy
+        c = bpalm.newton.cho_factor(K)
+        assert c is K
+        assert c.tobytes() == reference.tobytes()
 
     def test_failed_pivot_raises_linalg_error(self):
         with pytest.raises(LinAlgError, match="2-th leading minor"):
@@ -534,7 +589,7 @@ class TestDecrementReads:
         gram = SpectralSystem._gram
 
         def counting_gram(self, sigma):
-            calls["G"] += sigma != self._sigma
+            calls["G"] += sigma not in self._grams  # a miss builds G
             return gram(self, sigma)
 
         for module in (bpalm.auglag, bpalm.newton, bpalm.outer, bpalm.cli):
@@ -563,6 +618,50 @@ class TestDecrementReads:
             modulus = REGIMES[cfg.regime].modulus(ctx) or 1.0
             assert iterate.decrement == newton_decrement(ctx, iterate._s, modulus)
             assert row.split(",")[7] == format(iterate.decrement, ".17g")
+
+
+class TestGramSlots:
+    """SpectralSystem keeps (w, G) for the two most recently used sigmas and
+    drops the older before it builds G for a third."""
+
+    @staticmethod
+    def fresh_gram(system, sigma):
+        w = 1.0 / (system.lam + 1.0 / sigma)
+        root = system.B * np.sqrt(w)
+        return w, root @ root.T
+
+    def test_builds_only_outside_the_two_most_recent(self):
+        W, A, _ = spectral_pieces(19)
+        system = spectral_system(W, A)
+        returned, builds = [], []
+        for i, sigma in enumerate([1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0]):
+            w, G = system._gram(sigma)
+            if not any(G is kept for kept in returned):
+                builds.append(i)
+            returned.append(G)
+            assert len(system._grams) <= 2
+            # a revisited sigma's (w, G) is a fresh build's, bit for bit
+            fresh_w, fresh_G = self.fresh_gram(system, sigma)
+            assert w.tobytes() == fresh_w.tobytes()
+            assert G.tobytes() == fresh_G.tobytes()
+        assert builds == [0, 1, 4, 6]
+
+    def test_a_run_holds_two_grams_and_keeps_one(self, monkeypatch):
+        gram, refs, held = SpectralSystem._gram, [], []
+
+        def tracking(self, sigma):
+            pair = gram(self, sigma)
+            if not any(ref() is pair[1] for ref in refs):
+                refs.append(weakref.ref(pair[1]))
+            held.append(sum(ref() is not None for ref in refs))
+            return pair
+
+        monkeypatch.setattr(SpectralSystem, "_gram", tracking)
+        cfg, ps = revisiting_sigma_run()
+        _, log = logged_run(cfg, ps)
+        assert len(refs) > 2 and max(held) == 2
+        # the log's deferred decrements keep the system, with one G
+        assert log.iterates and sum(ref() is not None for ref in refs) == 1
 
 
 class TestSpectralSystem:
