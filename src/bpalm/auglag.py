@@ -113,14 +113,6 @@ class SubproblemContext:
     start: PointEvaluation
     system: SpectralSystem | None = None
 
-    @property
-    def x_anchor(self) -> np.ndarray:
-        return self.anchor.x
-
-    @property
-    def y_anchor(self) -> np.ndarray:
-        return self.anchor.y
-
     def evaluate(self, s) -> PointEvaluation:
         """The point quantities at s, computed afresh."""
         s = np.asarray(s, dtype=float)
@@ -175,15 +167,15 @@ class SubproblemContext:
         else:
             x_plus = self.extragradient(point, grad)
             lhs = bregman_distance(psi, s, x_plus)
-        primal = _distance(psi, s, self.x_anchor)
+        primal = _distance(psi, s, self.anchor.x)
         if not exact and self._bound_rejects(lhs, primal, point.y_plus):
             return AcceptanceCheck(False, lhs, math.nan, math.nan, x_plus)
-        b_value = primal + _distance(self.geometry.dual, point.y_plus, self.y_anchor)
+        b_value = primal + _distance(self.geometry.dual, point.y_plus, self.anchor.y)
         rhs = self.rho * b_value
         return AcceptanceCheck(lhs <= rhs, lhs, rhs, b_value, x_plus)
 
     def _bound_rejects(self, lhs: float, primal: float, y_plus: np.ndarray) -> bool:
-        d = y_plus - self.y_anchor
+        d = y_plus - self.anchor.y
         slack = self.rho * (1.0 + 2.0**-31 + (2 * d.size + 16) * 2.0**-53)
         at_anchor = self.anchor.hess_phi_y
         # phi''(y) alone bounds U from below: where that cannot reject, U cannot

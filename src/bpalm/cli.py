@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import diagnostics
-from .exceptions import BpalmError, DimensionError, ParseError, UnsupportedError
+from .exceptions import BpalmError, DimensionError, InvalidRegimeError, ParseError, UnsupportedError
 from .legendre import BregmanGeometry, box_barrier, energy, spence, von_neumann
 from .legendre import bregman_distance  # noqa: F401 -- perfbench's tracer wraps this name
 from .newton import REGIMES
@@ -162,6 +162,8 @@ def parse_problem(path: str, regime: str = "qsc"):
     refcounting frees; the cyclic collector would walk them over and over, so
     it is paused until `_parse_document` has returned and the document is gone.
     """
+    if regime not in REGIMES:
+        raise InvalidRegimeError(f"unknown regime {regime!r}")
     with _gc_paused():
         return _parse_document(path, regime)
 
@@ -194,7 +196,7 @@ def _parse_document(path: str, regime: str):
     box = None
     if "bounds" in doc:
         lo, hi = _parse_bounds(doc["bounds"], n)
-        if regime == "sc":
+        if REGIMES[regime].barrier:
             if ctype != "eq":
                 raise ParseError("bounds under the sc regime require an 'eq' constraint")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

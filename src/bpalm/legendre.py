@@ -140,6 +140,13 @@ def _as_vector(z, dim: int, stack: bool = False) -> np.ndarray:
     return z
 
 
+def positive_dimension(d, what: str = "dimension") -> int:
+    """d as an int; DimensionError unless it is a positive int (not a bool)."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise DimensionError(f"{what} must be a positive int, got {d!r}")
+    return int(d)
+
+
 def all_rows(mask: np.ndarray):
     """All of each row of a mask: a bool for one point, an array for a stack."""
     out = mask.all(axis=-1)
@@ -159,9 +166,7 @@ class LegendreFunction:
     nonnegative: bool = False
 
     def __init__(self, dim: int):
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise DimensionError(f"dimension must be a positive int, got {dim!r}")
-        self.dim = int(dim)
+        self.dim = positive_dimension(dim)
 
     # -- domain: points of shape (..., dim), one answer per row -------------
     def in_domain(self, z) -> bool:
@@ -184,9 +189,6 @@ class LegendreFunction:
     def hess_diag(self, z) -> np.ndarray:
         raise NotImplementedError
 
-    # SC constant on the domain interior; None when no global constant exists.
-    sc_modulus: float | None = None
-
     def distance(self, z1: np.ndarray, z2: np.ndarray):
         """Bregman distance per row of float arrays z1, z2 of one shape
         (..., dim), z1 in the domain and z2 in its interior.  Each geometry
@@ -208,7 +210,6 @@ class Energy(LegendreFunction):
     """phi(z) = ||z||^2 / 2; the Euclidean geometry."""
 
     kind = "energy"
-    sc_modulus = 0.0
 
     def in_domain(self, z) -> bool:
         return True

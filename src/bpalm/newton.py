@@ -191,7 +191,6 @@ class SpectralSystem:
             lambda x: np.diag(lam),
             f.qsc_modulus,
             f.lipschitz_modulus,
-            f.sc_modulus,
             n=f.n,
         )
         self.problem = ProblemSpec(
@@ -281,7 +280,7 @@ def _deferred_decrement(
     context, its anchor gradients or the point's evaluation; a call
     recomputes u, the solve's own sum, bit for bit."""
     problem, penalty, geometry, system = ctx.problem, ctx.penalty, ctx.geometry, ctx.system
-    sigma, y_anchor = ctx.sigma, ctx.y_anchor
+    sigma, y_anchor = ctx.sigma, ctx.anchor.y
 
     def decrement() -> float:
         u = geometry.dual.grad(y_anchor) + sigma * problem.map.residual(s)
@@ -374,17 +373,10 @@ def _qsc_modulus(ctx: SubproblemContext) -> float | None:
     return m if m > 0.0 else None
 
 
-def _sc_bound(m_f: float, m_psi: float, sigma: float) -> float:
-    """The subproblem's self-concordance modulus max(m_f, sqrt(sigma) m_psi)."""
-    return max(m_f, math.sqrt(sigma) * m_psi)
-
-
-def _sc_modulus(ctx: SubproblemContext) -> float | None:
-    m_f = ctx.problem.f.sc_modulus
-    if m_f is None:
-        return None
-    m = _sc_bound(m_f, ctx.geometry.primal.sc_modulus, ctx.sigma)
-    return m if m > 0.0 else None
+def _sc_modulus(ctx: SubproblemContext) -> float:
+    """The subproblem's self-concordance modulus max(M_f, sqrt(sigma) M_psi),
+    with M_f = 0: sc runs only boxed quadratics, whose third derivative is 0."""
+    return math.sqrt(ctx.sigma) * ctx.geometry.primal.sc_modulus
 
 
 def _qsc_admissible(ctx: SubproblemContext) -> bool:
@@ -406,7 +398,7 @@ def _sc_admissible(ctx: SubproblemContext) -> bool:
     gJ = grad f(x) + A^T y + sigma A^T r.  The terms that do not depend on
     sigma are formed on the anchor's first trial and kept in its memo."""
     anchor, sigma = ctx.anchor, ctx.sigma
-    m_k = _sc_bound(ctx.problem.f.sc_modulus, ctx.geometry.primal.sc_modulus, sigma)
+    m_k = _sc_modulus(ctx)
     if "sc" not in anchor.memo:
         A = ctx.problem.map.A
         anchor.memo["sc"] = (
@@ -435,12 +427,10 @@ def _lipschitz_count(ctx: SubproblemContext, b_value: float) -> int | None:
     return lipschitz_steps(ctx.rho, l_k, ctx.sigma)
 
 
-def _sc_count(ctx: SubproblemContext, b_value: float) -> int | None:
-    m_k = _sc_modulus(ctx)
-    if m_k is None:  # None off quadratics, whose Lipschitz modulus bounds the curvature
-        return None
-    c_sigma = ctx.sigma * ctx.problem.map.op_norm_bound**2 + ctx.problem.f.lipschitz_modulus
-    return sc_steps(ctx.rho, m_k, b_value, ctx.sigma, ctx.geometry.primal.sc_modulus, c_sigma)
+def _sc_count(ctx: SubproblemContext, b_value: float) -> int:
+    sigma, m_psi = ctx.sigma, ctx.geometry.primal.sc_modulus
+    c_sigma = sigma * ctx.problem.map.op_norm_bound**2 + ctx.problem.f.lipschitz_modulus
+    return sc_steps(ctx.rho, _sc_modulus(ctx), b_value, sigma, m_psi, c_sigma)
 
 
 def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:
@@ -448,12 +438,6 @@ def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:
         raise InvalidRegimeError(
             "sc regime covers equality constraints with the Euclidean dual"
         )
-    if not geometry.primal.sc_modulus:
-        raise InvalidRegimeError(
-            "sc regime needs a self-concordant primal geometry (box barrier)"
-        )
-    if problem.f.sc_modulus is None:
-        raise InvalidRegimeError("sc regime needs an objective SC modulus")
 
 
 @dataclass(frozen=True)
@@ -463,11 +447,13 @@ class Regime:
     the step-size test that a sigma trial's subproblem passes when its warm
     start lies inside Newton's quadratic region, ``predicted`` is the
     sufficient Newton count, and ``validate`` rejects the problems the regime
-    does not cover."""
+    does not cover.  A regime runs the boxed objectives, under the box
+    barrier, if ``barrier`` and the unboxed ones otherwise; `run` checks it."""
 
     modulus: Callable[[SubproblemContext], float | None]
     admissible: Callable[[SubproblemContext], bool]
     _count: Callable[[SubproblemContext, float], int | None]
+    barrier: bool = False
     validate: Callable[[ProblemSpec, BregmanGeometry], None] = lambda problem, geometry: None
 
     def predicted(self, ctx: SubproblemContext, b_value: float) -> int | None:
@@ -481,5 +467,5 @@ class Regime:
 REGIMES = {
     "qsc": Regime(_qsc_modulus, _qsc_admissible, _qsc_count),
     "qsc_lipschitz": Regime(_qsc_modulus, _qsc_admissible, _lipschitz_count),
-    "sc": Regime(_sc_modulus, _sc_admissible, _sc_count, _sc_validate),
+    "sc": Regime(_sc_modulus, _sc_admissible, _sc_count, barrier=True, validate=_sc_validate),
 }

@@ -213,7 +213,11 @@ def _validate(cfg: SolverConfig, problem: ProblemSpec) -> None:
         )
     if box is not None and not np.array_equal(box, (psi.lower, psi.upper)):
         raise DomainError("objective box and barrier box must coincide")
-    REGIMES[cfg.regime].validate(problem, cfg.geometry)
+    regime = REGIMES[cfg.regime]
+    if (box is not None) != regime.barrier:
+        need = "a boxed quadratic" if regime.barrier else "an objective without a box"
+        raise InvalidRegimeError(f"regime {cfg.regime!r} needs {need}")
+    regime.validate(problem, cfg.geometry)
 
 
 def select_sigma(

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigvalsh, svdvals
 
 from .exceptions import DimensionError, DomainError, ParseError, UnsupportedError
-from .legendre import all_rows, sigmoid, softmax, softmax_jacobian, softplus
+from .legendre import all_rows, positive_dimension, sigmoid, softmax, softmax_jacobian, softplus
 
 __all__ = [
     "AffineMap",
@@ -140,10 +140,10 @@ class SmoothObjective:
     """Smooth convex part of the composite objective: its value (per row of a
     stack of points), gradient and Hessian functions on R^n, and the
     generalized self-concordance moduli the path-following rules consume:
-    ``qsc_modulus`` always, ``lipschitz_modulus`` and ``sc_modulus`` when
-    available.  A quadratic also keeps its read-only ``W`` and ``c``, and
-    ``box``, the read-only bounds of a box-constrained one; ``W`` is None for
-    any other objective.
+    ``qsc_modulus`` always, ``lipschitz_modulus`` when available (sc runs
+    only boxed quadratics, with no third derivative).  A quadratic also keeps
+    its read-only ``W`` and ``c``, and ``box``, the read-only bounds of a
+    box-constrained one; ``W`` is None for any other objective.
     """
 
     def __init__(
@@ -153,7 +153,6 @@ class SmoothObjective:
         hess_fn,
         qsc_modulus: float,
         lipschitz_modulus: float | None,
-        sc_modulus: float | None = None,
         *,
         n: int,
         W: np.ndarray | None = None,
@@ -165,7 +164,6 @@ class SmoothObjective:
         self._hess_fn = hess_fn
         self.qsc_modulus = qsc_modulus
         self.lipschitz_modulus = lipschitz_modulus
-        self.sc_modulus = sc_modulus
         self.n = n
         self.W = W
         self.c = c
@@ -209,7 +207,6 @@ class SmoothObjective:
             lambda x: W,
             0.0,
             norm * _rounding_margin(n),
-            0.0,
             n=n,
             W=W,
             c=c,
@@ -222,9 +219,7 @@ class SmoothObjective:
         positive int."""
         if name not in _NAMED:
             raise UnsupportedError(f"unknown named objective {name!r}")
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DimensionError(f"named objective: dimension must be a positive int, got {n!r}")
-        return cls(*_NAMED[name], n=int(n))
+        return cls(*_NAMED[name], n=positive_dimension(n, "named objective: dimension"))
 
     # The gradient of a box-constrained quadratic extends continuously to the
     # closed box, so domain checks accept the closure; golden solutions sit on

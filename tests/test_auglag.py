@@ -57,7 +57,7 @@ def marginal_value(ctx, s):
     if not psi.in_domain(s):
         return math.inf
     u, _ = ctx.anchor.dual_update(ctx.penalty, ctx.sigma, ctx.problem.map.residual(s))
-    prox = bregman_distance(psi, s, ctx.x_anchor)
+    prox = bregman_distance(psi, s, ctx.anchor.x)
     return ctx.problem.f.value(s) + (ctx.penalty.value(u) + prox) / ctx.sigma
 
 
@@ -284,20 +284,20 @@ class TestMarginalization:
             s = np.array([s_val])
             r = float(ctx.problem.map.residual(s)[0])
             # L(s, eta) - D_phi(eta, y)/sigma over the conjugate domain eta >= 0
-            phi_y = float(phi.grad(ctx.y_anchor)[0])
-            phi_anchor = phi_value(phi, ctx.y_anchor)
+            phi_y = float(phi.grad(ctx.anchor.y)[0])
+            phi_anchor = phi_value(phi, ctx.anchor.y)
             etas_c = etas[::1000]
             phi_vals = _phi_value_rows(dual_kind, etas_c[:, None])
-            dvals = phi_vals - phi_anchor - phi_y * (etas_c - ctx.y_anchor[0])
+            dvals = phi_vals - phi_anchor - phi_y * (etas_c - ctx.anchor.y[0])
             obj = ctx.problem.f.value(s) + r * etas_c - dvals / ctx.sigma
             coarse_best = etas_c[int(np.argmax(obj))]
             fine = np.linspace(max(coarse_best - 0.2, 1e-12), coarse_best + 0.2, 20001)
             phi_vals = _phi_value_rows(dual_kind, fine[:, None])
-            dvals = phi_vals - phi_anchor - phi_y * (fine - ctx.y_anchor[0])
+            dvals = phi_vals - phi_anchor - phi_y * (fine - ctx.anchor.y[0])
             obj = ctx.problem.f.value(s) + r * fine - dvals / ctx.sigma
             sup = float(np.max(obj))
-            offset = conj_value(phi, phi.grad(ctx.y_anchor)) / ctx.sigma
-            j_no_prox = marginal_value(ctx, s) - 0.5 * (s_val - ctx.x_anchor[0]) ** 2 / ctx.sigma
+            offset = conj_value(phi, phi.grad(ctx.anchor.y)) / ctx.sigma
+            j_no_prox = marginal_value(ctx, s) - 0.5 * (s_val - ctx.anchor.x[0]) ** 2 / ctx.sigma
             assert j_no_prox == pytest.approx(sup + offset, abs=1e-4)
 
     @pytest.mark.parametrize("dual_kind", ["von_neumann", "spence"])
@@ -369,10 +369,10 @@ class TestPointEvaluation:
     def test_anchor_point_reads_the_anchor(self):
         ctx = self.context()
         point = ctx.start
-        assert point.s is ctx.x_anchor
+        assert point.s is ctx.anchor.x
         assert point.residual is ctx.anchor.residual
         assert point.grad_f is ctx.anchor.grad_f
-        self.assert_fresh(ctx, point, ctx.x_anchor.copy())
+        self.assert_fresh(ctx, point, ctx.anchor.x.copy())
 
 
 class TestContextValidation:
@@ -389,7 +389,7 @@ class TestContextValidation:
     def test_anchors_frozen(self):
         ctx = eq_qp_context()
         with pytest.raises(ValueError):
-            ctx.x_anchor[0] = 5.0
+            ctx.anchor.x[0] = 5.0
 
     def test_only_writable_anchors_copied(self):
         ctx = eq_qp_context()
@@ -423,7 +423,7 @@ def orthant_context(dual_kind, y, rho, n=2):
 
 def taylor_threshold(ctx, primal, y_plus):
     """rho (D_psi + U)(1 + delta) as `acceptance_check` states it, from scratch."""
-    phi, y = ctx.geometry.dual, ctx.y_anchor
+    phi, y = ctx.geometry.dual, ctx.anchor.y
     d = y_plus - y
     curvature = np.maximum(phi.hess_diag(y_plus), phi.hess_diag(y))
     delta = 2.0**-31 + (2 * d.size + 16) * 2.0**-53

@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError
 
 from bpalm import cli, newton, problem as problem_module
 from bpalm.cli import main, parse_problem
-from bpalm.exceptions import DimensionError, ParseError
+from bpalm.exceptions import DimensionError, InvalidRegimeError, ParseError
 from bpalm.legendre import BregmanGeometry, energy, spence
 from bpalm.newton import REGIMES
 
@@ -111,6 +111,19 @@ class TestParseProblem:
         ps, _ = parse_problem(str(path), regime="sc")
         assert ps.f.box is not None
 
+    def test_unknown_regime_refused(self, tmp_path):
+        # the regime decides where bounds go, so an unknown one is refused
+        # before the document is read, not with a KeyError at its bounds
+        path = tmp_path / "eqb.json"
+        write_document(
+            str(path),
+            objective={"quadratic": {"n": 1, "W": [[0, 0, 1.0]], "c": [0.0]}},
+            constraint={"type": "eq", "m": 1, "A": [[0, 0, 1.0]], "b": [0.5]},
+            bounds={"l": [0.0], "u": [1.0]},
+        )
+        with pytest.raises(InvalidRegimeError, match="unknown regime 'bfgs'"):
+            parse_problem(str(path), regime="bfgs")
+
     def test_sc_bounds_check_w_once(self, tmp_path, monkeypatch):
         # the boxed objective keeps the unboxed one's checks and moduli: one
         # symmetrization and eigenvalue pass over W per parse
@@ -132,7 +145,7 @@ class TestParseProblem:
         reference = problem_module.SmoothObjective.quadratic([[2.0, 1.0], [1.0, 3.0]], [0.5, -1.0])
         np.testing.assert_array_equal(ps.f.W, reference.W)
         np.testing.assert_array_equal(ps.f.c, reference.c)
-        for name in ("qsc_modulus", "lipschitz_modulus", "sc_modulus"):
+        for name in ("qsc_modulus", "lipschitz_modulus"):
             assert getattr(ps.f, name) == getattr(reference, name)
         np.testing.assert_array_equal(ps.f.box[0], [-1.0, 0.0])
         np.testing.assert_array_equal(ps.f.box[1], [1.0, 2.0])

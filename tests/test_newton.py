@@ -16,7 +16,7 @@ import bpalm.cli
 import bpalm.newton
 import bpalm.outer
 from bpalm.auglag import SubproblemContext, evaluate_anchor, make_context
-from bpalm.exceptions import FactorizationError
+from bpalm.exceptions import FactorizationError, InvalidRegimeError
 from bpalm.legendre import BoxBarrier, BregmanGeometry, box_barrier, energy, spence, von_neumann
 from bpalm.newton import (
     REGIMES,
@@ -723,7 +723,7 @@ class TestSpectralSystem:
         assert solved.map.A is system.B and solved.map.b is ps.map.b
         assert solved.map.op_norm_bound == ps.map.op_norm_bound
         assert solved.g is ps.g
-        for name in ("qsc_modulus", "lipschitz_modulus", "sc_modulus"):
+        for name in ("qsc_modulus", "lipschitz_modulus"):
             assert getattr(solved.f, name) == getattr(ps.f, name)
         x = np.linspace(-1.0, 1.0, ps.n)
         np.testing.assert_allclose(Q @ solved.f.grad(Q.T @ x), ps.f.grad(x), atol=1e-13)
@@ -872,9 +872,6 @@ class TestRegimeModulus:
     def test_quadratic_equality_has_none(self):
         assert REGIMES["qsc"].modulus(eq_qp_context()) is None
 
-    def test_sc_needs_barrier(self):
-        assert REGIMES["sc"].modulus(eq_qp_context()) is None
-
 
 def box_qp(seed=3, n=4, m=2):
     """min x'Wx/2 + c'x  s.t.  Ax = b, 0 <= x <= 1, with an interior point."""
@@ -913,14 +910,14 @@ class TestRegimes:
 
     # measured before the regimes became one table: qsc predicts for the
     # smooth penalties only, qsc_lipschitz for all but sumexp, which has no
-    # Lipschitz modulus, and sc for none (it needs the box barrier)
+    # Lipschitz modulus; sc refuses these unboxed problems
     COVERAGE = {
-        "sumexp": {"qsc": 2, "qsc_lipschitz": None, "sc": None},
-        "logsumexp_plus_one": {"qsc": 2, "qsc_lipschitz": 2, "sc": None},
-        "softplus_integral": {"qsc": 2, "qsc_lipschitz": 2, "sc": None},
-        "half_square": {"qsc": 1, "qsc_lipschitz": 2, "sc": None},
-        "max_half_square": {"qsc": None, "qsc_lipschitz": 2, "sc": None},
-        "huber": {"qsc": None, "qsc_lipschitz": 2, "sc": None},
+        "sumexp": {"qsc": 2, "qsc_lipschitz": None},
+        "logsumexp_plus_one": {"qsc": 2, "qsc_lipschitz": 2},
+        "softplus_integral": {"qsc": 2, "qsc_lipschitz": 2},
+        "half_square": {"qsc": 1, "qsc_lipschitz": 2},
+        "max_half_square": {"qsc": None, "qsc_lipschitz": 2},
+        "huber": {"qsc": None, "qsc_lipschitz": 2},
     }
 
     @pytest.mark.parametrize("variant,kind", sorted(CLOSED_FORMS))
@@ -935,8 +932,10 @@ class TestRegimes:
         pen = penalty_for(ps.g, dual)
         anchor = evaluate_anchor(ps, geo, np.zeros(2), np.full(2, 0.5))
         ctx = make_context(ps, pen, geo, anchor, 1.0, 0.5)
-        got = {name: REGIMES[name].predicted(ctx, 1e-3) for name in sorted(REGIMES)}
+        got = {name: REGIMES[name].predicted(ctx, 1e-3) for name in ("qsc", "qsc_lipschitz")}
         assert got == self.COVERAGE[pen.closed_form]
+        with pytest.raises(InvalidRegimeError, match="needs a boxed quadratic"):
+            run(SolverConfig(geometry=geo, regime="sc"), ps)
 
     # (log2 sigma, T_used, T_predicted) of the first 10 outer iterations,
     # recorded before the regimes became one table; sigma is a power of two

@@ -1,5 +1,6 @@
 """Tests for the outer proximal multiplier driver."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -573,6 +574,20 @@ class TestRun:
         with pytest.raises(DomainError, match="objective box and barrier box must coincide"):
             run(cfg, ps, on_iteration=lambda record, iterate: calls.append(record.k))
         assert calls == []
+
+    @pytest.mark.parametrize("regime", ["qsc", "qsc_lipschitz"])
+    def test_qsc_regimes_refuse_the_box_barrier(self, regime):
+        # no qsc modulus bounds the barrier's third derivative: on the golden
+        # box suite these runs broke the predicted Newton counts, and two of
+        # four stopped at inner_failure
+        boxed = [gp for gp in golden_suite() if gp.family == "box"]
+        assert len(boxed) == 4
+        for gp in boxed:
+            cfg = dataclasses.replace(family_config(gp), regime=regime)
+            calls = []
+            with pytest.raises(InvalidRegimeError, match="needs an objective without a box"):
+                run(cfg, gp.problem, on_iteration=lambda record, iterate: calls.append(record.k))
+            assert calls == [], gp.name
 
     def test_report_fields(self):
         rep = run(eq_cfg(), eq_qp())

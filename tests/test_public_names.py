@@ -15,6 +15,7 @@ import pytest
 
 import bpalm
 from bpalm import legendre
+from bpalm.newton import REGIMES
 from bpalm.penalty import CLOSED_FORMS
 from test_benchmark_names import TRACER
 
@@ -177,6 +178,25 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
         if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
             return True
     return False
+
+
+def test_no_comparison_against_a_regime_name():
+    """What a regime does is a column of `REGIMES`, never a test of its name:
+    no == or != against a REGIMES key anywhere in the package.  Only those
+    two operators match, so an ``in`` test of a memo key spelled like a
+    regime is not one."""
+    found = []
+    for path in sorted((REPO / "src" / "bpalm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, pair in zip(node.ops, zip(operands, operands[1:])):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and any(
+                    isinstance(side, ast.Constant) and side.value in REGIMES for side in pair
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"comparisons against a regime name: {found}"
 
 
 def test_every_dataclass_field_is_read():
