@@ -20,7 +20,7 @@ For the Euclidean primal geometry the left side reduces to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -56,19 +56,17 @@ class AcceptanceCheck:
 @dataclass(frozen=True)
 class Anchor:
     """The outer iterate (x, y) and what every sigma trial's subproblem reads
-    there: r = Ax - b, grad f(x), grad psi(x), grad phi(y) and phi''(y), each
-    evaluated once.  x and y are read-only.  ``memo`` keeps what a regime's
-    step-size test forms at the anchor on its first trial, for the later
-    trials to reuse."""
+    there: r = Ax - b, grad f(x), grad psi(x), psi''(x), grad phi(y) and
+    phi''(y), each evaluated once.  x and y are read-only."""
 
     x: np.ndarray
     y: np.ndarray
     residual: np.ndarray
     grad_f: np.ndarray
     grad_psi: np.ndarray
+    hess_psi: np.ndarray
     grad_phi_y: np.ndarray
     hess_phi_y: np.ndarray
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def dual_update(self, penalty: DualPenalty, sigma: float, residual: np.ndarray):
         """The dual argument u = grad phi(y) + sigma r and the multiplier
@@ -236,6 +234,7 @@ def evaluate_anchor(problem: ProblemSpec, geometry: BregmanGeometry, x, y) -> An
         residual=problem.map.residual(x),
         grad_f=problem.f.grad(x),
         grad_psi=geometry.primal.grad(x),
+        hess_psi=geometry.primal.hess_diag(x),
         grad_phi_y=geometry.dual.grad(y),
         hess_phi_y=geometry.dual.hess_diag(y),
     )

@@ -290,7 +290,7 @@ def _deferred_decrement(
     return decrement
 
 
-def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = None) -> InnerSolve:
+def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float = 0.0) -> InnerSolve:
     """Iterate Newton steps from the warm start ``ctx.start`` until the
     relative acceptance test passes.
 
@@ -299,7 +299,7 @@ def solve_subproblem(ctx: SubproblemContext, cap: int, modulus: float | None = N
     is evaluated once, and its evaluation serves the gradient, the acceptance
     test and the Newton system.
     """
-    scale = modulus if modulus and modulus > 0.0 else 1.0
+    scale = modulus or 1.0
     point, g = ctx.start, ctx.start_grad
     trace = NewtonTrace()
 
@@ -365,12 +365,11 @@ def sc_steps(
     return _ceil_log2(inner)
 
 
-def _qsc_modulus(ctx: SubproblemContext) -> float | None:
-    m = max(
+def _qsc_modulus(ctx: SubproblemContext) -> float:
+    return max(
         ctx.sigma * ctx.penalty.qsc_modulus * ctx.problem.map.op_norm_bound,
         ctx.problem.f.qsc_modulus,
     )
-    return m if m > 0.0 else None
 
 
 def _sc_modulus(ctx: SubproblemContext) -> float:
@@ -394,28 +393,18 @@ def _qsc_admissible(ctx: SubproblemContext) -> bool:
 
 def _sc_admissible(ctx: SubproblemContext) -> bool:
     """Keep the warm start inside the quadratic convergence region of the
-    local norm, sigma * 16 M^2 <gJ, hess_psi^{-1} gJ> < 1, for
-    gJ = grad f(x) + A^T y + sigma A^T r.  The terms that do not depend on
-    sigma are formed on the anchor's first trial and kept in its memo."""
-    anchor, sigma = ctx.anchor, ctx.sigma
-    m_k = _sc_modulus(ctx)
-    if "sc" not in anchor.memo:
-        A = ctx.problem.map.A
-        anchor.memo["sc"] = (
-            anchor.grad_f + A.T @ anchor.y,
-            A.T @ anchor.residual,
-            1.0 / ctx.geometry.primal.hess_diag(anchor.x),
-        )
-    lagrangian_grad, pull, inv_hess = anchor.memo["sc"]
-    g_j = lagrangian_grad + sigma * pull
-    quad = float(g_j @ (inv_hess * g_j))
-    return 16.0 * m_k * m_k * quad * sigma < 1.0
+    local norm, 16 M^2 sigma <g, psi''(x)^{-1} g> < 1, for g the subproblem
+    gradient at the warm start, grad f(x) + A^T (y + sigma r) under sc's
+    equality constraints and energy dual."""
+    m_k, g = _sc_modulus(ctx), ctx.start_grad
+    quad = float(g @ (g / ctx.anchor.hess_psi))
+    return 16.0 * m_k * m_k * quad * ctx.sigma < 1.0
 
 
 def _qsc_count(ctx: SubproblemContext, b_value: float) -> int | None:
     if not ctx.penalty.smooth:
         return None  # a kinked penalty carries no C^3 certificate
-    return qsc_steps(ctx.rho, _qsc_modulus(ctx) or 0.0, b_value)
+    return qsc_steps(ctx.rho, _qsc_modulus(ctx), b_value)
 
 
 def _lipschitz_count(ctx: SubproblemContext, b_value: float) -> int | None:
@@ -443,14 +432,14 @@ def _sc_validate(problem: ProblemSpec, geometry: BregmanGeometry) -> None:
 @dataclass(frozen=True)
 class Regime:
     """One complexity regime: ``modulus`` is the subproblem's generalized
-    self-concordance modulus (None when zero or unknown), ``admissible`` is
+    self-concordance modulus (0.0 for a quadratic subproblem), ``admissible`` is
     the step-size test that a sigma trial's subproblem passes when its warm
     start lies inside Newton's quadratic region, ``predicted`` is the
     sufficient Newton count, and ``validate`` rejects the problems the regime
     does not cover.  A regime runs the boxed objectives, under the box
     barrier, if ``barrier`` and the unboxed ones otherwise; `run` checks it."""
 
-    modulus: Callable[[SubproblemContext], float | None]
+    modulus: Callable[[SubproblemContext], float]
     admissible: Callable[[SubproblemContext], bool]
     _count: Callable[[SubproblemContext, float], int | None]
     barrier: bool = False

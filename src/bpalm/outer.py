@@ -11,6 +11,7 @@ optimality when the relative tolerance is large.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 # sigma backtracking; perfbench/workloads.py counts backtracks assuming 0.5
-_MAX_BACKTRACKS = 40
 _SHRINK = 0.5
 _SIGMA_MIN = 1e-12
 
@@ -100,6 +100,10 @@ class SolverConfig:
             raise DomainError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if not 1.0 <= self.sigma_growth < math.inf:
             raise DomainError(f"sigma growth must be finite and >= 1, got {self.sigma_growth}")
+        for name in ("max_outer", "newton_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         for name in ("tol_b", "tol_kkt", "max_outer", "newton_cap"):
             if not getattr(self, name) >= 0:
                 raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -229,17 +233,17 @@ def select_sigma(
     rho: float,
     system: SpectralSystem | None = None,
 ) -> tuple[SubproblemContext, bool]:
-    """The subproblem of the largest step size in {target * shrink^j} that
-    passes the regime's step-size test at the anchor, and whether
-    backtracking had to shrink the target.  Each trial is a context."""
+    """The subproblem of the largest step size in {target * shrink^j} at
+    least _SIGMA_MIN that passes the regime's step-size test, and whether
+    backtracking had to shrink the target.  Each trial is a context, and its
+    test reads that context alone."""
     admissible = REGIMES[cfg.regime].admissible
-    for j in range(_MAX_BACKTRACKS):
-        sigma = target * _SHRINK**j
-        if sigma < _SIGMA_MIN:
-            break
+    j = 0
+    while (sigma := target * _SHRINK**j) >= _SIGMA_MIN:
         ctx = make_context(problem, penalty, cfg.geometry, anchor, sigma, rho, system)
         if admissible(ctx):
             return ctx, j > 0
+        j += 1
     raise BisectionFailedError(
         f"no admissible sigma >= {_SIGMA_MIN} below target {target}"
     )
@@ -356,17 +360,15 @@ def run(
         trace.records.append(record)
         if on_iteration is not None:
             on_iteration(record, iterate)
-        resid = record.residuals
-        converged = record.b_value <= cfg.tol_b and resid.max_residual() <= cfg.tol_kkt
-        if not record.accepted:
-            # the relative test can sink below what floating point can certify
-            # (required ||grad|| ~ sqrt(B)/sigma under the gradient's rounding
-            # floor); the iterate still counts as a solution if it meets the
-            # outer tolerances, which is what the report promises
-            status = SolveStatus.OPTIMAL if converged else SolveStatus.INNER_FAILURE
-            break
-        if converged:
+        if record.b_value <= cfg.tol_b and record.residuals.max_residual() <= cfg.tol_kkt:
+            # an unaccepted iterate counts too: the relative test can sink below
+            # what floating point can certify (required ||grad|| ~ sqrt(B)/sigma
+            # under the gradient's rounding floor), and meeting the outer
+            # tolerances is what the report promises
             status = SolveStatus.OPTIMAL
+            break
+        if not record.accepted:
+            status = SolveStatus.INNER_FAILURE
             break
         if float(np.linalg.norm(state.y)) > _DIVERGENCE_NORM:
             status = SolveStatus.DIVERGED

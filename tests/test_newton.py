@@ -870,7 +870,7 @@ class TestRegimeModulus:
         assert REGIMES["qsc"].modulus(ctx) == pytest.approx(0.5 * 1.0 * norm_a)
 
     def test_quadratic_equality_has_none(self):
-        assert REGIMES["qsc"].modulus(eq_qp_context()) is None
+        assert REGIMES["qsc"].modulus(eq_qp_context()) == 0.0
 
 
 def box_qp(seed=3, n=4, m=2):
@@ -1046,7 +1046,7 @@ class TestStepSizeRules:
             assert seen == {True, False}
 
     def test_sc_anchor_terms_serve_every_trial(self):
-        # one anchor's memo, formed by its first context, answers every sigma
+        # one anchor's evaluation serves every sigma's context
         residual = np.array([0.3, -0.2])
         ps, geo, x, y = self.box_case(residual)
         anchor = evaluate_anchor(ps, geo, x, y)
@@ -1055,39 +1055,46 @@ class TestStepSizeRules:
             ctx = make_context(ps, penalty, geo, anchor, sigma, 0.5)
             expected = 16.0 * sigma**2 * self.sc_quad(ps, x, y, sigma) < 1.0
             assert REGIMES["sc"].admissible(ctx) == expected, sigma
-        assert set(anchor.memo) == {"sc"}
 
     def test_sc_hessian_at_the_anchor_once_per_outer_iteration(self, monkeypatch):
-        # sigma backtracks in 20 of box_qp_0_n3's 21 outer iterations; the
-        # later trials of an anchor reuse the first one's 1 / psi''(x)
+        # sigma backtracks in 20 of box_qp_0_n3's 21 outer iterations; every
+        # trial of an anchor reads the psi''(x) that evaluate_anchor formed
+        # (the Newton solve's first Hessian, outside both, reads x again)
         gp = next(g for g in golden_suite() if g.family == "box")
         cfg = family_config(gp)
-        searching, calls = [None], Counter()
-        select, make = bpalm.outer.select_sigma, bpalm.outer.make_context
+        phase, calls = [None], Counter()
+        anchor_at, select, make = (
+            bpalm.outer.evaluate_anchor, bpalm.outer.select_sigma, bpalm.outer.make_context
+        )
         hess_diag = BoxBarrier.hess_diag
 
-        def search(*args):
-            searching[0] = args[3]  # the anchor
-            try:
-                return select(*args)
-            finally:
-                searching[0] = None
+        def during(name, fn):
+            def wrapped(*args):
+                phase[0] = name
+                try:
+                    return fn(*args)
+                finally:
+                    phase[0] = None
+
+            return wrapped
 
         def trial(*args):
             calls["trial"] += 1
             return make(*args)
 
         def counting(self, z):
-            calls["at_anchor"] += searching[0] is not None and z is searching[0].x
+            calls[phase[0]] += 1
             return hess_diag(self, z)
 
-        monkeypatch.setattr(bpalm.outer, "select_sigma", search)
+        monkeypatch.setattr(bpalm.outer, "evaluate_anchor", during("anchor", anchor_at))
+        monkeypatch.setattr(bpalm.outer, "select_sigma", during("search", select))
         monkeypatch.setattr(bpalm.outer, "make_context", trial)
         monkeypatch.setattr(BoxBarrier, "hess_diag", counting)
         report = run(cfg, gp.problem)
         assert report.outer_iterations == 21
         assert calls["trial"] > report.outer_iterations
-        assert calls["at_anchor"] == report.outer_iterations
+        assert calls["anchor"] == report.outer_iterations
+        assert calls["search"] == 0
 
 
 class TestEarlyRejectionInSolves:

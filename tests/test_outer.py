@@ -174,6 +174,39 @@ class TestSelectSigma:
             assert rec.newton.steps[0].grad_norm == float(np.linalg.norm(ctx.grad(ctx.start)))
 
 
+def far_qp(c0):
+    """min ||x||^2 / 2 + c0 x_1 s.t. x_1 <= 0: at the orthant's start the qsc
+    bound on sigma is about 1 / sqrt(2 c0)."""
+    return ProblemSpec(
+        f=SmoothObjective.quadratic(np.eye(2), [c0, 0.0]),
+        g=NonsmoothTerm.nonneg_orthant_indicator(),
+        map=AffineMap.from_dense([[1.0, 0.0]], [0.0]),
+    )
+
+
+class TestSigmaFloor:
+    """The sigma search tries target * 2^-j down to 1e-12, from any target,
+    and reports inner_failure only when no such sigma passes."""
+
+    @pytest.mark.parametrize("sigma0", [1.0, 2.0, 1e6])
+    def test_a_bound_above_the_floor_is_found(self, sigma0):
+        ps = far_qp(1.25e23)  # bound about 2e-12
+        report = run(vn_cfg(ps, sigma0=sigma0, max_outer=1), ps)
+        assert report.status != SolveStatus.INNER_FAILURE
+        assert report.outer_iterations == 1
+        sigma = report.trace.records[0].sigma
+        assert 1e-12 <= sigma < 2e-12
+        assert math.log2(sigma0 / sigma).is_integer()
+
+    @pytest.mark.parametrize("sigma0", [1.0, 2.0, 1e6])
+    def test_a_bound_below_the_floor_is_inner_failure(self, sigma0):
+        ps = far_qp(1.25e25)  # bound about 2e-13
+        report = run(vn_cfg(ps, sigma0=sigma0), ps)
+        assert report.status == SolveStatus.INNER_FAILURE
+        assert report.outer_iterations == 0
+        assert report.trace.records == []
+
+
 class TestOuterIteration:
     def test_worked_example(self):
         ps = eq_qp()
@@ -621,6 +654,20 @@ def test_config_validation():
             SolverConfig(geometry=geometry, **bad)
     # zero tolerances, zero iterations and a zero Newton cap stay accepted
     SolverConfig(geometry=geometry, tol_b=0.0, tol_kkt=0.0, max_outer=0, newton_cap=0)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_outer": 2.5}, {"newton_cap": 1e9}, {"max_outer": True}, {"newton_cap": False}]
+)
+def test_iteration_counts_must_be_integers(bad):
+    # refused at construction, before a run decomposes W; bools are not counts
+    with pytest.raises(DomainError, match="integer"):
+        SolverConfig(geometry=BregmanGeometry(energy(1), energy(1)), **bad)
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = eq_cfg(max_outer=np.int64(3), newton_cap=np.int32(5))
+    assert run(cfg, eq_qp()).outer_iterations <= 3
 
 
 def _small_inequality_qp(seed: int, n: int = 10, m: int = 5) -> ProblemSpec:

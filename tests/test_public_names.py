@@ -180,23 +180,31 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _names_a_regime(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in REGIMES
+
+
 def test_no_comparison_against_a_regime_name():
     """What a regime does is a column of `REGIMES`, never a test of its name:
-    no == or != against a REGIMES key anywhere in the package.  Only those
-    two operators match, so an ``in`` test of a memo key spelled like a
-    regime is not one."""
+    no REGIMES key anywhere in the package as an operand of ==, !=, in or
+    not in, or as a subscript, such as a per-regime dict's key."""
     found = []
     for path in sorted((REPO / "src" / "bpalm").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Compare):
+            if isinstance(node, ast.Subscript):
+                hit = _names_a_regime(node.slice)
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                hit = any(
+                    isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                    and any(map(_names_a_regime, pair))
+                    for op, pair in zip(node.ops, zip(operands, operands[1:]))
+                )
+            else:
                 continue
-            operands = [node.left, *node.comparators]
-            for op, pair in zip(node.ops, zip(operands, operands[1:])):
-                if isinstance(op, (ast.Eq, ast.NotEq)) and any(
-                    isinstance(side, ast.Constant) and side.value in REGIMES for side in pair
-                ):
-                    found.append(f"{path.name}:{node.lineno}")
-    assert found == [], f"comparisons against a regime name: {found}"
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"regime names tested or used as keys: {found}"
 
 
 def test_every_dataclass_field_is_read():
